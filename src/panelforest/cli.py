@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -291,24 +291,18 @@ class Runner:
 
     def step_fit_linear(self) -> list[rpt.ModelBlock]:
         spec = self.static_spec()
-        blocks, hausman_rows, re_blocks = [], [], []
+        blocks, hausman_rows, alt_blocks = [], [], []
+        fp = self.prepared.fingerprint()
         for gname, members in self.groups.items():
             sub = self.group_data(members)
-            fe = lin.fit(lin.ModelSpec(spec.dependent, spec.regressors, spec.controls,
-                                       spec.include_time_dummies, "fixed"), sub)
-            fe = lin.robust_covariance(fe)
-            re = lin.fit(lin.ModelSpec(spec.dependent, spec.regressors, spec.controls,
-                                       spec.include_time_dummies, "random"), sub)
-            haus = lin.hausman(lin.fit(lin.ModelSpec(spec.dependent, spec.regressors,
-                                                     spec.controls,
-                                                     spec.include_time_dummies,
-                                                     "fixed"), sub), re)
-            re = lin.robust_covariance(re)
-            main = fe if spec.effects != "random" else re
-            fp = self.prepared.fingerprint()
+            fe = lin.fit(replace(spec, effects="fixed"), sub)
+            re = lin.fit(replace(spec, effects="random"), sub)
+            # Hausman compares the classical covariances
+            haus = lin.hausman(fe, re)
+            fe, re = lin.robust_covariance(fe), lin.robust_covariance(re)
+            main, alt = (re, fe) if spec.effects == "random" else (fe, re)
             blocks.append(rpt.from_linear(main, gname, "static", fingerprint=fp))
-            re_blocks.append(rpt.from_linear(re if spec.effects != "random" else fe,
-                                             gname, "static", fingerprint=fp))
+            alt_blocks.append(rpt.from_linear(alt, gname, "static", fingerprint=fp))
             hausman_rows.append([gname, _fmt(haus.statistic), haus.df, _fmt(haus.p),
                                  haus.preferred, haus.nonpsd])
             print(f"fit-linear[{gname}]: n={main.n_obs} R2={main.metrics.r_squared:.4f}")
@@ -322,7 +316,7 @@ class Runner:
                         only=[("static", "linear")])
         # the estimator not chosen as main still gets reported
         alt = "random" if spec.effects != "random" else "fixed"
-        rpt._write_model_table(tables / f"table_static_linear_{alt}.csv", re_blocks)
+        rpt._write_model_table(tables / f"table_static_linear_{alt}.csv", alt_blocks)
         return blocks
 
     def step_fit_gmm(self) -> list[rpt.ModelBlock]:
@@ -360,8 +354,6 @@ class Runner:
                 }
                 print(f"fit-rf[{gname}/{setting}]: n={metrics.n_obs} "
                       f"R2={metrics.r2:.4f} OOB_R2={oob.oob_r2:.4f}")
-        rpt.emit_tables(rpt.build_report([], self.rf_blocks(results)), self.out,
-                        only=[("static", "rf"), ("dynamic", "rf")])
         return results
 
     def rf_blocks(self, results: dict, decisions_all: dict | None = None
@@ -373,6 +365,11 @@ class Runner:
                                           gname, setting, decisions=decisions,
                                           fingerprint=self.prepared.fingerprint()))
         return blocks
+
+    def _emit_rf_tables(self, blocks: list[rpt.ModelBlock]) -> None:
+        """Write the RF importance tables once their content is final."""
+        rpt.emit_tables(rpt.build_report([], blocks), self.out,
+                        only=[("static", "rf"), ("dynamic", "rf")])
 
     def step_importance(self, rf_results=None) -> dict:
         if rf_results is None:
@@ -405,16 +402,16 @@ class Runner:
                 decisions, imp, self.out / "figures" / f"importance_{gname}_{setting}.svg")
             n_sig = sum(d.decision == "significant" for d in decisions.values())
             print(f"importance[{gname}/{setting}]: {n_sig}/{len(decisions)} significant")
-        # re-emit the importance tables, now with sequential p-values
-        rpt.emit_tables(rpt.build_report([], self.rf_blocks(rf_results, decisions_all)),
-                        self.out, only=[("static", "rf"), ("dynamic", "rf")])
+        self._emit_rf_tables(self.rf_blocks(rf_results, decisions_all))
         return decisions_all
 
     def step_compare(self, blocks=None) -> None:
         if blocks is None:
             linear_blocks = self.step_fit_linear()
             gmm_blocks = self.step_fit_gmm()
-            blocks = linear_blocks + gmm_blocks + self.rf_blocks(self.step_fit_rf())
+            rf_blocks = self.rf_blocks(self.step_fit_rf())
+            self._emit_rf_tables(rf_blocks)
+            blocks = linear_blocks + gmm_blocks + rf_blocks
         import hashlib
         config_hash = hashlib.sha256(
             json.dumps(self.cfg.echo(), sort_keys=True).encode()).hexdigest()
@@ -448,7 +445,7 @@ class Runner:
             self.step_fit_gmm()
         elif subcommand == "fit-rf":
             self._write_removal_log()
-            self.step_fit_rf()
+            self._emit_rf_tables(self.rf_blocks(self.step_fit_rf()))
         elif subcommand == "importance":
             self._write_removal_log()
             self.step_importance()
@@ -464,8 +461,6 @@ class Runner:
             decisions_all = self.step_importance(rf_results)
             rf_blocks = self.rf_blocks(rf_results, decisions_all)
             self.step_compare(linear_blocks + gmm_blocks + rf_blocks)
-            rpt.emit_tables(rpt.build_report(linear_blocks + gmm_blocks, rf_blocks),
-                            self.out)
             rpt.write_manifest(self.out, self.cfg.echo(), self.cfg.seed,
                                self.prepared.fingerprint())
             print(f"all: artifacts under {self.out}")

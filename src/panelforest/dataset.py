@@ -19,6 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._common import segment_starts
+
 __all__ = [
     "PanelDataset",
     "DescriptiveStats",
@@ -85,15 +87,16 @@ class PanelDataset:
         for name, values in self.columns.items():
             if len(values) != n:
                 raise IntegrityError(f"column {name!r} has {len(values)} rows, expected {n}")
-        keys = list(zip(self.entity.tolist(), self.year.tolist()))
-        if len(set(keys)) != n:
+        e, y = self.entity, self.year
+        increasing = (e[1:] > e[:-1]) | ((e[1:] == e[:-1]) & (y[1:] > y[:-1]))
+        if not increasing.all():
             seen, dups = set(), set()
-            for k in keys:
+            for k in zip(e.tolist(), y.tolist()):
                 if k in seen:
                     dups.add(k)
                 seen.add(k)
-            raise IntegrityError(f"duplicate (entity, year) keys: {sorted(dups)[:5]}")
-        if keys != sorted(keys):
+            if dups:
+                raise IntegrityError(f"duplicate (entity, year) keys: {sorted(dups)[:5]}")
             raise IntegrityError("rows must be sorted by (entity, year)")
         for name, role in self.column_roles.items():
             if role not in ROLES:
@@ -114,6 +117,25 @@ class PanelDataset:
     def years(self) -> list[int]:
         """Unique years, ascending."""
         return sorted(set(self.year.tolist()))
+
+    def lag_rows(self, k: int) -> np.ndarray:
+        """Row index of (e, y - k) for every row (e, y), or -1 where that
+        row is absent: the calendar lag every lagged quantity is gathered
+        through."""
+        if k < 0:
+            raise ValueError(f"lag order must be >= 0, got {k}")
+        if not self.n_rows:
+            return np.zeros(0, dtype=np.int64)
+        starts = segment_starts(self.entity)
+        entity_id = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        offset = self.year - self.year.min()
+        # keys of one entity fill [id * stride, (id + 1) * stride), so a
+        # lag never reaches into the previous entity
+        stride = int(offset.max()) + 1 + k
+        keys = entity_id * stride + offset + k
+        wanted = keys - k
+        found = np.minimum(np.searchsorted(keys, wanted), self.n_rows - 1)
+        return np.where(keys[found] == wanted, found, -1)
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -213,6 +235,7 @@ def load_csv(path, role_map: Mapping[str, str] | None = None,
 
         e_idx, y_idx = header.index(entity_col), header.index(year_col)
         value_names = [h for i, h in enumerate(header) if i not in (e_idx, y_idx)]
+        value_pos = [header.index(name) for name in value_names]
         entities, years = [], []
         raw_cols: dict[str, list[float]] = {name: [] for name in value_names}
         bad_cells: dict[str, int] = {}
@@ -224,8 +247,7 @@ def load_csv(path, role_map: Mapping[str, str] | None = None,
                 years.append(int(float(row[y_idx])))
             except ValueError:
                 raise SchemaError(f"{path}:{lineno}: non-integer year {row[y_idx]!r}") from None
-            for i, name in enumerate(value_names):
-                col_pos = header.index(name)
+            for name, col_pos in zip(value_names, value_pos):
                 cell = row[col_pos].strip() if col_pos < len(row) else ""
                 if not cell:
                     raw_cols[name].append(math.nan)
@@ -238,21 +260,17 @@ def load_csv(path, role_map: Mapping[str, str] | None = None,
 
     ent = np.asarray(entities, dtype=object)
     yr = np.asarray(years, dtype=np.int64)
-    keys = list(zip(entities, years))
-    if len(set(keys)) != len(keys):
-        seen, dups = set(), []
-        for k in keys:
-            if k in seen:
-                dups.append(k)
-            seen.add(k)
-        raise IntegrityError(f"{path}: duplicate (entity, year) rows: {dups[:5]}")
     order = np.lexsort((yr, ent))
     cols = {name: np.asarray(vals, dtype=np.float64)[order] for name, vals in raw_cols.items()}
+    try:
+        ds = PanelDataset(ent[order], yr[order], cols, role_map, parse_warnings=bad_cells)
+    except IntegrityError as exc:
+        raise IntegrityError(f"{path}: {exc}") from None
     if bad_cells:
         total = sum(bad_cells.values())
         warnings.warn(f"{path}: {total} unparseable numeric cells coerced to missing "
                       f"({dict(sorted(bad_cells.items()))})", stacklevel=2)
-    return PanelDataset(ent[order], yr[order], cols, role_map, parse_warnings=bad_cells)
+    return ds
 
 
 def add_lags(ds: PanelDataset, vars: Sequence[str], k: int = 1) -> PanelDataset:
@@ -266,15 +284,9 @@ def add_lags(ds: PanelDataset, vars: Sequence[str], k: int = 1) -> PanelDataset:
         raise ValueError(f"lag order must be >= 1, got {k}")
     ds.require_columns(vars)
     out = ds
-    # (entity, year) -> row index; rebuilt once, shared by all vars
-    index = {(e, y): i for i, (e, y) in enumerate(zip(ds.entity.tolist(), ds.year.tolist()))}
+    rows = ds.lag_rows(k)
     for name in vars:
-        src = ds.columns[name]
-        lagged = np.full(ds.n_rows, np.nan)
-        for i, (e, y) in enumerate(zip(ds.entity.tolist(), ds.year.tolist())):
-            j = index.get((e, y - k))
-            if j is not None:
-                lagged[i] = src[j]
+        lagged = np.where(rows >= 0, ds.columns[name][rows], np.nan)
         out = out.with_column(f"{name}(t-{k})", lagged, role="derived",
                               parent=name, transform=f"lag:{k}")
     return out

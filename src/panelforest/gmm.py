@@ -24,8 +24,9 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import stats as sps
 
+from ._common import segment_starts
 from .dataset import PanelDataset
-from .linear import TIME_DUMMY_PREFIX, WaldResult
+from .linear import TIME_DUMMY_PREFIX, WaldResult, wald_joint
 
 __all__ = [
     "GmmSpec",
@@ -142,8 +143,6 @@ class GmmFit:
     design_diff: np.ndarray
     z_matrix: np.ndarray
     zx: np.ndarray
-    z_is_level_row: np.ndarray
-    row_entity_all: np.ndarray
     weight: np.ndarray
     a_inv: np.ndarray
     sigma2: float
@@ -151,20 +150,6 @@ class GmmFit:
     @property
     def beta(self) -> np.ndarray:
         return np.array([self.coefficients[n] for n in self.coef_names])
-
-
-def _entity_frames(ds: PanelDataset, names: Sequence[str]):
-    """Per-entity (years, {name: year->value}) maps over non-missing cells."""
-    frames = {}
-    for code in ds.entities:
-        rows = ds.entity == code
-        years = ds.year[rows]
-        cols = {}
-        for name in names:
-            vals = ds.column(name)[rows]
-            cols[name] = {int(t): float(v) for t, v in zip(years, vals) if not math.isnan(v)}
-        frames[code] = cols
-    return frames
 
 
 def fit_system_gmm(spec: GmmSpec, ds: PanelDataset) -> GmmFit:
@@ -177,65 +162,63 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
     # test suite where the one-step weight is exactly efficient
     ds.require_columns([spec.dependent, *spec.regressors])
     dep, regs = spec.dependent, spec.regressors
-    frames = _entity_frames(ds, [dep, *regs])
     inst_vars = [dep, *regs]
+    max_lag = max([2, *(spec.lags_for(v)[1] for v in inst_vars)])
+    lag_idx = [ds.lag_rows(k) for k in range(max_lag + 1)]
 
-    diff_rows, level_rows = [], []  # (entity, year)
-    for code in ds.entities:
-        cols = frames[code]
-        dep_years = cols[dep]
-        for t in sorted(dep_years):
-            if (t - 1) not in dep_years:
-                continue
-            regs_now = all(t in cols[r] for r in regs)
-            if include_level and regs_now:
-                level_rows.append((code, t))
-            if (t - 2) in dep_years and regs_now and all((t - 1) in cols[r] for r in regs):
-                diff_rows.append((code, t))
+    def at(name, k):
+        """Column `name` at (e, t - k) for every row (e, t); NaN where absent."""
+        return np.where(lag_idx[k] >= 0, ds.column(name)[lag_idx[k]], np.nan)
 
-    if not diff_rows:
-        usable = {code: sum(1 for t in frames[code][dep] if (t - 1) in frames[code][dep]
-                            and (t - 2) in frames[code][dep])
-                  for code in ds.entities}
+    def observed(names, k):
+        ok = np.ones(ds.n_rows, dtype=bool)
+        for name in names:
+            ok &= ~np.isnan(at(name, k))
+        return ok
+
+    # a level row needs y(t), y(t-1) and x(t); a diff row also y(t-2), x(t-1)
+    dep_two = observed([dep], 0) & observed([dep], 1)
+    dep_three = dep_two & observed([dep], 2)
+    regs_now = observed(regs, 0)
+    d_idx = np.flatnonzero(dep_three & regs_now & observed(regs, 1))
+    l_idx = np.flatnonzero(dep_two & regs_now) if include_level else d_idx[:0]
+    if not d_idx.size:
+        starts = segment_starts(ds.entity)
+        usable = {ds.entity[a]: int(dep_three[a:b].sum())
+                  for a, b in zip(starts[:-1], starts[1:])}
         raise ValueError("no entity contributes 3 consecutive usable periods; "
                          f"per-entity usable differenced periods: {usable}")
 
-    n_d, n_l = len(diff_rows), len(level_rows)
-    years_used = sorted({t for _, t in diff_rows} | {t for _, t in level_rows})
+    n_d, n_l = len(d_idx), len(l_idx)
+    d_year, l_year = ds.year[d_idx], ds.year[l_idx]
+    years_used = sorted(set(d_year.tolist()) | set(l_year.tolist()))
     dummy_years = years_used[1:] if spec.include_time_dummies else []
 
     param_names = [spec.lagdep_name, *regs]
     param_names += [f"{TIME_DUMMY_PREFIX}{t}" for t in dummy_years]
+    # columns shared by design and instruments: year dummies, differenced in
+    # the diff block, and the constant of the level block
+    shared = [np.concatenate([(d_year == s) - (d_year - 1 == s) * 1.0, (l_year == s) * 1.0])
+              for s in dummy_years]
+    shared_names = [f"iv:{TIME_DUMMY_PREFIX}{s}" for s in dummy_years]
     if include_level:
         param_names.append("const")
+        shared.append(np.concatenate([np.zeros(n_d), np.ones(n_l)]))
+        shared_names.append("iv:const")
     k = len(param_names)
 
-    def val(code, name, t):
-        return frames[code][name].get(t)
-
     # stacked outcome and design: diff block first, then level block
-    y_stack = np.zeros(n_d + n_l)
-    x_stack = np.zeros((n_d + n_l, k))
-    for i, (code, t) in enumerate(diff_rows):
-        y_stack[i] = val(code, dep, t) - val(code, dep, t - 1)
-        x_stack[i, 0] = val(code, dep, t - 1) - val(code, dep, t - 2)
-        for j, r in enumerate(regs, start=1):
-            x_stack[i, j] = val(code, r, t) - val(code, r, t - 1)
-        for j, s in enumerate(dummy_years, start=1 + len(regs)):
-            x_stack[i, j] = float(t == s) - float(t - 1 == s)
-    for i, (code, t) in enumerate(level_rows, start=n_d):
-        y_stack[i] = val(code, dep, t)
-        x_stack[i, 0] = val(code, dep, t - 1)
-        for j, r in enumerate(regs, start=1):
-            x_stack[i, j] = val(code, r, t)
-        for j, s in enumerate(dummy_years, start=1 + len(regs)):
-            x_stack[i, j] = float(t == s)
-        if include_level:
-            x_stack[i, k - 1] = 1.0
+    def stacked(name, lag):
+        return np.concatenate([(at(name, lag) - at(name, lag + 1))[d_idx],
+                               at(name, lag)[l_idx]])
 
-    z_cols, z_names = _build_instruments(spec, frames, diff_rows, level_rows,
-                                         inst_vars, dummy_years, include_level)
-    z = np.column_stack(z_cols)
+    y_stack = stacked(dep, 0)
+    x_stack = np.column_stack([stacked(dep, 1), *(stacked(r, 0) for r in regs), *shared])
+
+    z_cols, z_names = _build_instruments(spec, at, d_idx, l_idx, d_year, l_year,
+                                         inst_vars, include_level)
+    z = np.column_stack(z_cols + shared)
+    z_names = z_names + shared_names
     nonzero = np.any(z != 0.0, axis=0)
     z = z[:, nonzero]
     z_names = tuple(name for name, keep in zip(z_names, nonzero) if keep)
@@ -244,31 +227,24 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         raise ValueError(f"under-identified: {n_inst} instruments for {k} parameters "
                          f"(instruments: {list(z_names)})")
 
-    entities_arr = np.array([c for c, _ in diff_rows] + [c for c, _ in level_rows],
-                            dtype=object)
-    n_entities = len(set(entities_arr.tolist()))
+    diff_entity, level_entity = ds.entity[d_idx], ds.entity[l_idx]
+    entity_rows = _entity_rows(diff_entity, level_entity)
+    n_entities = len(entity_rows)
     if n_inst >= n_entities:
         warnings.warn(f"instrument proliferation: {n_inst} instruments with only "
                       f"{n_entities} entities", stacklevel=2)
 
-    diff_years_arr = np.array([t for _, t in diff_rows])
-    is_level = np.zeros(n_d + n_l, dtype=bool)
-    is_level[n_d:] = True
+    year_all = np.concatenate([d_year, l_year])
 
-    # one-step weight: W = (sum_i Z_i' H_i Z_i)^-1
+    # one-step weight: W = (sum_i Z_i' H_i Z_i)^-1, where H_i is 2 on the
+    # diagonal and -1 between calendar-adjacent diff rows, identity on the
+    # level rows
     s_zhz = np.zeros((n_inst, n_inst))
-    for code in sorted(set(entities_arr.tolist())):
-        rows = np.where(entities_arr == code)[0]
-        d_rows = rows[~is_level[rows]]
-        h = np.zeros((len(rows), len(rows)))
-        local = {r: i for i, r in enumerate(rows)}
-        for r in d_rows:
-            h[local[r], local[r]] = 2.0
-            for r2 in d_rows:
-                if abs(int(diff_years_arr[r]) - int(diff_years_arr[r2])) == 1:
-                    h[local[r], local[r2]] = -1.0
-        for r in rows[is_level[rows]]:
-            h[local[r], local[r]] = 1.0
+    for rows in entity_rows:
+        diff = rows < n_d
+        t = year_all[rows]
+        adjacent = (np.abs(t[:, None] - t[None, :]) == 1) & diff[:, None] & diff[None, :]
+        h = np.diag(np.where(diff, 2.0, 1.0)) - adjacent
         zi = z[rows]
         s_zhz += zi.T @ h @ zi
 
@@ -282,8 +258,7 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
     u = y_stack - x_stack @ theta
     # clustered one-step sandwich
     omega = np.zeros((n_inst, n_inst))
-    for code in sorted(set(entities_arr.tolist())):
-        rows = entities_arr == code
+    for rows in entity_rows:
         s_i = z[rows].T @ u[rows]
         omega += np.outer(s_i, s_i)
     cov = a_inv @ (zx.T @ w_mat @ omega @ w_mat @ zx) @ a_inv
@@ -308,10 +283,10 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         n_entities=n_entities,
         residuals_diff=u_diff,
         residuals_level=u_level,
-        diff_entity=np.array([c for c, _ in diff_rows], dtype=object),
-        diff_year=diff_years_arr,
-        level_entity=np.array([c for c, _ in level_rows], dtype=object),
-        level_year=np.array([t for _, t in level_rows]),
+        diff_entity=diff_entity,
+        diff_year=d_year,
+        level_entity=level_entity,
+        level_year=l_year,
         sargan=SarganResult(math.nan, 0, math.nan),
         ar_tests={},
         wald=WaldResult(math.nan, 0, math.nan),
@@ -320,8 +295,6 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         design_diff=x_stack[:n_d],
         z_matrix=z,
         zx=zx,
-        z_is_level_row=is_level,
-        row_entity_all=entities_arr,
         weight=w_mat,
         a_inv=a_inv,
         sigma2=sigma2,
@@ -336,71 +309,55 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
     return fit
 
 
-def _build_instruments(spec, frames, diff_rows, level_rows, inst_vars,
-                       dummy_years, include_level):
-    """Assemble instrument columns over the stacked rows.
+def _build_instruments(spec, at, d_idx, l_idx, d_year, l_year, inst_vars, include_level):
+    """Lagged-level columns for the diff block and lagged-difference columns
+    for the level block, over the stacked rows.
 
     Missing history becomes a zero cell, which keeps the corresponding
     moment condition trivially valid.
     """
-    n_d, n_l = len(diff_rows), len(level_rows)
+    zeros_d, zeros_l = np.zeros(len(d_idx)), np.zeros(len(l_idx))
     cols, names = [], []
 
-    def vget(code, name, t):
-        return frames[code][name].get(t, 0.0) if t in frames[code][name] else 0.0
+    def add(name, diff_part, level_part):
+        cols.append(np.concatenate([diff_part, level_part]))
+        names.append(name)
 
     for v in inst_vars:
         lo, hi = spec.lags_for(v)
+        history = {}
+        for lag in range(lo, hi + 1):
+            level = at(v, lag)[d_idx]
+            history[lag] = np.where(np.isnan(level), 0.0, level)
         if spec.collapse:
-            for lag in range(lo, hi + 1):
-                col = np.zeros(n_d + n_l)
-                for i, (code, t) in enumerate(diff_rows):
-                    col[i] = vget(code, v, t - lag)
-                cols.append(col)
-                names.append(f"diff:{v}(t-{lag})")
+            for lag, col in history.items():
+                add(f"diff:{v}(t-{lag})", col, zeros_l)
         else:
-            periods = sorted({t for _, t in diff_rows})
-            for t0 in periods:
-                for lag in range(lo, hi + 1):
-                    col = np.zeros(n_d + n_l)
-                    for i, (code, t) in enumerate(diff_rows):
-                        if t == t0:
-                            col[i] = vget(code, v, t - lag)
-                    cols.append(col)
-                    names.append(f"diff:{v}(t-{lag})@{t0}")
+            for t0 in np.unique(d_year).tolist():
+                for lag, col in history.items():
+                    add(f"diff:{v}(t-{lag})@{t0}", np.where(d_year == t0, col, 0.0), zeros_l)
     if include_level:
         for v in inst_vars:
+            a, b = at(v, 1)[l_idx], at(v, 2)[l_idx]
+            change = np.where(np.isnan(a) | np.isnan(b), 0.0, a - b)
             if spec.collapse:
-                col = np.zeros(n_d + n_l)
-                for i, (code, t) in enumerate(level_rows, start=n_d):
-                    a, b = frames[code][v].get(t - 1), frames[code][v].get(t - 2)
-                    col[i] = (a - b) if a is not None and b is not None else 0.0
-                cols.append(col)
-                names.append(f"level:D.{v}(t-1)")
+                add(f"level:D.{v}(t-1)", zeros_d, change)
             else:
-                periods = sorted({t for _, t in level_rows})
-                for t0 in periods:
-                    col = np.zeros(n_d + n_l)
-                    for i, (code, t) in enumerate(level_rows, start=n_d):
-                        if t == t0:
-                            a, b = frames[code][v].get(t - 1), frames[code][v].get(t - 2)
-                            col[i] = (a - b) if a is not None and b is not None else 0.0
-                    cols.append(col)
-                    names.append(f"level:D.{v}(t-1)@{t0}")
-    for s in dummy_years:
-        col = np.zeros(n_d + n_l)
-        for i, (code, t) in enumerate(diff_rows):
-            col[i] = float(t == s) - float(t - 1 == s)
-        for i, (code, t) in enumerate(level_rows, start=n_d):
-            col[i] = float(t == s)
-        cols.append(col)
-        names.append(f"iv:{TIME_DUMMY_PREFIX}{s}")
-    if include_level:
-        col = np.zeros(n_d + n_l)
-        col[n_d:] = 1.0
-        cols.append(col)
-        names.append("iv:const")
+                for t0 in np.unique(l_year).tolist():
+                    add(f"level:D.{v}(t-1)@{t0}", zeros_d, np.where(l_year == t0, change, 0.0))
     return cols, names
+
+
+def _entity_rows(diff_entity: np.ndarray, level_entity: np.ndarray) -> list[np.ndarray]:
+    """Stacked-row indices of each entity, in code order: its rows of the
+    sorted diff block, then its rows of the sorted level block."""
+    heads = [block[segment_starts(block)[:-1]] for block in (diff_entity, level_entity)]
+    codes = np.unique(np.concatenate(heads))
+    n_d = len(diff_entity)
+    d0, d1 = (np.searchsorted(diff_entity, codes, side=s) for s in ("left", "right"))
+    l0, l1 = (n_d + np.searchsorted(level_entity, codes, side=s) for s in ("left", "right"))
+    return [np.concatenate([np.arange(a, b), np.arange(c, d)])
+            for a, b, c, d in zip(d0, d1, l0, l1)]
 
 
 def _safe_inverse(mat: np.ndarray, names: Sequence[str], what: str) -> np.ndarray:
@@ -410,10 +367,10 @@ def _safe_inverse(mat: np.ndarray, names: Sequence[str], what: str) -> np.ndarra
     except np.linalg.LinAlgError:
         cond = math.inf
     if not math.isfinite(cond) or cond > 1e12:
-        r = np.abs(np.diag(sla.qr(mat, mode="economic", pivoting=True)[1]))
+        _, r, perm = sla.qr(mat, mode="economic", pivoting=True)
+        r = np.abs(np.diag(r))
         tol = (r[0] if r.size else 0.0) * len(names) * 1e-12
         rank = int((r > tol).sum())
-        perm = sla.qr(mat, mode="economic", pivoting=True)[2]
         bad = sorted(str(names[i]) for i in perm[rank:])
         raise ValueError(f"singular {what}; deficient columns: {bad}")
     return np.linalg.inv(mat)
@@ -446,29 +403,18 @@ def ar_test(fit: GmmFit, order: int) -> ArResult:
         raise ValueError("order must be >= 1")
     w = fit.residuals_diff
     n_d = len(w)
-    key_to_idx = {(e, int(t)): i
-                  for i, (e, t) in enumerate(zip(fit.diff_entity, fit.diff_year))}
-    w_lag = np.zeros(n_d)
-    matched = 0
-    for i, (e, t) in enumerate(zip(fit.diff_entity, fit.diff_year)):
-        j = key_to_idx.get((e, int(t) - order))
-        if j is not None:
-            w_lag[i] = w[j]
-            matched += 1
-    if matched == 0:
+    lagged = PanelDataset(fit.diff_entity, fit.diff_year, {}).lag_rows(order)
+    if not (lagged >= 0).any():
         return ArResult(math.nan, math.nan)
+    w_lag = np.where(lagged >= 0, w[lagged], 0.0)
 
     q = float(w_lag @ w)
     term1 = 0.0
     m_vec = np.zeros(fit.instrument_count)
     u_all = np.concatenate([fit.residuals_diff, fit.residuals_level])
-    diff_mask = ~fit.z_is_level_row
-    for code in sorted(set(fit.row_entity_all.tolist())):
-        rows = fit.row_entity_all == code
-        d_rows = rows & diff_mask
-        wi = u_all[d_rows]
-        wl_i = w_lag[d_rows[:n_d]]
-        a_i = float(wl_i @ wi)
+    for rows in _entity_rows(fit.diff_entity, fit.level_entity):
+        d_rows = rows[rows < n_d]
+        a_i = float(w_lag[d_rows] @ w[d_rows])
         term1 += a_i * a_i
         s_i = fit.z_matrix[rows].T @ u_all[rows]
         m_vec += s_i * a_i
@@ -483,21 +429,3 @@ def ar_test(fit: GmmFit, order: int) -> ArResult:
         return ArResult(math.nan, math.nan)
     z_stat = q / math.sqrt(var)
     return ArResult(z_stat, 2.0 * float(sps.norm.sf(abs(z_stat))))
-
-
-def wald_joint(fit: GmmFit, subset: Sequence[str]) -> WaldResult:
-    """Chi-square Wald test that the GMM coefficients in `subset` are zero."""
-    subset = list(subset)
-    missing = [s for s in subset if s not in fit.coef_names]
-    if missing:
-        raise KeyError(f"coefficients not in fit: {missing}")
-    idx = [fit.coef_names.index(s) for s in subset]
-    b = np.array([fit.coefficients[s] for s in subset])
-    v = fit.covariance[np.ix_(idx, idx)]
-    try:
-        stat = float(b @ np.linalg.solve(v, b))
-    except np.linalg.LinAlgError:
-        raise ValueError(f"singular covariance block for subset {subset}") from None
-    if not math.isfinite(stat):
-        raise ValueError(f"singular covariance block for subset {subset}")
-    return WaldResult(stat, len(subset), float(sps.chi2.sf(stat, len(subset))))

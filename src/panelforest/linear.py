@@ -17,7 +17,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import stats as sps
 
-from ._common import star_code
+from ._common import segment_starts, star_code
 from .dataset import PanelDataset
 
 __all__ = [
@@ -295,9 +295,10 @@ def robust_covariance(fit_: LinearFit, ds: PanelDataset | None = None,
     n, k = X.shape
     xtx_inv = np.linalg.inv(X.T @ X)
     meat = np.zeros((k, k))
-    for code in np.unique(fit_.row_entity):
-        rows = fit_.row_entity == code
-        xu = X[rows].T @ resid[rows]
+    # fit rows keep the dataset's (entity, year) order: clusters are contiguous
+    starts = segment_starts(fit_.row_entity)
+    for a, b in zip(starts[:-1], starts[1:]):
+        xu = X[a:b].T @ resid[a:b]
         meat += np.outer(xu, xu)
     cov = xtx_inv @ meat @ xtx_inv
     if small_sample:
@@ -341,8 +342,12 @@ class WaldResult:
     p: float
 
 
-def wald_joint(fit_: LinearFit, subset: Sequence[str]) -> WaldResult:
-    """Chi-square Wald test that all coefficients in `subset` are zero."""
+def wald_joint(fit_, subset: Sequence[str]) -> WaldResult:
+    """Chi-square Wald test that all coefficients in `subset` are zero.
+
+    Takes any fit with `coef_names`, `coefficients` and `covariance`: a
+    linear fit or a System GMM fit.
+    """
     subset = list(subset)
     missing = [s for s in subset if s not in fit_.coef_names]
     if missing:

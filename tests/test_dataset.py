@@ -118,6 +118,22 @@ class TestAddLags:
                                               cut_then_lagged.column(f"v(t-{k})"))
 
 
+class TestLagRows:
+    # toy_panel rows: A2000 A2001 A2002 | B2000 B2002 | C2001
+    def test_lag_one_gap_and_entity_boundary(self):
+        # B2002 lags into the gap year; B2000 and C2001 must not reach
+        # back into the previous entity's rows
+        assert toy_panel().lag_rows(1).tolist() == [-1, 0, 1, -1, -1, -1]
+
+    def test_lag_two_spans_the_gap(self):
+        assert toy_panel().lag_rows(2).tolist() == [-1, -1, 0, -1, 3, -1]
+
+    def test_lag_zero_is_identity_and_negative_rejected(self):
+        assert toy_panel().lag_rows(0).tolist() == list(range(6))
+        with pytest.raises(ValueError):
+            toy_panel().lag_rows(-1)
+
+
 class TestLogTransform:
     def test_ln_one_and_e(self):
         ds = from_records(["A", "A"], [2000, 2001], {"x": [1.0, math.e]})

@@ -147,6 +147,67 @@ class TestFit:
             forced, lagdep_stable=abs(forced.coefficients["y(t-1)"]) < 1).lagdep_stable
 
 
+def gappy_panel(seed=0, n_ent=10):
+    """2000-2007 panel; E00 lacks the year 2003, E01's x is missing in 2004."""
+    rng = np.random.default_rng(seed)
+    ents, yrs, ys, xs = [], [], [], []
+    for i in range(n_ent):
+        y = rng.normal()
+        for t in range(2000, 2008):
+            x = rng.normal()
+            y = 0.5 * y + 0.3 * x + rng.normal()
+            if i == 0 and t == 2003:
+                continue
+            ents.append(f"E{i:02d}")
+            yrs.append(t)
+            ys.append(y)
+            xs.append(math.nan if i == 1 and t == 2004 else x)
+    return from_records(ents, yrs, {"y": ys, "x": xs})
+
+
+class TestGapsAndMissingCells:
+    def test_rows_and_instruments_match_hand_stacking(self):
+        ds = gappy_panel()
+        fit = fit_system_gmm(SPEC, ds)
+        cell = {(e, int(t)): (y, x) for e, t, y, x in
+                zip(ds.entity, ds.year, ds.column("y"), ds.column("x"))}
+
+        def get(e, t, j):
+            v = cell.get((e, t), (math.nan, math.nan))[j]
+            return None if math.isnan(v) else v
+
+        diff_rows, level_rows = [], []
+        for e, t in sorted(cell):
+            if None in (get(e, t, 0), get(e, t - 1, 0), get(e, t, 1)):
+                continue
+            level_rows.append((e, t))
+            if None not in (get(e, t - 2, 0), get(e, t - 1, 1)):
+                diff_rows.append((e, t))
+        # E00: 5 level / 3 diff rows; E01: 6 / 4; eight full entities: 7 / 6
+        assert (len(diff_rows), len(level_rows)) == (55, 67)
+        assert (fit.n_obs_diff, fit.n_obs_level) == (55, 67)
+
+        def lag_or_zero(e, t, j):
+            v = get(e, t, j)
+            return 0.0 if v is None else v
+
+        def change_or_zero(e, t, j):
+            a, b = get(e, t - 1, j), get(e, t - 2, j)
+            return 0.0 if a is None or b is None else a - b
+
+        oracle = []
+        for e, t in diff_rows:
+            oracle.append([lag_or_zero(e, t - lag, j) for j in (0, 1) for lag in (2, 3, 4)]
+                          + [0.0, 0.0, 0.0])
+        for e, t in level_rows:
+            oracle.append([0.0] * 6 + [change_or_zero(e, t, 0), change_or_zero(e, t, 1), 1.0])
+        assert fit.instrument_names == (
+            "diff:y(t-2)", "diff:y(t-3)", "diff:y(t-4)",
+            "diff:x(t-2)", "diff:x(t-3)", "diff:x(t-4)",
+            "level:D.y(t-1)", "level:D.x(t-1)", "iv:const")
+        np.testing.assert_array_equal(fit.z_matrix, np.array(oracle))
+
+
 class TestSargan:
     def test_uniform_under_valid_instruments(self):
         # difference-only internal mode: with iid errors the one-step
