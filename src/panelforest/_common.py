@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["star_code", "segment_starts"]
+__all__ = ["star_code", "segment_starts", "segment_ids"]
 
 
 def star_code(p: float) -> str:
@@ -31,3 +31,10 @@ def segment_starts(codes: np.ndarray) -> np.ndarray:
     codes = np.asarray(codes)
     change = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     return np.concatenate(([0], change, [len(codes)])) if len(codes) else np.zeros(1, int)
+
+
+def segment_ids(codes: np.ndarray) -> np.ndarray:
+    """Run number of every element (0, 1, ...): on entity-sorted rows, the
+    codes ``np.unique(codes, return_inverse=True)`` gives, without a sort."""
+    starts = segment_starts(codes)
+    return np.repeat(np.arange(len(starts) - 1), np.diff(starts))

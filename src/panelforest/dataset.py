@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._common import segment_starts
+from ._common import segment_ids
 
 __all__ = [
     "PanelDataset",
@@ -126,8 +126,7 @@ class PanelDataset:
             raise ValueError(f"lag order must be >= 0, got {k}")
         if not self.n_rows:
             return np.zeros(0, dtype=np.int64)
-        starts = segment_starts(self.entity)
-        entity_id = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        entity_id = segment_ids(self.entity)
         offset = self.year - self.year.min()
         # keys of one entity fill [id * stride, (id + 1) * stride), so a
         # lag never reaches into the previous entity

@@ -6,13 +6,19 @@ sizes this package targets (a few hundred rows).  Each tree draws its
 bootstrap sample and split features from its own counter-derived stream,
 so the fitted forest is a pure function of (X, y, config) regardless of
 how tree construction is scheduled.
+
+A forest stores all its trees in one node table, tree after tree, with the
+offset of each tree's root; child links are tree-local.  One function,
+`_leaves`, routes (tree, row) pairs for predict, OOB scoring and
+`Tree.predict`; MDI and save/load work on whole node columns.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +38,6 @@ __all__ = [
     "mdi_importance",
     "forest_metrics",
     "ForestMetrics",
-    "refit",
     "save_forest",
     "load_forest",
 ]
@@ -72,9 +77,10 @@ class ForestConfig:
 
 @dataclass(frozen=True)
 class Tree:
-    """Array-encoded CART tree.
+    """Array-encoded CART node table: one tree, or a forest's trees in turn.
 
-    feature[i] == -1 marks a leaf; value[i] is the node's training-target
+    feature[i] == -1 marks a leaf; left[i]/right[i] index the children
+    from the root of node i's tree; value[i] is the node's training-target
     mean (the prediction for leaves), n_samples[i] the bootstrap-multiset
     size, sse_decrease[i] the split's reduction in total squared error.
     """
@@ -92,39 +98,68 @@ class Tree:
         return len(self.feature)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.intp)
-        active = self.feature[node] >= 0
-        while active.any():
-            idx = np.where(active)[0]
-            feats = self.feature[node[idx]]
-            thresh = self.threshold[node[idx]]
-            go_left = X[idx, feats] <= thresh
-            node[idx] = np.where(go_left, self.left[node[idx]], self.right[node[idx]])
-            active = self.feature[node] >= 0
-        return self.value[node]
+        """Leaf value of every row of X in the tree rooted at node 0."""
+        n = len(X)
+        return self.value[_leaves(self, 0, np.zeros(n, dtype=np.intp), X, np.arange(n))]
+
+
+# node-table columns in Tree field order
+_NODE_DTYPES = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
+                "right": np.intp, "value": np.float64, "n_samples": np.intp,
+                "sse_decrease": np.float64}
+
+
+def _node_table(columns: dict[str, list]) -> Tree:
+    return Tree(**{k: np.asarray(columns[k], dtype=t) for k, t in _NODE_DTYPES.items()})
+
+
+def _leaves(nodes: Tree, offset: np.ndarray | int, node: np.ndarray, X: np.ndarray,
+            rows: np.ndarray) -> np.ndarray:
+    """Table index of the leaf each (tree, row) pair reaches, starting at
+    node[i] and descending on X[rows[i]]; offset[j] is the root of node j's
+    tree (0 for a lone tree), which makes child links table indices."""
+    left, right = nodes.left + offset, nodes.right + offset
+    node = node.copy()
+    todo = np.flatnonzero(nodes.feature[node] >= 0)
+    at = node[todo]
+    while todo.size:
+        go_left = X[rows[todo], nodes.feature[at]] <= nodes.threshold[at]
+        at = np.where(go_left, left[at], right[at])
+        node[todo] = at
+        inner = nodes.feature[at] >= 0
+        todo, at = todo[inner], at[inner]
+    return node
 
 
 @dataclass(frozen=True)
 class Forest:
-    """Fitted ensemble plus per-tree bootstrap bookkeeping for OOB scoring."""
+    """Fitted ensemble: one node table in which tree i starts at roots[i],
+    plus per-tree bootstrap bookkeeping for OOB scoring."""
 
-    trees: tuple[Tree, ...]
+    nodes: Tree
+    roots: np.ndarray  # (n_trees,) table offset of each tree's root
     in_bag_counts: np.ndarray  # (n_trees, n_rows) bootstrap multiplicities
     feature_names: tuple[str, ...]
     config: ForestConfig
-    y_min: float
-    y_max: float
     n_rows: int
+
+    @property
+    def trees(self) -> tuple[Tree, ...]:
+        """Per-tree views of the node table (no copies)."""
+        parts = [np.split(getattr(self.nodes, name), self.roots[1:]) for name in _NODE_DTYPES]
+        return tuple(Tree(*columns) for columns in zip(*parts))
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
-               cfg: ForestConfig, rng: np.random.Generator) -> Tree:
+               cfg: ForestConfig, rng: np.random.Generator,
+               table: dict[str, list]) -> None:
+    """Grow one tree onto the node lists in `table`, children counted from its root."""
     p = X.shape[1]
     mtry = cfg.resolve_mtry(p)
     min_leaf = cfg.min_leaf
 
-    feature, threshold, left, right = [], [], [], []
-    value, n_samples, sse_dec = [], [], []
+    feature, threshold, left, right, value, n_samples, sse_dec = table.values()
+    root = len(feature)
 
     def new_node(idx: np.ndarray) -> int:
         slot = len(feature)
@@ -137,8 +172,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
         sse_dec.append(0.0)
         return slot
 
-    root = new_node(sample_idx)
-    stack = [(root, sample_idx, 0)]
+    stack = [(new_node(sample_idx), sample_idx, 0)]
     while stack:
         slot, idx, depth = stack.pop()
         n = len(idx)
@@ -186,17 +220,9 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
         sse_dec[slot] = max(parent_sse - sse, 0.0)
         l_slot = new_node(left_idx)
         r_slot = new_node(right_idx)
-        left[slot], right[slot] = l_slot, r_slot
+        left[slot], right[slot] = l_slot - root, r_slot - root
         stack.append((r_slot, right_idx, depth + 1))
         stack.append((l_slot, left_idx, depth + 1))
-
-    return Tree(np.asarray(feature, dtype=np.intp),
-                np.asarray(threshold, dtype=np.float64),
-                np.asarray(left, dtype=np.intp),
-                np.asarray(right, dtype=np.intp),
-                np.asarray(value, dtype=np.float64),
-                np.asarray(n_samples, dtype=np.intp),
-                np.asarray(sse_dec, dtype=np.float64))
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
@@ -226,15 +252,24 @@ def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
         raise ValueError("feature_names length must match X columns")
 
     n_boot = max(1, round(cfg.bootstrap_fraction * n))
-    trees = []
+    table = {name: [] for name in _NODE_DTYPES}
+    roots = np.zeros(cfg.n_trees, dtype=np.intp)
     in_bag = np.zeros((cfg.n_trees, n), dtype=np.intp)
     for i in range(cfg.n_trees):
         rng = stream(cfg.seed, i)
         sample_idx = rng.integers(0, n, size=n_boot)
         in_bag[i] = np.bincount(sample_idx, minlength=n)
-        trees.append(_grow_tree(X, y, np.sort(sample_idx), cfg, rng))
-    return Forest(tuple(trees), in_bag, tuple(feature_names), cfg,
-                  float(np.min(y)), float(np.max(y)), n)
+        roots[i] = len(table["feature"])
+        _grow_tree(X, y, np.sort(sample_idx), cfg, rng, table)
+    return Forest(_node_table(table), roots, in_bag, tuple(feature_names), cfg, n)
+
+
+def _row_sums(forest: Forest, X: np.ndarray, tree: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per-row sum of the (tree[i], rows[i]) pairs' leaf values, added in
+    pair order: tree-major pairs sum exactly as a tree-by-tree loop."""
+    offset = np.repeat(forest.roots, np.diff(forest.roots, append=forest.nodes.n_nodes))
+    leaf = _leaves(forest.nodes, offset, forest.roots[tree], X, rows)
+    return np.bincount(rows, weights=forest.nodes.value[leaf], minlength=len(X))
 
 
 def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
@@ -242,10 +277,9 @@ def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(forest.feature_names):
         raise ValueError(f"X must have {len(forest.feature_names)} columns")
-    total = np.zeros(len(X))
-    for tree in forest.trees:
-        total += tree.predict(X)
-    return total / len(forest.trees)
+    n_trees = len(forest.roots)
+    tree, rows = np.indices((n_trees, len(X))).reshape(2, -1)
+    return _row_sums(forest, X, tree, rows) / n_trees
 
 
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -278,14 +312,9 @@ def oob_predictions(forest: Forest, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     X = np.ascontiguousarray(X, dtype=np.float64)
     if len(X) != forest.n_rows:
         raise ValueError("OOB scoring requires the training rows")
-    totals = np.zeros(len(X))
-    counts = np.zeros(len(X), dtype=np.intp)
-    for i, tree in enumerate(forest.trees):
-        oob = forest.in_bag_counts[i] == 0
-        if not oob.any():
-            continue
-        totals[oob] += tree.predict(X[oob])
-        counts[oob] += 1
+    tree, rows = np.nonzero(forest.in_bag_counts == 0)
+    totals = _row_sums(forest, X, tree, rows)
+    counts = np.bincount(rows, minlength=len(X))
     covered = counts > 0
     preds = np.full(len(X), np.nan)
     preds[covered] = totals[covered] / counts[covered]
@@ -309,13 +338,14 @@ def mdi_importance(forest: Forest) -> dict[str, float]:
     A forest whose trees never split returns the all-zero vector (with a
     warning as the degenerate-case marker).
     """
-    p = len(forest.feature_names)
-    totals = np.zeros(p)
-    for i, tree in enumerate(forest.trees):
-        n_boot = int(forest.in_bag_counts[i].sum())
-        internal = tree.feature >= 0
-        np.add.at(totals, tree.feature[internal], tree.sse_decrease[internal] / n_boot)
-    totals /= len(forest.trees)
+    nodes = forest.nodes
+    n_boot = np.repeat(forest.in_bag_counts.sum(axis=1),
+                       np.diff(forest.roots, append=nodes.n_nodes))
+    internal = nodes.feature >= 0
+    totals = np.zeros(len(forest.feature_names))
+    np.add.at(totals, nodes.feature[internal],
+              nodes.sse_decrease[internal] / n_boot[internal])
+    totals /= len(forest.roots)
     norm = totals.sum()
     if norm <= 0.0:
         warnings.warn("forest has no splits; MDI importance is identically zero",
@@ -355,12 +385,6 @@ def forest_metrics(forest: Forest, X: np.ndarray, y: np.ndarray,
     return ForestMetrics(r2, adj, mse, pseudo_f, n, k)
 
 
-def refit(forest: Forest, X: np.ndarray, y: np.ndarray, seed: int | None = None) -> Forest:
-    """Fit a new forest with this forest's config (optionally reseeded)."""
-    cfg = forest.config if seed is None else replace(forest.config, seed=seed)
-    return fit_forest(X, y, cfg, forest.feature_names)
-
-
 FOREST_FORMAT_VERSION = 1
 
 
@@ -371,35 +395,19 @@ def save_forest(forest: Forest, path) -> None:
     (config incl. seed, feature names) followed by per-tree node arrays
     and the in-bag multiplicities.
     """
-    import json
-
+    nodes = forest.nodes
+    columns = {name: getattr(nodes, name) for name in _NODE_DTYPES}
+    # JSON has no NaN: leaf thresholds are written as null
+    columns["threshold"] = np.where(np.isnan(nodes.threshold), None, nodes.threshold)
+    per_tree = [[part.tolist() for part in np.split(column, forest.roots[1:])]
+                for column in columns.values()]
     doc = {
         "format_version": FOREST_FORMAT_VERSION,
-        "config": {
-            "n_trees": forest.config.n_trees,
-            "mtry": forest.config.mtry,
-            "min_leaf": forest.config.min_leaf,
-            "max_depth": forest.config.max_depth,
-            "bootstrap_fraction": forest.config.bootstrap_fraction,
-            "seed": forest.config.seed,
-        },
+        "config": asdict(forest.config),
         "feature_names": list(forest.feature_names),
         "n_rows": forest.n_rows,
-        "y_min": forest.y_min,
-        "y_max": forest.y_max,
         "in_bag_counts": forest.in_bag_counts.tolist(),
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": [None if math.isnan(v) else v for v in t.threshold],
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-                "n_samples": t.n_samples.tolist(),
-                "sse_decrease": t.sse_decrease.tolist(),
-            }
-            for t in forest.trees
-        ],
+        "trees": [dict(zip(columns, parts)) for parts in zip(*per_tree)],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, separators=(",", ":"))
@@ -407,24 +415,15 @@ def save_forest(forest: Forest, path) -> None:
 
 def load_forest(path) -> Forest:
     """Load a forest written by :func:`save_forest`."""
-    import json
-
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
     if version != FOREST_FORMAT_VERSION:
         raise ValueError(f"unsupported forest format version {version!r}")
-    trees = tuple(
-        Tree(np.asarray(t["feature"], dtype=np.intp),
-             np.asarray([math.nan if v is None else v for v in t["threshold"]],
-                        dtype=np.float64),
-             np.asarray(t["left"], dtype=np.intp),
-             np.asarray(t["right"], dtype=np.intp),
-             np.asarray(t["value"], dtype=np.float64),
-             np.asarray(t["n_samples"], dtype=np.intp),
-             np.asarray(t["sse_decrease"], dtype=np.float64))
-        for t in doc["trees"]
-    )
-    return Forest(trees, np.asarray(doc["in_bag_counts"], dtype=np.intp),
+    trees = doc["trees"]
+    # a float column turns the null leaf thresholds back into NaN
+    nodes = _node_table({name: [v for t in trees for v in t[name]] for name in _NODE_DTYPES})
+    roots = np.cumsum([0] + [len(t["feature"]) for t in trees[:-1]], dtype=np.intp)
+    return Forest(nodes, roots, np.asarray(doc["in_bag_counts"], dtype=np.intp),
                   tuple(doc["feature_names"]), ForestConfig(**doc["config"]),
-                  float(doc["y_min"]), float(doc["y_max"]), int(doc["n_rows"]))
+                  int(doc["n_rows"]))

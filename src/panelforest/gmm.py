@@ -113,9 +113,9 @@ class ArResult:
 class GmmFit:
     """One-step System GMM estimate with instrument accounting.
 
-    Diff-block context (design rows, instruments, weights) is retained so
-    the AR tests and Sargan statistic are recomputable from the fit alone.
-    lagdep_stable is False when |rho| >= 1.
+    Diff-block context (design rows, instruments, weights, per-entity
+    scores Z_g'u_g, diff-row bounds) lets the AR tests and Sargan statistic
+    be recomputed from the fit alone.  lagdep_stable is False when |rho| >= 1.
     """
 
     spec: GmmSpec
@@ -146,6 +146,8 @@ class GmmFit:
     weight: np.ndarray
     a_inv: np.ndarray
     sigma2: float
+    entity_scores: np.ndarray
+    entity_diff_rows: np.ndarray
 
     @property
     def beta(self) -> np.ndarray:
@@ -228,7 +230,9 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
                          f"(instruments: {list(z_names)})")
 
     diff_entity, level_entity = ds.entity[d_idx], ds.entity[l_idx]
-    entity_rows = _entity_rows(diff_entity, level_entity)
+    bounds = _entity_bounds(diff_entity, level_entity)
+    entity_rows = [np.concatenate([np.arange(a, b), np.arange(c, d)])
+                   for a, b, c, d in bounds]
     n_entities = len(entity_rows)
     if n_inst >= n_entities:
         warnings.warn(f"instrument proliferation: {n_inst} instruments with only "
@@ -257,9 +261,9 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
 
     u = y_stack - x_stack @ theta
     # clustered one-step sandwich
+    scores = np.array([z[rows].T @ u[rows] for rows in entity_rows])
     omega = np.zeros((n_inst, n_inst))
-    for rows in entity_rows:
-        s_i = z[rows].T @ u[rows]
+    for s_i in scores:
         omega += np.outer(s_i, s_i)
     cov = a_inv @ (zx.T @ w_mat @ omega @ w_mat @ zx) @ a_inv
 
@@ -298,6 +302,8 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         weight=w_mat,
         a_inv=a_inv,
         sigma2=sigma2,
+        entity_scores=scores,
+        entity_diff_rows=bounds[:, :2],
     )
     sargan = sargan_test(fit)
     ar = {1: ar_test(fit, 1), 2: ar_test(fit, 2)}
@@ -348,16 +354,16 @@ def _build_instruments(spec, at, d_idx, l_idx, d_year, l_year, inst_vars, includ
     return cols, names
 
 
-def _entity_rows(diff_entity: np.ndarray, level_entity: np.ndarray) -> list[np.ndarray]:
-    """Stacked-row indices of each entity, in code order: its rows of the
-    sorted diff block, then its rows of the sorted level block."""
+def _entity_bounds(diff_entity: np.ndarray, level_entity: np.ndarray) -> np.ndarray:
+    """Stacked-row bounds (diff start, diff end, level start, level end) of
+    each entity, in code order: its rows of the sorted diff block, then its
+    rows of the sorted level block."""
     heads = [block[segment_starts(block)[:-1]] for block in (diff_entity, level_entity)]
     codes = np.unique(np.concatenate(heads))
     n_d = len(diff_entity)
     d0, d1 = (np.searchsorted(diff_entity, codes, side=s) for s in ("left", "right"))
     l0, l1 = (n_d + np.searchsorted(level_entity, codes, side=s) for s in ("left", "right"))
-    return [np.concatenate([np.arange(a, b), np.arange(c, d)])
-            for a, b, c, d in zip(d0, d1, l0, l1)]
+    return np.column_stack([d0, d1, l0, l1])
 
 
 def _safe_inverse(mat: np.ndarray, names: Sequence[str], what: str) -> np.ndarray:
@@ -402,7 +408,6 @@ def ar_test(fit: GmmFit, order: int) -> ArResult:
     if order < 1:
         raise ValueError("order must be >= 1")
     w = fit.residuals_diff
-    n_d = len(w)
     lagged = PanelDataset(fit.diff_entity, fit.diff_year, {}).lag_rows(order)
     if not (lagged >= 0).any():
         return ArResult(math.nan, math.nan)
@@ -411,12 +416,9 @@ def ar_test(fit: GmmFit, order: int) -> ArResult:
     q = float(w_lag @ w)
     term1 = 0.0
     m_vec = np.zeros(fit.instrument_count)
-    u_all = np.concatenate([fit.residuals_diff, fit.residuals_level])
-    for rows in _entity_rows(fit.diff_entity, fit.level_entity):
-        d_rows = rows[rows < n_d]
-        a_i = float(w_lag[d_rows] @ w[d_rows])
+    for (a, b), s_i in zip(fit.entity_diff_rows, fit.entity_scores):
+        a_i = float(w_lag[a:b] @ w[a:b])
         term1 += a_i * a_i
-        s_i = fit.z_matrix[rows].T @ u_all[rows]
         m_vec += s_i * a_i
 
     c = fit.design_diff.T @ w_lag

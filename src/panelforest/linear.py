@@ -17,7 +17,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import stats as sps
 
-from ._common import segment_starts, star_code
+from ._common import segment_ids, segment_starts, star_code
 from .dataset import PanelDataset
 
 __all__ = [
@@ -146,18 +146,13 @@ def _build_design(spec: ModelSpec, ds: PanelDataset) -> tuple:
     return y, np.column_stack(cols), col_names, entity, year
 
 
-def _entity_means(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Per-row entity mean of `values` (1-d or 2-d)."""
-    uniq, inverse = np.unique(codes, return_inverse=True)
+def _entity_means(values: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Per-row entity mean of `values` (1-d or 2-d); `inverse` numbers the
+    entity of each row."""
+    if values.ndim == 2:
+        return np.column_stack([_entity_means(column, inverse) for column in values.T])
     counts = np.bincount(inverse).astype(np.float64)
-    if values.ndim == 1:
-        sums = np.bincount(inverse, weights=values)
-        return (sums / counts)[inverse]
-    out = np.empty_like(values)
-    for j in range(values.shape[1]):
-        sums = np.bincount(inverse, weights=values[:, j])
-        out[:, j] = (sums / counts)[inverse]
-    return out
+    return (np.bincount(inverse, weights=values) / counts)[inverse]
 
 
 def fit(spec: ModelSpec, ds: PanelDataset) -> LinearFit:
@@ -171,11 +166,12 @@ def fit(spec: ModelSpec, ds: PanelDataset) -> LinearFit:
     ds.require_columns([spec.dependent, *spec.slopes])
     y, X, col_names, entity, year = _build_design(spec, ds)
     n = len(y)
-    n_entities = len(np.unique(entity))
+    groups = segment_ids(entity)  # fit rows keep the dataset's sorted order
+    n_entities = int(groups[-1]) + 1
 
     if spec.effects == "fixed":
-        y_t = y - _entity_means(y, entity)
-        X_t = X - _entity_means(X, entity)
+        y_t = y - _entity_means(y, groups)
+        X_t = X - _entity_means(X, groups)
         names_t = list(col_names)
         df_resid = n - n_entities - len(names_t)
     elif spec.effects == "pooled":
@@ -184,7 +180,7 @@ def fit(spec: ModelSpec, ds: PanelDataset) -> LinearFit:
         y_t = y
         df_resid = n - len(names_t)
     else:
-        y_t, X_t, names_t = _random_effects_transform(y, X, col_names, entity)
+        y_t, X_t, names_t = _random_effects_transform(y, X, col_names, groups)
         df_resid = n - len(names_t)
 
     if df_resid <= 0:
@@ -221,15 +217,15 @@ def fit(spec: ModelSpec, ds: PanelDataset) -> LinearFit:
     )
 
 
-def _random_effects_transform(y, X, col_names, entity):
-    """Swamy-Arora quasi-demeaning; returns transformed (y, X, names)."""
-    uniq, inverse = np.unique(entity, return_inverse=True)
-    n, big_n = len(y), len(uniq)
+def _random_effects_transform(y, X, col_names, inverse):
+    """Swamy-Arora quasi-demeaning; returns transformed (y, X, names).
+    `inverse` numbers the entity of each row."""
     t_i = np.bincount(inverse).astype(np.float64)
+    n, big_n = len(y), len(t_i)
 
     # within step for the idiosyncratic variance
-    y_w = y - _entity_means(y, entity)
-    x_w = X - _entity_means(X, entity)
+    y_w = y - _entity_means(y, inverse)
+    x_w = X - _entity_means(X, inverse)
     k = X.shape[1]
     df_within = n - big_n - k
     if df_within <= 0:
@@ -253,8 +249,8 @@ def _random_effects_transform(y, X, col_names, entity):
 
     theta = 1.0 - np.sqrt(sigma2_e / (sigma2_e + t_i * sigma2_eta))
     theta_row = theta[inverse]
-    y_t = y - theta_row * _entity_means(y, entity)
-    x_t = X - theta_row[:, None] * _entity_means(X, entity)
+    y_t = y - theta_row * _entity_means(y, inverse)
+    x_t = X - theta_row[:, None] * _entity_means(X, inverse)
     const = 1.0 - theta_row
     return y_t, np.column_stack([const, x_t]), ["const", *col_names]
 

@@ -88,16 +88,13 @@ def permutation_importance(forest: Forest, X: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     baseline = _score(forest, X, y, eval_set)
     names = forest.feature_names
-    drops = np.empty((len(names), n_repeats))
+    used = np.isin(np.arange(len(names)), forest.nodes.feature)
+    drops = np.zeros((len(names), n_repeats))
     for j, name in enumerate(names):
-        used = any((tree.feature == j).any() for tree in forest.trees)
+        if not used[j]:
+            continue  # predictions cannot depend on this column: drop 0
         for r in range(n_repeats):
-            if not used:
-                drops[j, r] = 0.0  # predictions cannot depend on this column
-                continue
-            rng = stream(seed, name, "shuffle", r)
-            Xp = X.copy()
-            Xp[:, j] = Xp[rng.permutation(len(X)), j]
+            Xp = _null_permutation(X, j, stream(seed, name, "shuffle", r), None)
             drops[j, r] = baseline - _score(forest, Xp, y, eval_set)
     means = {name: float(np.mean(drops[j])) for j, name in enumerate(names)}
     stds = {name: float(np.std(drops[j])) for j, name in enumerate(names)}
@@ -239,7 +236,7 @@ def run_sequential(cfg: SeqTestConfig,
     return "undecided", p, mmax, d, "mmax_undecided"
 
 
-def _variable_vimp(X: np.ndarray, y: np.ndarray, col: int, name: str,
+def _variable_vimp(X: np.ndarray, y: np.ndarray, col: int,
                    cfg: SeqTestConfig, fcfg: ForestConfig, seed: int, *path) -> float:
     """Importance of one column: forest fit plus nperm shuffle repeats."""
     forest = fit_forest(X, y, replace(fcfg, n_trees=cfg.ntree,
@@ -247,15 +244,14 @@ def _variable_vimp(X: np.ndarray, y: np.ndarray, col: int, name: str,
     baseline = _score(forest, X, y, cfg.eval_set)
     drops = []
     for r in range(cfg.nperm):
-        rng = stream(seed, *path, "vimp", r)
-        Xp = X.copy()
-        Xp[:, col] = Xp[rng.permutation(len(X)), col]
+        Xp = _null_permutation(X, col, stream(seed, *path, "vimp", r), None)
         drops.append(baseline - _score(forest, Xp, y, cfg.eval_set))
     return float(np.mean(drops))
 
 
 def _null_permutation(X: np.ndarray, col: int, rng: np.random.Generator,
                       groups: np.ndarray | None) -> np.ndarray:
+    """Copy of X with column `col` shuffled, globally or within `groups`."""
     Xp = X.copy()
     if groups is None:
         Xp[:, col] = Xp[rng.permutation(len(X)), col]
@@ -291,13 +287,11 @@ def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
     col = names.index(variable)
     fcfg = forest_config or ForestConfig()
 
-    observed = _variable_vimp(X, y, col, variable, cfg, fcfg, seed, variable, "observed")
+    observed = _variable_vimp(X, y, col, cfg, fcfg, seed, variable, "observed")
 
     def exceedance(j: int) -> bool:
-        rng = stream(seed, variable, "perm", j)
-        X_null = _null_permutation(X, col, rng, groups)
-        vimp_j = _variable_vimp(X_null, y, col, variable, cfg, fcfg,
-                                seed, variable, "perm", j)
+        X_null = _null_permutation(X, col, stream(seed, variable, "perm", j), groups)
+        vimp_j = _variable_vimp(X_null, y, col, cfg, fcfg, seed, variable, "perm", j)
         return vimp_j >= observed
 
     decision, p, m, d, reason = run_sequential(cfg, exceedance)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,3 +355,67 @@ class TestSerialization:
         path.write_text('{"format_version": 99}')
         with pytest.raises(ValueError, match="version"):
             load_forest(path)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestTreeOrderSums:
+    """Forest outputs add per-tree predictions in tree order, bit for bit:
+    another summation order changes last digits and the artifact hash."""
+
+    @staticmethod
+    def fitted(seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(90, 3))
+        y = X[:, 0] * X[:, 1] + np.sin(3 * X[:, 2]) + rng.normal(size=90)
+        cfg = ForestConfig(n_trees=17, min_leaf=2, seed=seed)
+        return fit_forest(X, y, cfg), X, rng.normal(size=(33, 3)) * 2
+
+    def test_predict_equals_tree_order_sum(self):
+        for seed in range(5):
+            f, X, pts = self.fitted(seed)
+            for rows in (X, pts):
+                total = np.zeros(len(rows))
+                for tree in f.trees:
+                    total += tree.predict(rows)
+                assert np.array_equal(predict(f, rows), total / len(f.trees))
+
+    def test_oob_equals_tree_order_sum(self):
+        for seed in range(5):
+            f, X, _ = self.fitted(seed)
+            totals, counts = np.zeros(len(X)), np.zeros(len(X), dtype=int)
+            for tree, in_bag in zip(f.trees, f.in_bag_counts):
+                oob = in_bag == 0
+                totals[oob] += tree.predict(X)[oob]
+                counts[oob] += 1
+            covered = counts > 0
+            expected = np.full(len(X), np.nan)
+            expected[covered] = totals[covered] / counts[covered]
+            preds, got_covered = oob_predictions(f, X)
+            assert np.array_equal(got_covered, covered)
+            assert np.array_equal(preds, expected, equal_nan=True)
+
+
+class TestGoldenForestFile:
+    """forest_v1.json is a format-1 file written when each tree was stored
+    as its own arrays; forest_v1_expected.json holds what it predicted then."""
+
+    def test_loads_and_predicts_exactly(self):
+        f = load_forest(GOLDEN / "forest_v1.json")
+        expected = json.loads((GOLDEN / "forest_v1_expected.json").read_text())
+        X, grid = np.array(expected["X"]), np.array(expected["grid"])
+        assert np.array_equal(predict(f, grid), expected["predict_grid"])
+        assert np.array_equal(predict(f, X), expected["predict_train"])
+        oob, _ = oob_predictions(f, X)
+        assert np.array_equal(oob, np.array(expected["oob"], dtype=float), equal_nan=True)
+        assert mdi_importance(f) == expected["mdi"]
+
+    def test_save_writes_the_same_document(self, tmp_path):
+        save_forest(load_forest(GOLDEN / "forest_v1.json"), tmp_path / "again.json")
+        old, new = (json.loads(path.read_text())
+                    for path in (GOLDEN / "forest_v1.json", tmp_path / "again.json"))
+        for doc in (old, new):  # target range keys: optional, ignored on load
+            doc.pop("y_min", None)
+            doc.pop("y_max", None)
+        assert new == old
