@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["star_code", "segment_starts", "segment_ids"]
+__all__ = ["star_code", "fmt4", "write_csv", "segment_starts", "segment_ids"]
 
 
 def star_code(p: float) -> str:
@@ -20,6 +23,28 @@ def star_code(p: float) -> str:
     if p <= 0.10:
         return "*"
     return ""
+
+
+def fmt4(v) -> str:
+    """Display form of a table value: 4 decimals, "n/a" for NaN, "" for
+    None, and str() of anything that is not a number."""
+    if v is None:
+        return ""
+    try:
+        f = float(v)
+    except (TypeError, ValueError):
+        return str(v)
+    return "n/a" if math.isnan(f) else f"{f:.4f}"
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write one CSV artifact (UTF-8), creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def segment_starts(codes: np.ndarray) -> np.ndarray:

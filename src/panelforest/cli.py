@@ -12,12 +12,11 @@ directory only.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +27,26 @@ from . import gmm as gmm_mod
 from . import linear as lin
 from . import report as rpt
 from . import vimp as vimp_mod
+from ._common import fmt4, write_csv
 from ._rng import derive_seed
 from .forest import ForestConfig, fit_forest, forest_metrics, oob_score
 from .vimp import SeqTestConfig, permutation_importance, rfvimptest_all
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
-SUBCOMMANDS = ("describe", "fit-linear", "fit-gmm", "fit-rf", "importance",
-               "compare", "all")
+# the stages each subcommand runs, in order; stage s is Runner.step_<s>
+STAGES = {
+    "describe": ("describe",),
+    "fit-linear": ("fit_linear",),
+    "fit-gmm": ("fit_gmm",),
+    "fit-rf": ("fit_rf",),
+    "importance": ("fit_rf", "importance"),
+    "compare": ("fit_linear", "fit_gmm", "fit_rf", "compare"),
+    "all": ("describe", "fit_linear", "fit_gmm", "fit_rf", "importance", "compare"),
+}
+# the forest keys a config may set; the seed is derived per forest
+FOREST_KEYS = ("n_trees", "mtry", "min_leaf", "max_depth")
+SEQ_TEST_KEYS = tuple(f.name for f in fields(SeqTestConfig))
 
 
 class ConfigError(ValueError):
@@ -93,6 +104,17 @@ class RunConfig:
         rule = pre.get("outlier_rule", {"kind": "none"})
         if rule.get("kind", "none") not in ("none", "iqr", "zscore"):
             problems.append(f"unknown outlier rule kind {rule.get('kind')!r}")
+        for section, known in (("forest", FOREST_KEYS), ("seq_test", SEQ_TEST_KEYS)):
+            unknown = sorted(set(raw.get(section, {})) - set(known))
+            if unknown:
+                problems.append(f"unknown {section} keys {unknown}; known: {list(known)}")
+        seq_test = {k: v for k, v in raw.get("seq_test", {}).items() if k in SEQ_TEST_KEYS}
+        try:
+            if _seq_test_config(seq_test).permute_within_groups:
+                problems.append("seq_test.permute_within_groups needs groups, "
+                                "which the command line cannot pass")
+        except (TypeError, ValueError) as exc:
+            problems.append(f"seq_test: {exc}")
         if problems:
             raise ConfigError(problems)
         return cls(
@@ -138,26 +160,28 @@ def _default_workers() -> int:
 
 
 class Runner:
-    """Loads data once, derives per-step artifacts on demand."""
+    """Loads data once and runs the stages of each subcommand; stages leave
+    their results on the Runner for the stages after them."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.out = Path(cfg.out)
-        self._raw = None
-        self._prepared = None
         self._removal_log = None
+        self.linear_blocks: list[rpt.ModelBlock] = []
+        self.gmm_blocks: list[rpt.ModelBlock] = []
+        self.rf_results: dict = {}
+        self.decisions: dict = {}
 
     # -- data ----------------------------------------------------------
 
-    @property
+    @cached_property
     def raw(self) -> dsm.PanelDataset:
-        if self._raw is None:
-            if self.cfg.demo:
-                self._raw = demo_mod.make_demo_panel(self.cfg.seed)
-            else:
-                self._raw = dsm.load_csv(self.cfg.input)
-            self._validate_against_data(self._raw)
-        return self._raw
+        if self.cfg.demo:
+            ds = demo_mod.make_demo_panel(self.cfg.seed)
+        else:
+            ds = dsm.load_csv(self.cfg.input)
+        self._validate_against_data(ds)
+        return ds
 
     def _validate_against_data(self, ds: dsm.PanelDataset) -> None:
         problems = []
@@ -173,27 +197,29 @@ class Runner:
         if problems:
             raise ConfigError(problems)
 
-    @property
+    @cached_property
     def prepared(self) -> dsm.PanelDataset:
         """Outlier-filtered, log-transformed, lagged dataset."""
-        if self._prepared is None:
-            ds = self.raw
-            rule = dsm.OutlierRule(self.cfg.outlier_rule.get("kind", "none"),
-                                   float(self.cfg.outlier_rule.get("k", 1.5)))
-            vars_ = self.cfg.outlier_vars or [n for n in ds.columns]
-            ds, log = dsm.remove_outliers(ds, vars_, rule)
-            self._removal_log = log
-            if self.cfg.log_vars:
-                ds = dsm.log_transform(ds, self.cfg.log_vars)
-            lag_vars = [v for v in self.cfg.lag_vars if v in ds.columns]
-            missing = [v for v in self.cfg.lag_vars if v not in ds.columns]
-            if missing:
-                raise ConfigError([f"lag variable {v!r} not found after transforms"
-                                   for v in missing])
-            if lag_vars:
-                ds = dsm.add_lags(ds, lag_vars, self.cfg.lag_order)
-            self._prepared = ds
-        return self._prepared
+        ds = self.raw
+        rule = dsm.OutlierRule(self.cfg.outlier_rule.get("kind", "none"),
+                               float(self.cfg.outlier_rule.get("k", 1.5)))
+        vars_ = self.cfg.outlier_vars or [n for n in ds.columns]
+        ds, self._removal_log = dsm.remove_outliers(ds, vars_, rule)
+        if self.cfg.log_vars:
+            ds = dsm.log_transform(ds, self.cfg.log_vars)
+        lag_vars = [v for v in self.cfg.lag_vars if v in ds.columns]
+        missing = [v for v in self.cfg.lag_vars if v not in ds.columns]
+        if missing:
+            raise ConfigError([f"lag variable {v!r} not found after transforms"
+                               for v in missing])
+        if lag_vars:
+            ds = dsm.add_lags(ds, lag_vars, self.cfg.lag_order)
+        return ds
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Fingerprint of the prepared dataset, shared by every report block."""
+        return self.prepared.fingerprint()
 
     @property
     def groups(self) -> dict[str, list[str]]:
@@ -245,16 +271,12 @@ class Runner:
             seed=derive_seed(self.cfg.seed, "forest", *path),
         )
 
-    def seq_config(self) -> SeqTestConfig:
-        return SeqTestConfig(**{k: (tuple(v) if k == "sapt_bounds" and v else v)
-                                for k, v in self.cfg.seq_test.items()})
-
     def rf_design(self, ds: dsm.PanelDataset, setting: str):
         """Feature matrix for the forest: static spec regressors/controls,
         plus the lagged dependent in the dynamic setting."""
-        s = self.cfg.static
-        dep = s["dependent"]
-        features = list(s.get("regressors", [])) + list(s.get("controls", []))
+        spec = self.static_spec()
+        dep = spec.dependent
+        features = list(spec.slopes)
         if setting == "dynamic":
             lagdep = f"{dep}(t-{self.cfg.lag_order})"
             if lagdep not in ds.columns:
@@ -266,33 +288,28 @@ class Runner:
         y = ds.column(dep)[mask]
         return X, y, features, mask
 
-    # -- steps -----------------------------------------------------------
+    # -- stages ----------------------------------------------------------
 
     def step_describe(self) -> None:
         ds = self.raw
         stats = dsm.describe(ds)
         tables = self.out / "tables"
-        tables.mkdir(parents=True, exist_ok=True)
-        with open(tables / "descriptive_stats.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["variable", "mean", "median", "min", "max",
-                        "std_dev", "skewness", "kurtosis", "count"])
-            for row in stats.rows():
-                w.writerow([row[0]] + [_fmt(v) for v in row[1:-1]] + [row[-1]])
-        numeric = list(ds.columns)
-        corr = dsm.correlation_matrix(ds, numeric)
-        with open(tables / "correlation_matrix.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["variable", *corr.names])
-            for i, name in enumerate(corr.names):
-                w.writerow([name] + [_fmt(v) for v in corr.matrix[i]])
+        write_csv(tables / "descriptive_stats.csv",
+                  ["variable", "mean", "median", "min", "max",
+                   "std_dev", "skewness", "kurtosis", "count"],
+                  ([row[0]] + [fmt4(v) for v in row[1:-1]] + [row[-1]]
+                   for row in stats.rows()))
+        corr = dsm.correlation_matrix(ds, list(ds.columns))
+        write_csv(tables / "correlation_matrix.csv", ["variable", *corr.names],
+                  ([name] + [fmt4(v) for v in corr.matrix[i]]
+                   for i, name in enumerate(corr.names)))
         print(f"describe: {ds.n_rows} rows, {len(ds.entities)} entities, "
               f"years {ds.years[0]}-{ds.years[-1]}")
 
-    def step_fit_linear(self) -> list[rpt.ModelBlock]:
+    def step_fit_linear(self) -> None:
+        self.linear_blocks = []
         spec = self.static_spec()
-        blocks, hausman_rows, alt_blocks = [], [], []
-        fp = self.prepared.fingerprint()
+        hausman_rows, alt_blocks = [], []
         for gname, members in self.groups.items():
             sub = self.group_data(members)
             fe = lin.fit(replace(spec, effects="fixed"), sub)
@@ -301,185 +318,112 @@ class Runner:
             haus = lin.hausman(fe, re)
             fe, re = lin.robust_covariance(fe), lin.robust_covariance(re)
             main, alt = (re, fe) if spec.effects == "random" else (fe, re)
-            blocks.append(rpt.from_linear(main, gname, "static", fingerprint=fp))
-            alt_blocks.append(rpt.from_linear(alt, gname, "static", fingerprint=fp))
-            hausman_rows.append([gname, _fmt(haus.statistic), haus.df, _fmt(haus.p),
+            self.linear_blocks.append(
+                rpt.from_linear(main, gname, "static", fingerprint=self.fingerprint))
+            alt_blocks.append(rpt.from_linear(alt, gname, "static",
+                                              fingerprint=self.fingerprint))
+            hausman_rows.append([gname, fmt4(haus.statistic), haus.df, fmt4(haus.p),
                                  haus.preferred, haus.nonpsd])
             print(f"fit-linear[{gname}]: n={main.n_obs} R2={main.metrics.r_squared:.4f}")
         tables = self.out / "tables"
-        tables.mkdir(parents=True, exist_ok=True)
-        with open(tables / "hausman.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["group", "statistic", "df", "p", "preferred", "nonpsd"])
-            w.writerows(hausman_rows)
-        rpt.emit_tables(rpt.build_report(blocks), self.out,
+        write_csv(tables / "hausman.csv",
+                  ["group", "statistic", "df", "p", "preferred", "nonpsd"], hausman_rows)
+        rpt.emit_tables(rpt.build_report(self.linear_blocks), self.out,
                         only=[("static", "linear")])
         # the estimator not chosen as main still gets reported
         alt = "random" if spec.effects != "random" else "fixed"
-        rpt._write_model_table(tables / f"table_static_linear_{alt}.csv", alt_blocks)
-        return blocks
+        rpt.write_model_table(tables / f"table_static_linear_{alt}.csv", alt_blocks)
 
-    def step_fit_gmm(self) -> list[rpt.ModelBlock]:
+    def step_fit_gmm(self) -> None:
+        self.gmm_blocks = []
         spec = self.dynamic_spec()
-        blocks = []
         for gname, members in self.groups.items():
-            sub = self.group_data(members)
-            fit = gmm_mod.fit_system_gmm(spec, sub)
-            blocks.append(rpt.from_gmm(fit, gname,
-                                       fingerprint=self.prepared.fingerprint()))
+            fit = gmm_mod.fit_system_gmm(spec, self.group_data(members))
+            self.gmm_blocks.append(rpt.from_gmm(fit, gname, fingerprint=self.fingerprint))
             print(f"fit-gmm[{gname}]: n_diff={fit.n_obs_diff} n_level={fit.n_obs_level} "
-                  f"instruments={fit.instrument_count} sargan_p={_fmt(fit.sargan.p)}")
-        rpt.emit_tables(rpt.build_report(blocks), self.out,
+                  f"instruments={fit.instrument_count} sargan_p={fmt4(fit.sargan.p)}")
+        rpt.emit_tables(rpt.build_report(self.gmm_blocks), self.out,
                         only=[("dynamic", "gmm")])
-        return blocks
 
-    def step_fit_rf(self) -> dict:
-        """Fit forests per (group, setting); returns everything the
-        importance and compare steps need."""
-        results = {}
+    def step_fit_rf(self) -> None:
+        """Fit forests per (group, setting) with everything the importance
+        and compare stages need; decisions on earlier forests are dropped."""
+        self.rf_results, self.decisions = {}, {}
         for setting in ("static", "dynamic"):
             for gname, members in self.groups.items():
-                sub = self.group_data(members)
-                X, y, features, _ = self.rf_design(sub, setting)
-                fcfg = self.forest_config(gname, setting)
-                forest = fit_forest(X, y, fcfg, features)
+                X, y, features, _ = self.rf_design(self.group_data(members), setting)
+                forest = fit_forest(X, y, self.forest_config(gname, setting), features)
                 metrics = forest_metrics(forest, X, y)
                 oob = oob_score(forest, X, y)
                 imp = permutation_importance(
                     forest, X, y, n_repeats=self.cfg.importance_repeats,
                     seed=derive_seed(self.cfg.seed, "vimp", gname, setting))
-                results[(gname, setting)] = {
+                self.rf_results[(gname, setting)] = {
                     "X": X, "y": y, "features": features,
-                    "metrics": metrics, "oob": oob, "importance": imp,
+                    "metrics": metrics, "importance": imp,
                 }
                 print(f"fit-rf[{gname}/{setting}]: n={metrics.n_obs} "
                       f"R2={metrics.r2:.4f} OOB_R2={oob.oob_r2:.4f}")
-        return results
 
-    def rf_blocks(self, results: dict, decisions_all: dict | None = None
-                  ) -> list[rpt.ModelBlock]:
-        blocks = []
-        for (gname, setting), res in results.items():
-            decisions = (decisions_all or {}).get((gname, setting))
-            blocks.append(rpt.from_forest(res["metrics"], res["importance"],
-                                          gname, setting, decisions=decisions,
-                                          fingerprint=self.prepared.fingerprint()))
-        return blocks
+    def rf_blocks(self) -> list[rpt.ModelBlock]:
+        return [rpt.from_forest(res["metrics"], res["importance"], gname, setting,
+                                decisions=self.decisions.get((gname, setting)),
+                                fingerprint=self.fingerprint)
+                for (gname, setting), res in self.rf_results.items()]
 
-    def _emit_rf_tables(self, blocks: list[rpt.ModelBlock]) -> None:
-        """Write the RF importance tables once their content is final."""
-        rpt.emit_tables(rpt.build_report([], blocks), self.out,
-                        only=[("static", "rf"), ("dynamic", "rf")])
-
-    def step_importance(self, rf_results=None) -> dict:
-        if rf_results is None:
-            rf_results = self.step_fit_rf()
-        cfg = self.seq_config()
-        decisions_all = {}
-        tables = self.out / "tables"
-        tables.mkdir(parents=True, exist_ok=True)
-        for (gname, setting), res in rf_results.items():
-            X, y, features = res["X"], res["y"], res["features"]
+    def step_importance(self) -> None:
+        self.decisions = {}
+        cfg = _seq_test_config(self.cfg.seq_test)
+        for (gname, setting), res in self.rf_results.items():
+            features = res["features"]
             decisions = rfvimptest_all(
-                X, y, features, cfg,
+                res["X"], res["y"], features, cfg,
                 master_seed=derive_seed(self.cfg.seed, "seqtest", gname, setting),
                 workers=self.cfg.workers, feature_names=features,
                 forest_config=self.forest_config(gname, setting))
-            decisions_all[(gname, setting)] = decisions
+            self.decisions[(gname, setting)] = decisions
             stars = vimp_mod.significance_codes(decisions)
             imp = res["importance"]
-            with open(tables / f"importance_decisions_{gname}_{setting}.csv",
-                      "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["variable", "importance", "std", "p_estimate",
-                            "decision", "m_used", "stopping_reason", "stars"])
-                for name, dec in decisions.items():
-                    w.writerow([name, _fmt(dec.observed_vimp),
-                                _fmt(imp.stds.get(name)), _fmt(dec.p_estimate),
-                                dec.decision, dec.m, dec.stopping_reason,
-                                stars[name]])
+            write_csv(self.out / "tables" / f"importance_decisions_{gname}_{setting}.csv",
+                      ["variable", "importance", "std", "p_estimate",
+                       "decision", "m_used", "stopping_reason", "stars"],
+                      ([name, fmt4(dec.observed_vimp), fmt4(imp.stds.get(name)),
+                        fmt4(dec.p_estimate), dec.decision, dec.m, dec.stopping_reason,
+                        stars[name]] for name, dec in decisions.items()))
             rpt.emit_importance_figure(
                 decisions, imp, self.out / "figures" / f"importance_{gname}_{setting}.svg")
             n_sig = sum(d.decision == "significant" for d in decisions.values())
             print(f"importance[{gname}/{setting}]: {n_sig}/{len(decisions)} significant")
-        self._emit_rf_tables(self.rf_blocks(rf_results, decisions_all))
-        return decisions_all
 
-    def step_compare(self, blocks=None) -> None:
-        if blocks is None:
-            linear_blocks = self.step_fit_linear()
-            gmm_blocks = self.step_fit_gmm()
-            rf_blocks = self.rf_blocks(self.step_fit_rf())
-            self._emit_rf_tables(rf_blocks)
-            blocks = linear_blocks + gmm_blocks + rf_blocks
-        import hashlib
-        config_hash = hashlib.sha256(
-            json.dumps(self.cfg.echo(), sort_keys=True).encode()).hexdigest()
-        report = rpt.build_report(blocks, provenance={
-            "seed": self.cfg.seed,
-            "config_hash": config_hash,
-            "dataset_fingerprint": self.prepared.fingerprint(),
-        })
-        tables = self.out / "tables"
-        tables.mkdir(parents=True, exist_ok=True)
-        with open(tables / "model_comparison.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["group", "setting", "model", "r2", "adj_r2", "mse",
-                        "f_stat", "n_obs"])
-            for b in report.blocks:
-                w.writerow([b.group, b.setting, b.model,
-                            _fmt(b.metrics.get("r2")), _fmt(b.metrics.get("adj_r2")),
-                            _fmt(b.metrics.get("mse")), _fmt(b.metrics.get("f_stat")),
-                            b.metrics.get("n_obs", "")])
+    def step_compare(self) -> None:
+        report = rpt.build_report(self.linear_blocks + self.gmm_blocks + self.rf_blocks())
+        write_csv(self.out / "tables" / "model_comparison.csv",
+                  ["group", "setting", "model", "r2", "adj_r2", "mse", "f_stat", "n_obs"],
+                  ([b.group, b.setting, b.model,
+                    fmt4(b.metrics.get("r2")), fmt4(b.metrics.get("adj_r2")),
+                    fmt4(b.metrics.get("mse")), fmt4(b.metrics.get("f_stat")),
+                    b.metrics.get("n_obs", "")] for b in report.blocks))
         print(f"compare: {len(report.blocks)} model blocks")
 
     def run(self, subcommand: str) -> None:
-        self.out.mkdir(parents=True, exist_ok=True)
-        if subcommand == "describe":
-            self.step_describe()
-        elif subcommand == "fit-linear":
-            self._write_removal_log()
-            self.step_fit_linear()
-        elif subcommand == "fit-gmm":
-            self._write_removal_log()
-            self.step_fit_gmm()
-        elif subcommand == "fit-rf":
-            self._write_removal_log()
-            self._emit_rf_tables(self.rf_blocks(self.step_fit_rf()))
-        elif subcommand == "importance":
-            self._write_removal_log()
-            self.step_importance()
-        elif subcommand == "compare":
-            self._write_removal_log()
-            self.step_compare()
-        elif subcommand == "all":
-            self.step_describe()
-            self._write_removal_log()
-            linear_blocks = self.step_fit_linear()
-            gmm_blocks = self.step_fit_gmm()
-            rf_results = self.step_fit_rf()
-            decisions_all = self.step_importance(rf_results)
-            rf_blocks = self.rf_blocks(rf_results, decisions_all)
-            self.step_compare(linear_blocks + gmm_blocks + rf_blocks)
-            rpt.write_manifest(self.out, self.cfg.echo(), self.cfg.seed,
-                               self.prepared.fingerprint())
+        stages = STAGES[subcommand]
+        if stages != ("describe",):  # every other stage reads the prepared panel,
+            self.prepared  # whose outlier filter fills the removal log
+            dsm.write_removal_log(self._removal_log, self.out / "removal_log.csv")
+        for stage in stages:
+            getattr(self, f"step_{stage}")()
+        if "fit_rf" in stages:
+            # written once, after importance (if it ran) added its p-values
+            rpt.emit_tables(rpt.build_report([], self.rf_blocks()), self.out,
+                            only=[("static", "rf"), ("dynamic", "rf")])
+        if subcommand == "all":
+            rpt.write_manifest(self.out, self.cfg.echo(), self.cfg.seed, self.fingerprint)
             print(f"all: artifacts under {self.out}")
 
-    def _write_removal_log(self) -> None:
-        _ = self.prepared
-        dsm.write_removal_log(self._removal_log or [], self.out / "removal_log.csv")
 
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    try:
-        f = float(v)
-    except (TypeError, ValueError):
-        return str(v)
-    if math.isnan(f):
-        return "n/a"
-    return f"{f:.4f}"
+def _seq_test_config(raw: dict) -> SeqTestConfig:
+    return SeqTestConfig(**{k: (tuple(v) if k == "sapt_bounds" and v else v)
+                            for k, v in raw.items()})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="panelforest",
         description="Panel regressions, System GMM and random-forest importance "
                     "analysis from one config file.")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=STAGES)
     parser.add_argument("-c", "--config", help="JSON config file")
     parser.add_argument("--demo", action="store_true",
                         help="run on the bundled synthetic panel")

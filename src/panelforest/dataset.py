@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._common import segment_ids
+from ._common import segment_ids, write_csv
 
 __all__ = [
     "PanelDataset",
@@ -380,12 +380,9 @@ def remove_outliers(ds: PanelDataset, vars: Sequence[str],
 
 def write_removal_log(log: Sequence[RemovalRecord], path) -> None:
     """Write the removal log as CSV: entity,year,variable,value,lower,upper."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity", "year", "variable", "value", "lower", "upper"])
-        for rec in log:
-            writer.writerow([rec.entity, rec.year, rec.variable,
-                             repr(rec.value), repr(rec.lower), repr(rec.upper)])
+    write_csv(path, ["entity", "year", "variable", "value", "lower", "upper"],
+              ([rec.entity, rec.year, rec.variable,
+                repr(rec.value), repr(rec.lower), repr(rec.upper)] for rec in log))
 
 
 @dataclass(frozen=True)

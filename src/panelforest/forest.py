@@ -272,11 +272,16 @@ def _row_sums(forest: Forest, X: np.ndarray, tree: np.ndarray, rows: np.ndarray)
     return np.bincount(rows, weights=forest.nodes.value[leaf], minlength=len(X))
 
 
-def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of per-tree predictions."""
+def _check_columns(forest: Forest, X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(forest.feature_names):
         raise ValueError(f"X must have {len(forest.feature_names)} columns")
+    return X
+
+
+def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of per-tree predictions."""
+    X = _check_columns(forest, X)
     n_trees = len(forest.roots)
     tree, rows = np.indices((n_trees, len(X))).reshape(2, -1)
     return _row_sums(forest, X, tree, rows) / n_trees
@@ -309,7 +314,7 @@ def oob_predictions(forest: Forest, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Returns (predictions, covered mask); uncovered rows are NaN.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    X = _check_columns(forest, X)
     if len(X) != forest.n_rows:
         raise ValueError("OOB scoring requires the training rows")
     tree, rows = np.nonzero(forest.in_bag_counts == 0)

@@ -12,14 +12,13 @@ exceeds 0.05.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._common import star_code
+from ._common import fmt4, star_code, write_csv
 from .forest import ForestMetrics
 from .gmm import GmmFit
 from .linear import LinearFit, t_tests
@@ -34,6 +33,7 @@ __all__ = [
     "from_forest",
     "build_report",
     "emit_tables",
+    "write_model_table",
     "emit_importance_figure",
 ]
 
@@ -159,11 +159,7 @@ class ComparisonReport:
 
     @property
     def groups(self) -> list[str]:
-        seen = []
-        for b in self.blocks:
-            if b.group not in seen:
-                seen.append(b.group)
-        return seen
+        return list(dict.fromkeys(b.group for b in self.blocks))
 
 
 def build_report(fits: Iterable[ModelBlock], importance: Iterable[ModelBlock] = (),
@@ -182,74 +178,34 @@ def build_report(fits: Iterable[ModelBlock], importance: Iterable[ModelBlock] = 
     return ComparisonReport(blocks, dict(provenance or {}))
 
 
-def _f4(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "n/a"
-    if math.isinf(x):
-        return "inf"
-    return f"{x:.4f}"
-
-
-def _write_model_table(path: Path, blocks: Sequence[ModelBlock]) -> None:
-    groups = []
-    for b in blocks:
-        if b.group not in groups:
-            groups.append(b.group)
+def write_model_table(path: Path, blocks: Sequence[ModelBlock]) -> None:
+    """One display table: a column per group, each estimate above its
+    dispersion, then the metrics and footer rows."""
     by_group = {b.group: b for b in blocks}
-    var_order: list[str] = []
-    for b in blocks:
-        for cell in b.cells:
-            if cell.name not in var_order:
-                var_order.append(cell.name)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", *groups])
-        for name in var_order:
-            value_row, disp_row = [name], [""]
-            for g in groups:
-                cell = next((c for c in by_group[g].cells if c.name == name), None)
-                if cell is None:
-                    value_row.append("")
-                    disp_row.append("")
-                else:
-                    value_row.append(f"{_f4(cell.value)}{cell.stars}")
-                    disp_row.append(f"({_f4(cell.dispersion)})" if cell.dispersion
-                                    is not None else "")
-            writer.writerow(value_row)
-            writer.writerow(disp_row)
-        metric_keys: list[str] = []
-        for b in blocks:
-            for k in b.metrics:
-                if k not in metric_keys:
-                    metric_keys.append(k)
-        for k in metric_keys:
-            row = [k]
-            for g in groups:
-                v = by_group[g].metrics.get(k)
-                row.append(_f4(v) if not isinstance(v, int) else str(v))
-            writer.writerow(row)
-        footer_keys: list[str] = []
-        for b in blocks:
-            for k in b.footer:
-                if k not in footer_keys:
-                    footer_keys.append(k)
-        for k in footer_keys:
-            writer.writerow([k, *[by_group[g].footer.get(k, "") for g in groups]])
+    groups = list(by_group)
+    cells = {g: {c.name: c for c in b.cells} for g, b in by_group.items()}
+    rows = []
+    for name in dict.fromkeys(c.name for b in blocks for c in b.cells):
+        value_row, disp_row = [name], [""]
+        for g in groups:
+            cell = cells[g].get(name)
+            value_row.append("" if cell is None else f"{fmt4(cell.value)}{cell.stars}")
+            disp_row.append("" if cell is None or cell.dispersion is None
+                            else f"({fmt4(cell.dispersion)})")
+        rows += [value_row, disp_row]
+    for k in dict.fromkeys(k for b in blocks for k in b.metrics):
+        values = [by_group[g].metrics.get(k) for g in groups]
+        rows.append([k, *(str(v) if isinstance(v, int) else fmt4(v) for v in values)])
+    for k in dict.fromkeys(k for b in blocks for k in b.footer):
+        rows.append([k, *[by_group[g].footer.get(k, "") for g in groups]])
+    write_csv(path, ["variable", *groups], rows)
 
 
 def _write_full_precision(path: Path, blocks: Sequence[ModelBlock]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "setting", "model", "variable", "value",
-                         "dispersion", "p"])
-        for b in blocks:
-            for c in b.cells:
-                writer.writerow([b.group, b.setting, b.model, c.name, repr(c.value),
-                                 "" if c.dispersion is None else repr(c.dispersion),
-                                 "" if c.p is None else repr(c.p)])
+    write_csv(path, ["group", "setting", "model", "variable", "value", "dispersion", "p"],
+              ([b.group, b.setting, b.model, c.name, repr(c.value),
+                "" if c.dispersion is None else repr(c.dispersion),
+                "" if c.p is None else repr(c.p)] for b in blocks for c in b.cells))
 
 
 TABLE_PLAN = (
@@ -271,7 +227,6 @@ def emit_tables(report: ComparisonReport, out_dir,
     partial pipeline step does not touch the other tables.
     """
     out = Path(out_dir) / "tables"
-    out.mkdir(parents=True, exist_ok=True)
     wanted = set(only) if only is not None else None
     written = []
     for fname, setting, model in TABLE_PLAN:
@@ -280,11 +235,10 @@ def emit_tables(report: ComparisonReport, out_dir,
         blocks = report.select(setting, model)
         path = out / fname
         if blocks:
-            _write_model_table(path, blocks)
+            write_model_table(path, blocks)
             _write_full_precision(out / fname.replace(".csv", "_full.csv"), blocks)
         else:
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerow(["variable"])
+            write_csv(path, ["variable"], [])
         written.append(path)
     return written
 

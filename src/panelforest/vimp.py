@@ -146,6 +146,8 @@ class SeqTestConfig:
                           "p-value estimates will be very coarse", stacklevel=3)
         if self.ntree < 1 or self.nperm < 1:
             problems.append("ntree and nperm must be >= 1")
+        if self.eval_set not in ("train", "oob"):
+            problems.append(f"eval_set must be 'train' or 'oob', got {self.eval_set!r}")
         if problems:
             raise ValueError("; ".join(problems))
 

@@ -198,3 +198,82 @@ class TestPipeline:
         # fit-gmm must not clobber the linear table
         text = (tmp_path / "run" / "tables" / "table_static_linear.csv").read_text()
         assert "Growth(t-1)" in text
+
+
+RF_TABLES = {"tables/rf_importance_static.csv", "tables/rf_importance_static_full.csv",
+             "tables/rf_importance_dynamic.csv", "tables/rf_importance_dynamic_full.csv"}
+LINEAR_TABLES = {"tables/hausman.csv", "tables/table_static_linear.csv",
+                 "tables/table_static_linear_full.csv",
+                 "tables/table_static_linear_random.csv"}
+GMM_TABLES = {"tables/table_dynamic_gmm.csv", "tables/table_dynamic_gmm_full.csv"}
+DESCRIBE_TABLES = {"tables/descriptive_stats.csv", "tables/correlation_matrix.csv"}
+IMPORTANCE_FILES = {f"{kind}_north_{setting}.{ext}"
+                    for setting in ("static", "dynamic")
+                    for kind, ext in (("tables/importance_decisions", "csv"),
+                                      ("figures/importance", "svg"))}
+ARTIFACTS = {
+    "describe": DESCRIBE_TABLES,
+    "fit-linear": {"removal_log.csv", *LINEAR_TABLES},
+    "fit-gmm": {"removal_log.csv", *GMM_TABLES},
+    "fit-rf": {"removal_log.csv", *RF_TABLES},
+    "importance": {"removal_log.csv", *RF_TABLES, *IMPORTANCE_FILES},
+    "compare": {"removal_log.csv", *LINEAR_TABLES, *GMM_TABLES, *RF_TABLES,
+                "tables/model_comparison.csv"},
+    "all": {"removal_log.csv", *DESCRIBE_TABLES, *LINEAR_TABLES, *GMM_TABLES,
+            *RF_TABLES, *IMPORTANCE_FILES, "tables/model_comparison.csv",
+            "provenance.json"},
+}
+
+
+def artifact_tree(out):
+    return {str(q.relative_to(out)): q.read_bytes() for q in out.rglob("*") if q.is_file()}
+
+
+class TestArtifacts:
+    @pytest.mark.parametrize("sub", sorted(ARTIFACTS))
+    def test_subcommand_file_set(self, sub, tmp_path):
+        cfg = fast_demo_config(14, tmp_path / "run")
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main([sub, "-c", str(tmp_path / "c.json")]) == 0
+        assert set(artifact_tree(tmp_path / "run")) == ARTIFACTS[sub]
+
+    def test_one_runner_matches_separate_runs(self, tmp_path, capsys):
+        from panelforest.cli import Runner
+        steps = ("describe", "fit-linear", "fit-gmm")
+        runner = Runner(RunConfig.from_mapping(fast_demo_config(15, tmp_path / "one")))
+        for sub in steps:
+            runner.run(sub)
+        one = capsys.readouterr().out
+        for sub in steps:
+            Runner(RunConfig.from_mapping(fast_demo_config(15, tmp_path / "many"))).run(sub)
+        assert capsys.readouterr().out == one
+        tree = artifact_tree(tmp_path / "one")
+        assert set(tree) == ARTIFACTS["fit-linear"] | ARTIFACTS["fit-gmm"] | DESCRIBE_TABLES
+        assert tree == artifact_tree(tmp_path / "many")
+
+
+class TestConfigAtLoad:
+    """Config errors surface before any data is read, as exit code 2."""
+
+    @pytest.mark.parametrize("section, value, token", [
+        ("forest", {"ntrees": 10}, "ntrees"),
+        ("seq_test", {"n_tree": 5}, "n_tree"),
+        ("seq_test", {"p1": 0.5}, "p1"),
+        ("seq_test", {"eval_set": "test"}, "eval_set"),
+        ("seq_test", {"permute_within_groups": True}, "permute_within_groups"),
+    ])
+    def test_rejected(self, section, value, token, tmp_path, capsys):
+        cfg = {"seed": 1, "input": str(tmp_path / "missing.csv"),
+               "out": str(tmp_path / "o"), section: value}
+        with pytest.raises(ConfigError, match=token):
+            RunConfig.from_mapping(cfg)
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["importance", "-c", str(tmp_path / "c.json")]) == 2
+        assert token in capsys.readouterr().err
+
+    def test_fit_rf_needs_static_model(self, tmp_path, capsys):
+        cfg = fast_demo_config(16, tmp_path / "run")
+        del cfg["models"]["static"]
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["fit-rf", "-c", str(tmp_path / "c.json")]) == 2
+        assert "models.static" in capsys.readouterr().err

@@ -419,3 +419,14 @@ class TestGoldenForestFile:
             doc.pop("y_min", None)
             doc.pop("y_max", None)
         assert new == old
+
+
+class TestOobColumns:
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_wrong_column_count_rejected(self, width):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(30, 3))
+        f = fit_forest(X, X[:, 0] + rng.normal(size=30), ForestConfig(n_trees=5, seed=1))
+        Xw = np.column_stack([X, X[:, 0]])[:, :width]
+        with pytest.raises(ValueError, match="3 columns"):
+            oob_predictions(f, Xw)

@@ -235,3 +235,15 @@ class TestManifest:
         m2 = write_manifest(tmp_path, {}, seed=1, fingerprint="fp",
                             timestamp="2030-12-31T23:59:59")
         assert json.loads(m2.read_text())["content_hash"] == data["content_hash"]
+
+
+class TestSignedInfinity:
+    def test_negative_infinite_metric_keeps_sign(self, tmp_path):
+        block = ModelBlock("g7", "static", "linear",
+                           (VariableCell("gdp", 0.5, 0.1, 0.2),),
+                           {"r2": float("-inf"), "f_stat": float("inf")}, {}, "fp")
+        emit_tables(build_report([block]), tmp_path, only=[("static", "linear")])
+        with open(tmp_path / "tables" / "table_static_linear.csv", newline="") as fh:
+            rows = {row[0]: row[1:] for row in csv.reader(fh)}
+        assert rows["r2"] == ["-inf"]
+        assert rows["f_stat"] == ["inf"]
