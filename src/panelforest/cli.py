@@ -104,10 +104,17 @@ class RunConfig:
         rule = pre.get("outlier_rule", {"kind": "none"})
         if rule.get("kind", "none") not in ("none", "iqr", "zscore"):
             problems.append(f"unknown outlier rule kind {rule.get('kind')!r}")
+        for name in ("static", "dynamic"):
+            if models.get(name) and "dependent" not in models[name]:
+                problems.append(f"models.{name}.dependent is required")
         for section, known in (("forest", FOREST_KEYS), ("seq_test", SEQ_TEST_KEYS)):
             unknown = sorted(set(raw.get(section, {})) - set(known))
             if unknown:
                 problems.append(f"unknown {section} keys {unknown}; known: {list(known)}")
+        try:
+            _forest_config(raw.get("forest", {}), seed=0)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"forest: {exc}")
         seq_test = {k: v for k, v in raw.get("seq_test", {}).items() if k in SEQ_TEST_KEYS}
         try:
             if _seq_test_config(seq_test).permute_within_groups:
@@ -262,14 +269,7 @@ class Runner:
         )
 
     def forest_config(self, *path) -> ForestConfig:
-        f = self.cfg.forest
-        return ForestConfig(
-            n_trees=int(f.get("n_trees", 150)),
-            mtry=f.get("mtry"),
-            min_leaf=int(f.get("min_leaf", 5)),
-            max_depth=f.get("max_depth"),
-            seed=derive_seed(self.cfg.seed, "forest", *path),
-        )
+        return _forest_config(self.cfg.forest, derive_seed(self.cfg.seed, "forest", *path))
 
     def rf_design(self, ds: dsm.PanelDataset, setting: str):
         """Feature matrix for the forest: static spec regressors/controls,
@@ -419,6 +419,12 @@ class Runner:
         if subcommand == "all":
             rpt.write_manifest(self.out, self.cfg.echo(), self.cfg.seed, self.fingerprint)
             print(f"all: artifacts under {self.out}")
+
+
+def _forest_config(raw: dict, seed: int) -> ForestConfig:
+    return ForestConfig(n_trees=int(raw.get("n_trees", 150)), mtry=raw.get("mtry"),
+                        min_leaf=int(raw.get("min_leaf", 5)),
+                        max_depth=raw.get("max_depth"), seed=seed)
 
 
 def _seq_test_config(raw: dict) -> SeqTestConfig:

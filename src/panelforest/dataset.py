@@ -207,14 +207,17 @@ def load_csv(path, role_map: Mapping[str, str] | None = None,
 
     The file must contain `entity_col` and `year_col`; every other column
     is parsed as numeric.  Empty cells and unparseable numeric cells become
-    missing (the latter are counted per column in ``parse_warnings``).
+    missing (the latter are counted per column in ``parse_warnings``).  An
+    infinite cell ("inf", "-Infinity", or a literal that overflows) is
+    rejected.
 
     Raises
     ------
     SchemaError
         Missing entity/year column, or a role_map name absent from the header.
     IntegrityError
-        Duplicate (entity, year) rows.
+        Duplicate (entity, year) rows, or infinite cells (the message names
+        the entity, year and variable of each).
     """
     role_map = dict(role_map or {})
     with open(path, newline="", encoding="utf-8") as fh:
@@ -238,6 +241,7 @@ def load_csv(path, role_map: Mapping[str, str] | None = None,
         entities, years = [], []
         raw_cols: dict[str, list[float]] = {name: [] for name in value_names}
         bad_cells: dict[str, int] = {}
+        infinite: list[str] = []  # "entity year variable=cell" of each infinite cell
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -252,11 +256,19 @@ def load_csv(path, role_map: Mapping[str, str] | None = None,
                     raw_cols[name].append(math.nan)
                     continue
                 try:
-                    raw_cols[name].append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    raw_cols[name].append(math.nan)
+                    value = math.nan
                     bad_cells[name] = bad_cells.get(name, 0) + 1
+                else:
+                    if math.isinf(value):
+                        bad_cells[name] = bad_cells.get(name, 0) + 1
+                        infinite.append(f"{entities[-1]} {years[-1]} {name}={cell}")
+                raw_cols[name].append(value)
 
+    if infinite:
+        raise IntegrityError(f"{path}: {len(infinite)} infinite numeric cells "
+                             f"(entity year variable=cell): {', '.join(infinite)}")
     ent = np.asarray(entities, dtype=object)
     yr = np.asarray(years, dtype=np.int64)
     order = np.lexsort((yr, ent))

@@ -1,11 +1,21 @@
 """Regression random forest: bagged CART trees with random feature subsets.
 
-Trees are grown with an exact split search (best threshold over midpoints
-of sorted unique values, MSE criterion), which is affordable at the panel
-sizes this package targets (a few hundred rows).  Each tree draws its
-bootstrap sample and split features from its own counter-derived stream,
-so the fitted forest is a pure function of (X, y, config) regardless of
-how tree construction is scheduled.
+Splits are exact: each node takes the best threshold over the midpoints of
+its sorted distinct values (MSE criterion).  All trees of a forest grow
+together, breadth-first.  The bootstrap samples become weighted entries,
+one per distinct (tree, row) pair, and every feature keeps one order of the
+active entries sorted by (node, x).  At each depth, running sums over those
+orders score every candidate split of every node at once, a segmented
+maximum picks each node's best, and a stable partition by child id carries
+the orders to the next depth, so no feature is sorted by value twice.  The
+sums run on the target centred at its median and scaled to integers: they
+are exact, so the level of the target does not enter them, and equal
+partitions tie exactly (the lowest threshold, then the lowest feature,
+wins).
+
+Tree i draws its bootstrap sample, then one set of candidate features per
+level, from its own counter-derived stream (cfg.seed, i), so the fitted
+forest is a pure function of (X, y, config).
 
 A forest stores all its trees in one node table, tree after tree, with the
 offset of each tree's root; child links are tree-local.  One function,
@@ -63,6 +73,8 @@ class ForestConfig:
             raise ValueError("n_trees must be >= 1")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
+        if self.mtry is not None and self.mtry < 1:
+            raise ValueError("mtry must be >= 1 when set")
         if not (0 < self.bootstrap_fraction <= 1.0):
             raise ValueError("bootstrap_fraction must be in (0, 1]")
         if self.max_depth is not None and self.max_depth < 1:
@@ -102,6 +114,10 @@ class Tree:
         n = len(X)
         return self.value[_leaves(self, 0, np.zeros(n, dtype=np.intp), X, np.arange(n))]
 
+
+# `fit_forest` grows trees in groups of at most about this many bootstrap
+# draws: it bounds the working memory to a few MiB and changes no tree
+_ENTRIES_PER_GROUP = 8192
 
 # node-table columns in Tree field order
 _NODE_DTYPES = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
@@ -150,89 +166,195 @@ class Forest:
         return tuple(Tree(*columns) for columns in zip(*parts))
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
-               cfg: ForestConfig, rng: np.random.Generator,
-               table: dict[str, list]) -> None:
-    """Grow one tree onto the node lists in `table`, children counted from its root."""
+def _best_splits(sel: np.ndarray, feat: np.ndarray, cand: np.ndarray, node: np.ndarray,
+                 counts: np.ndarray, x_flat: np.ndarray, w_e: np.ndarray,
+                 wyq_e: np.ndarray, W: np.ndarray, min_leaf: int) -> tuple[np.ndarray, ...]:
+    """Best split of every node of a level.
+
+    Row r of `sel` lists the entries of every node sorted by the value of
+    that node's r-th candidate feature, cand[r, node] (ascending over r);
+    `feat` is cand spread over the positions, and `node` the node of each
+    position.  Returns per node the gain (-inf when no split is valid), the
+    feature, the threshold and the node's sum of w*yq.  The SSE of a split
+    is the node's sum of squares minus its gain, so the best split has the
+    largest gain; on a tie the first in a segment (the lowest threshold),
+    then the first row (the lowest feature), wins.
+    """
+    m, n_act = sel.shape
+    K = len(counts)
+    starts = np.cumsum(counts) - counts
+    xs = x_flat[feat * len(w_e) + sel]
+    # left sums of a split after each position; differences of the running
+    # sums at segment ends are node sums, equal in every row
+    L0 = np.cumsum(w_e[sel], axis=1)
+    L0 -= np.repeat(np.cumsum(W) - W, counts)
+    L1 = np.cumsum(wyq_e[sel], axis=1)
+    ends = L1[:, starts + counts - 1]
+    before = np.concatenate((np.zeros((m, 1), np.uint64), ends[:, :-1]), axis=1)
+    total = (ends[0] - before[0]).view(np.int64)
+    L1 -= np.repeat(before, counts, axis=1)
+    L1 = L1.view(np.int64)
+    ok = np.zeros((m, n_act), dtype=bool)
+    np.less(xs[:, :-1], xs[:, 1:], out=ok[:, :-1])
+    ok &= L0 >= min_leaf
+    R0 = np.repeat(W, counts) - L0
+    ok &= R0 >= min_leaf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.square(L1, dtype=np.float64)
+        gain /= L0
+        L1 -= np.repeat(total, counts)  # minus the right sums
+        right = np.square(L1, dtype=np.float64)
+        right /= R0
+        gain += right
+    gain[~ok] = -np.inf
+    best = np.maximum.reduceat(gain, starts, axis=1)
+    row = np.argmax(best, axis=0)
+    best = best[row, np.arange(K)]
+    at = np.repeat(row, counts) * n_act + np.arange(n_act)
+    hits = np.flatnonzero((gain.ravel()[at] == np.repeat(best, counts))
+                          & np.repeat(best > -np.inf, counts))
+    hit_node = node[hits]
+    head = np.ones(len(hits), dtype=bool)
+    head[1:] = hit_node[1:] != hit_node[:-1]
+    pos, sn = at[hits[head]], hit_node[head]
+    a, b = xs.ravel()[pos], xs.ravel()[pos + 1]
+    mid = 0.5 * (a + b)
+    thr = np.zeros(K)
+    thr[sn] = np.where((a <= mid) & (mid < b), mid, a)  # mid can round onto b
+    return best, cand[row, np.arange(K)], thr, total
+
+
+def _grow(X: np.ndarray, y: np.ndarray, in_bag: np.ndarray, mtry: int,
+          min_leaf: int, max_depth: int | None,
+          rngs: list[np.random.Generator]) -> tuple[Tree, np.ndarray]:
+    """Grow every tree of a forest level by level; returns the node table
+    (tree after tree, breadth-first within a tree) and each tree's root."""
+    n_trees, n = in_bag.shape
     p = X.shape[1]
-    mtry = cfg.resolve_mtry(p)
-    min_leaf = cfg.min_leaf
+    # entries: the distinct (tree, row) pairs of the bootstrap samples,
+    # weighted by their multiplicity
+    tree_e, row_e = np.nonzero(in_bag)
+    n_e = len(row_e)
+    w_e = in_bag[tree_e, row_e]
+    centre = float(np.median(y))
+    yc = y - centre
+    wy_e = w_e * yc[row_e]
+    # The split search sums yc scaled by 2**scale and rounded to integers,
+    # with the scale set so that one bootstrap sample's sums stay below
+    # 2**62: equal partitions then get bit-equal scores whatever the feature
+    # or the order of the sums.  Running sums over all trees may wrap around
+    # in uint64; their differences, one node's sums, are exact.
+    max_abs = float(np.abs(yc).max())
+    n_boot = float(in_bag[0].sum())  # the same for every tree
+    scale = 62 - math.frexp(max_abs)[1] - math.frexp(n_boot)[1] if max_abs > 0 else 0
+    yq_e = np.rint(np.ldexp(yc[row_e], scale)).astype(np.int64)
+    wyq_e = (w_e * yq_e).view(np.uint64)
+    x_flat = X.T[:, row_e].ravel()  # x_flat[f * n_e + e] = X[row of e, f]
+    entry = np.full((n_trees, n), -1, dtype=np.intp)
+    entry[tree_e, row_e] = np.arange(n_e)
+    # order[f] lists the entries by (node, x_f): each node is one segment
+    order = np.empty((p, n_e), dtype=np.intp)
+    for f, by_value in enumerate(np.argsort(X, axis=0, kind="stable").T):
+        column = entry[:, by_value].ravel()
+        order[f] = column[column >= 0]
+    del entry
+    node_e = tree_e.copy()  # node of each entry at the current level, -1 when done
 
-    feature, threshold, left, right, value, n_samples, sse_dec = table.values()
-    root = len(feature)
+    # nodes of the current level: table id, tree, weight and sum of w*yc
+    gid, node_tree = np.arange(n_trees), np.arange(n_trees)
+    W = np.bincount(tree_e, weights=w_e, minlength=n_trees).astype(np.intp)
+    S = np.bincount(tree_e, weights=wy_e, minlength=n_trees)
+    created = [(node_tree, W, S)]
+    splits = []
+    n_nodes, depth = n_trees, 0
+    rows = np.arange(p)[:, None]
+    while len(gid):
+        K, n_act = len(gid), order.shape[1]
+        first = order[0]
+        node = node_e[first]  # node of each segment position
+        counts = np.bincount(node, minlength=K)
+        starts = np.cumsum(counts) - counts
+        yv = yq_e[first]
+        live = (W >= 2 * min_leaf) & (np.minimum.reduceat(yv, starts)
+                                      < np.maximum.reduceat(yv, starts))
+        # candidate features: per node, the mtry smallest of p uniform keys
+        # drawn from its tree's stream, in ascending feature order
+        if mtry < p:
+            per_tree = np.bincount(node_tree, minlength=n_trees)
+            keys = np.concatenate([rngs[t].random((c, p))
+                                   for t, c in enumerate(per_tree) if c])
+            cand = np.sort(np.argpartition(keys, mtry - 1, axis=1)[:, :mtry], axis=1).T
+            feat = np.repeat(cand, counts, axis=1)
+            sel = order.ravel()[feat * n_act + np.arange(n_act)]
+        else:
+            cand, feat, sel = np.broadcast_to(rows, (p, K)), rows, order
+        best, f_node, thr_node, total = _best_splits(sel, feat, cand, node, counts, x_flat,
+                                                     w_e, wyq_e, W, min_leaf)
+        split = live & (best > -np.inf)
+        sn = np.flatnonzero(split)
+        f, thr = f_node[sn], thr_node[sn]
+        parent = np.square(total[sn], dtype=np.float64) / W[sn]
+        sse_dec = np.ldexp(np.maximum(best[sn] - parent, 0.0), -2 * scale)
+        n_split = len(sn)
+        children = n_nodes + np.arange(2 * n_split)
+        splits.append((gid[sn], f, thr, children[::2], sse_dec))
+        # route the entries of split nodes to child 2s (x <= thr, as in
+        # `_leaves`) or 2s + 1 of the s-th split node
+        rank = np.zeros(K, dtype=np.intp)
+        rank[sn] = np.arange(n_split)
+        moving = np.repeat(split, counts)
+        e, nd = first[moving], node[moving]
+        child = 2 * rank[nd] + (x_flat[f_node[nd] * n_e + e] > thr_node[nd])
+        W = np.bincount(child, weights=w_e[e], minlength=2 * n_split).astype(np.intp)
+        S = np.bincount(child, weights=wy_e[e], minlength=2 * n_split)
+        node_tree = np.repeat(node_tree[sn], 2)
+        created.append((node_tree, W, S))
+        n_nodes += 2 * n_split
+        depth += 1
+        grows = W >= 2 * min_leaf
+        if max_depth is not None and depth >= max_depth:
+            grows[:] = False
+        node_e[first] = -1
+        keep = grows[child]
+        node_e[e[keep]] = (np.cumsum(grows) - 1)[child[keep]]
+        # stable partition of every feature's order by the new node id
+        key = (node_e[order] + 1).astype(np.min_scalar_type(int(grows.sum())))
+        perm = np.argsort(key, axis=1, kind="stable")
+        perm += rows * n_act
+        order = order.ravel()[perm[:, n_act - int(keep.sum()):]]
+        gid, node_tree, W, S = children[grows], node_tree[grows], W[grows], S[grows]
 
-    def new_node(idx: np.ndarray) -> int:
-        slot = len(feature)
-        feature.append(-1)
-        threshold.append(np.nan)
-        left.append(-1)
-        right.append(-1)
-        value.append(float(np.mean(y[idx])))
-        n_samples.append(len(idx))
-        sse_dec.append(0.0)
-        return slot
-
-    stack = [(new_node(sample_idx), sample_idx, 0)]
-    while stack:
-        slot, idx, depth = stack.pop()
-        n = len(idx)
-        if n < 2 * min_leaf or (cfg.max_depth is not None and depth >= cfg.max_depth):
-            continue
-        yn = y[idx]
-        total1 = float(yn.sum())
-        total2 = float((yn**2).sum())
-        parent_sse = total2 - total1 * total1 / n
-        if parent_sse <= 0.0:
-            continue  # pure node
-
-        candidates = np.sort(rng.choice(p, size=mtry, replace=False))
-        best = None  # (sse, feature, threshold, split_order, split_pos)
-        for f in candidates:
-            xf = X[idx, f]
-            order = np.argsort(xf, kind="stable")
-            xs = xf[order]
-            ys = yn[order]
-            # split after position i keeps i+1 samples on the left
-            c1 = np.cumsum(ys)
-            c2 = np.cumsum(ys**2)
-            pos = np.arange(1, n)
-            valid = (xs[:-1] < xs[1:]) & (pos >= min_leaf) & (n - pos >= min_leaf)
-            if not valid.any():
-                continue
-            nl = pos.astype(np.float64)
-            sse_l = c2[:-1] - c1[:-1] ** 2 / nl
-            sse_r = (total2 - c2[:-1]) - (total1 - c1[:-1]) ** 2 / (n - nl)
-            total = np.where(valid, sse_l + sse_r, np.inf)
-            k = int(np.argmin(total))  # first minimum -> lowest threshold
-            if not np.isfinite(total[k]):
-                continue
-            if best is None or total[k] < best[0]:
-                thr = 0.5 * (xs[k] + xs[k + 1])
-                best = (float(total[k]), int(f), float(thr), order, k)
-
-        if best is None:
-            continue
-        sse, f, thr, order, k = best
-        left_idx = idx[order[: k + 1]]
-        right_idx = idx[order[k + 1:]]
-        feature[slot] = f
-        threshold[slot] = thr
-        sse_dec[slot] = max(parent_sse - sse, 0.0)
-        l_slot = new_node(left_idx)
-        r_slot = new_node(right_idx)
-        left[slot], right[slot] = l_slot - root, r_slot - root
-        stack.append((r_slot, right_idx, depth + 1))
-        stack.append((l_slot, left_idx, depth + 1))
+    tree, n_samples, sums = (np.concatenate(c) for c in zip(*created))
+    n_nodes = len(tree)
+    feature = np.full(n_nodes, -1, dtype=np.intp)
+    threshold = np.full(n_nodes, np.nan)
+    left = np.full(n_nodes, -1, dtype=np.intp)
+    sse_decrease = np.zeros(n_nodes)
+    at, f, thr, lft, dec = (np.concatenate(c) for c in zip(*splits))
+    feature[at], threshold[at], left[at], sse_decrease[at] = f, thr, lft, dec
+    # pack tree after tree; child links become tree-local
+    pack = np.argsort(tree, kind="stable")
+    slot = np.empty(n_nodes, dtype=np.intp)
+    slot[pack] = np.arange(n_nodes)
+    roots = np.searchsorted(tree[pack], np.arange(n_trees))
+    inner = feature >= 0
+    left[inner] = slot[left[inner]] - roots[tree[inner]]
+    right = np.where(inner, left + 1, -1)
+    columns = (feature, threshold, left, right, centre + sums / n_samples, n_samples,
+               sse_decrease)
+    return Tree(*(c[pack] for c in columns)), roots
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
                feature_names: Sequence[str] | None = None) -> Forest:
-    """Fit a regression forest on a clean (no missing values) matrix.
+    """Fit a regression forest on a finite matrix (no missing values).
 
-    Each tree i is grown on a bootstrap sample drawn from the stream
-    (cfg.seed, i); identical inputs therefore give bit-identical forests.
-    A constant target yields single-leaf trees, which is valid (downstream
-    R-squared is an undefined marker).
+    Tree i draws its bootstrap sample, then its candidate features level by
+    level, from the stream (cfg.seed, i), and its splits depend on its own
+    sample only; identical inputs therefore give bit-identical forests, and
+    the first k trees do not depend on how many follow.  A constant target
+    yields single-leaf trees, which is valid (downstream R-squared is an
+    undefined marker).
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -243,25 +365,28 @@ def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
         raise ValueError(f"X has {n} rows but y has {len(y)}")
     if np.isnan(X).any() or np.isnan(y).any():
         raise ValueError("X and y must not contain missing values")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("X and y must not contain infinite values")
     if n < 2 * cfg.min_leaf:
         raise ValueError(f"need at least {2 * cfg.min_leaf} rows, got {n}")
-    cfg.resolve_mtry(p)
+    mtry = cfg.resolve_mtry(p)
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(p))
     elif len(feature_names) != p:
         raise ValueError("feature_names length must match X columns")
 
     n_boot = max(1, round(cfg.bootstrap_fraction * n))
-    table = {name: [] for name in _NODE_DTYPES}
-    roots = np.zeros(cfg.n_trees, dtype=np.intp)
-    in_bag = np.zeros((cfg.n_trees, n), dtype=np.intp)
-    for i in range(cfg.n_trees):
-        rng = stream(cfg.seed, i)
-        sample_idx = rng.integers(0, n, size=n_boot)
-        in_bag[i] = np.bincount(sample_idx, minlength=n)
-        roots[i] = len(table["feature"])
-        _grow_tree(X, y, np.sort(sample_idx), cfg, rng, table)
-    return Forest(_node_table(table), roots, in_bag, tuple(feature_names), cfg, n)
+    rngs = [stream(cfg.seed, i) for i in range(cfg.n_trees)]
+    in_bag = np.stack([np.bincount(rng.integers(0, n, size=n_boot), minlength=n)
+                       for rng in rngs])
+    step = max(1, _ENTRIES_PER_GROUP // n_boot)
+    groups = [_grow(X, y, in_bag[i:i + step], mtry, cfg.min_leaf, cfg.max_depth,
+                    rngs[i:i + step]) for i in range(0, cfg.n_trees, step)]
+    offsets = np.cumsum([0] + [nodes.n_nodes for nodes, _ in groups[:-1]])
+    roots = np.concatenate([r + o for (_, r), o in zip(groups, offsets)])
+    nodes = Tree(**{name: np.concatenate([getattr(g, name) for g, _ in groups])
+                    for name in _NODE_DTYPES})
+    return Forest(nodes, roots, in_bag, tuple(feature_names), cfg, n)
 
 
 def _row_sums(forest: Forest, X: np.ndarray, tree: np.ndarray, rows: np.ndarray) -> np.ndarray:

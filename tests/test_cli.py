@@ -271,6 +271,26 @@ class TestConfigAtLoad:
         assert main(["importance", "-c", str(tmp_path / "c.json")]) == 2
         assert token in capsys.readouterr().err
 
+    def test_forest_settings_checked_before_any_data(self, tmp_path, capsys):
+        cfg = {"seed": 1, "input": str(tmp_path / "missing.csv"),
+               "out": str(tmp_path / "o"), "forest": {"n_trees": 0}}
+        with pytest.raises(ConfigError, match="n_trees"):
+            RunConfig.from_mapping(cfg)
+        cfg = fast_demo_config(16, tmp_path / "run")
+        cfg["forest"] = {"n_trees": 0}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["compare", "-c", str(tmp_path / "c.json")]) == 2
+        assert "n_trees must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()  # no table written before the error
+
+    @pytest.mark.parametrize("model", ["static", "dynamic"])
+    def test_model_without_dependent_named(self, model, tmp_path, capsys):
+        cfg = fast_demo_config(16, tmp_path / "run")
+        del cfg["models"][model]["dependent"]
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["fit-linear", "-c", str(tmp_path / "c.json")]) == 2
+        assert f"models.{model}.dependent" in capsys.readouterr().err
+
     def test_fit_rf_needs_static_model(self, tmp_path, capsys):
         cfg = fast_demo_config(16, tmp_path / "run")
         del cfg["models"]["static"]

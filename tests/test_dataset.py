@@ -350,3 +350,17 @@ class TestPanelInvariants:
         log_transform(ds, ["z"])
         remove_outliers(ds, ["x"])
         assert ds.fingerprint() == before
+
+
+class TestInfiniteCells:
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e999"])
+    def test_rejected_naming_entity_year_variable(self, tmp_csv, cell):
+        p = tmp_csv(f"Code,Year,x,w\nUSA,2000,1.0,2\nCAN,2001,{cell},3\n")
+        with pytest.raises(IntegrityError, match=f"CAN 2001 x={cell}"):
+            load_csv(p)
+
+    def test_every_infinite_cell_listed(self, tmp_csv):
+        p = tmp_csv("Code,Year,x,w\nUSA,2000,inf,oops\nUSA,2001,2.0,-inf\n")
+        with pytest.raises(IntegrityError, match="2 infinite") as err:
+            load_csv(p)
+        assert "USA 2000 x=inf" in str(err.value) and "USA 2001 w=-inf" in str(err.value)

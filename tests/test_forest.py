@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelforest.forest import (
     Forest,
@@ -430,3 +432,135 @@ class TestOobColumns:
         Xw = np.column_stack([X, X[:, 0]])[:, :width]
         with pytest.raises(ValueError, match="3 columns"):
             oob_predictions(f, Xw)
+
+
+def node_multisets(forest, X, t):
+    """(node index, bootstrap rows reaching it) of every internal node of tree t."""
+    tree = forest.trees[t]
+    stack = [(0, np.repeat(np.arange(len(X)), forest.in_bag_counts[t]))]
+    while stack:
+        i, rows = stack.pop()
+        if tree.feature[i] < 0:
+            continue
+        yield i, rows
+        go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
+        stack += [(tree.left[i], rows[go_left]), (tree.right[i], rows[~go_left])]
+
+
+class TestExactNodeSplits:
+    """With mtry = p every internal node holds the exhaustive best split of
+    its bootstrap multiset; on a tie the lowest feature wins."""
+
+    @staticmethod
+    def designs():
+        rng = np.random.default_rng(21)
+        for k in range(6):
+            X = rng.normal(size=(40, 3))
+            if k % 3 == 1:
+                X[:, 2] = np.exp(X[:, 0])  # same partitions as feature 0: exact ties
+            if k % 3 == 2:
+                X[:, 1] = np.round(X[:, 0])  # a coarser copy of feature 0
+            y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.3 * rng.normal(size=40)
+            yield k, X, y
+            yield k + 6, X, 1e6 + 1e-3 * y  # level far above the spread
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_every_node_is_the_best_split(self, min_leaf):
+        checked = 0
+        for seed, X, y in self.designs():
+            f = fit_forest(X, y, ForestConfig(n_trees=3, mtry=3, min_leaf=min_leaf, seed=seed))
+            for t, tree in enumerate(f.trees):
+                for i, rows in node_multisets(f, X, t):
+                    per_feature = [brute_force_best_split(X[rows, j], y[rows], min_leaf)
+                                   for j in range(3)]
+                    best = min(sse for sse, _ in per_feature)
+                    tol = 1e-9 * max(best, np.var(y[rows]) * len(rows), 1e-300)
+                    winner = next(j for j, (sse, _) in enumerate(per_feature)
+                                  if sse <= best + tol)
+                    assert tree.feature[i] == winner
+                    assert tree.threshold[i] == per_feature[winner][1]
+                    checked += 1
+        assert checked > 300
+
+
+class TestPrefixProperty:
+    def test_first_trees_do_not_depend_on_forest_size(self):
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(70, 4))
+        y = X[:, 0] + np.sin(2 * X[:, 1]) + 0.3 * rng.normal(size=70)
+        big = fit_forest(X, y, ForestConfig(n_trees=12, min_leaf=2, seed=5))
+        for k in (1, 5):
+            small = fit_forest(X, y, ForestConfig(n_trees=k, min_leaf=2, seed=5))
+            assert np.array_equal(small.in_bag_counts, big.in_bag_counts[:k])
+            for ta, tb in zip(small.trees, big.trees[:k]):
+                for name in ("feature", "left", "right", "value", "n_samples",
+                             "sse_decrease"):
+                    assert np.array_equal(getattr(ta, name), getattr(tb, name))
+                assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
+
+
+class TestTargetShiftAndScale:
+    """Trees depend on the target only through its deviations: an integer
+    shift or a scaling by a signed power of two leaves every split as it was,
+    and predictions move with the target."""
+
+    @given(seed=st.integers(0, 2**32 - 1), shift=st.integers(-10**9, 10**9),
+           power=st.integers(-30, 30), sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_shift_and_scale(self, seed, shift, power, sign):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(40, 3))
+        y = rng.integers(-20, 21, size=40).astype(float)
+        cfg = ForestConfig(n_trees=4, min_leaf=2, seed=seed % 1000)
+        base = fit_forest(X, y, cfg)
+        shifted = fit_forest(X, y + shift, cfg)
+        scale = sign * 2.0**power
+        scaled = fit_forest(X, scale * y, cfg)
+        for other in (shifted, scaled):
+            for name in ("feature", "left", "n_samples"):
+                assert np.array_equal(getattr(base.nodes, name), getattr(other.nodes, name))
+            assert np.array_equal(base.nodes.threshold, other.nodes.threshold, equal_nan=True)
+        grid = rng.normal(size=(25, 3))
+        np.testing.assert_allclose(predict(shifted, grid), predict(base, grid) + shift,
+                                   rtol=0, atol=1e-15 * 64 * (abs(shift) + 20))
+        assert np.array_equal(predict(scaled, grid), scale * predict(base, grid))
+
+    @pytest.mark.parametrize("level", [1e8, 1e9])
+    def test_level_of_the_target_does_not_cost_fit(self, level):
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(300, 2))
+        y = X[:, 0] + 0.2 * rng.normal(size=300)
+        cfg = ForestConfig(n_trees=20, seed=4)
+        r2_at_zero = r2_score(y, predict(fit_forest(X, y, cfg), X))
+        r2_at_level = r2_score(y + level, predict(fit_forest(X, y + level, cfg), X))
+        assert r2_at_zero > 0.9
+        assert abs(r2_at_level - r2_at_zero) < 0.01
+
+
+class TestThresholdBetweenAdjacentFloats:
+    def test_threshold_stays_below_the_right_value(self):
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert 0.5 * (a + b) == b  # the midpoint rounds onto the right value
+        X = np.array([[a]] * 6 + [[b]] * 6)
+        y = np.array([0.0] * 6 + [1.0] * 6)
+        f = fit_forest(X, y, ForestConfig(n_trees=1, min_leaf=1, seed=3))
+        assert f.in_bag_counts[0, :6].any() and f.in_bag_counts[0, 6:].any()
+        tree = f.trees[0]
+        assert tree.feature[0] == 0 and a <= tree.threshold[0] < b
+        assert np.array_equal(predict(f, X), y)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_values_rejected(self, where, value):
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(20, 2))
+        y = rng.normal(size=20)
+        if where == "X":
+            X[3, 1] = value
+        else:
+            y[3] = value
+        with pytest.raises(ValueError, match="infinite"):
+            fit_forest(X, y, ForestConfig(n_trees=2, seed=1))
