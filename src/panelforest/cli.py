@@ -12,10 +12,11 @@ directory only.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -44,9 +45,23 @@ STAGES = {
     "compare": ("fit_linear", "fit_gmm", "fit_rf", "compare"),
     "all": ("describe", "fit_linear", "fit_gmm", "fit_rf", "importance", "compare"),
 }
-# the forest keys a config may set; the seed is derived per forest
-FOREST_KEYS = ("n_trees", "mtry", "min_leaf", "max_depth")
-SEQ_TEST_KEYS = tuple(f.name for f in fields(SeqTestConfig))
+# every key a config block may set, with its default; "" is the top level,
+# and a dotted name is a block inside another
+SECTIONS = {
+    "": {"input": None, "demo": False, "seed": None, "workers": None,
+         "out": "panelforest-out", "groups": {}, "preprocessing": {}, "models": {},
+         "forest": {}, "seq_test": {}, "importance_repeats": 10},
+    "preprocessing": {"log_vars": [], "outlier_rule": {"kind": "none"},
+                      "outlier_vars": [], "lag_vars": [], "lag_order": 1},
+    "preprocessing.outlier_rule": {"kind": "none", "k": 1.5},
+    "models": {"static": {}, "dynamic": {}},
+    "models.static": {"dependent": None, "regressors": [], "controls": [],
+                      "effects": "fixed", "time_dummies": False},
+    "models.dynamic": {"dependent": None, "regressors": [], "instrument_lags": [2, 4],
+                       "time_dummies": False},
+    "forest": {"n_trees": 150, "mtry": None, "min_leaf": 5, "max_depth": None},
+    "seq_test": {f.name: f.default for f in fields(SeqTestConfig)},
+}
 
 
 class ConfigError(ValueError):
@@ -58,105 +73,145 @@ class ConfigError(ValueError):
                          "\n".join(f"  - {p}" for p in self.problems))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """A checked run configuration: the typed settings the stages read,
+    built once by :meth:`from_mapping`."""
+
     seed: int
     out: str
-    input: str | None = None
-    demo: bool = False
-    workers: int = 1
-    groups: dict[str, list[str]] = field(default_factory=dict)
-    log_vars: list[str] = field(default_factory=list)
-    outlier_rule: dict = field(default_factory=lambda: {"kind": "none"})
-    outlier_vars: list[str] = field(default_factory=list)
-    lag_vars: list[str] = field(default_factory=list)
-    lag_order: int = 1
-    static: dict = field(default_factory=dict)
-    dynamic: dict = field(default_factory=dict)
-    forest: dict = field(default_factory=dict)
-    seq_test: dict = field(default_factory=dict)
-    importance_repeats: int = 10
+    input: str | None
+    demo: bool
+    workers: int
+    groups: dict[str, list[str]]
+    log_vars: list[str]
+    outlier_rule: dsm.OutlierRule
+    outlier_vars: list[str]
+    lag_vars: list[str]
+    lag_order: int
+    static: lin.ModelSpec | None
+    dynamic: gmm_mod.GmmSpec | None
+    forest: ForestConfig  # seed 0: Runner.forest_config seeds each forest
+    seq_test: SeqTestConfig
+    importance_repeats: int
+    echo: dict  # the settings as given, for the provenance manifest
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "RunConfig":
-        problems = []
-        if raw.get("seed") is None:
+        """Check `raw` against SECTIONS and build every setting the stages
+        read; one ConfigError lists every problem found."""
+        problems: list[str] = []
+        blocks = _blocks(raw, problems)
+        top, pre = blocks[""], blocks["preprocessing"]
+        if top["seed"] is None:
             problems.append("seed is mandatory (reproducibility first; no clock default)")
-        if not raw.get("demo") and not raw.get("input"):
+        else:
+            _integer(top["seed"], "seed", 0, problems)
+        if not top["demo"] and not top["input"]:
             problems.append("either input (CSV path) or demo must be set")
-        if raw.get("demo") and raw.get("input"):
+        if top["demo"] and top["input"]:
             problems.append("input and demo are mutually exclusive")
-        pre = raw.get("preprocessing", {})
-        models = raw.get("models", {})
-        for name, grp in (raw.get("groups") or {}).items():
-            if not grp:
-                problems.append(f"group {name!r} is empty")
-        workers = raw.get("workers", _default_workers())
-        try:
-            workers = int(workers)
-            if workers < 1:
-                problems.append("workers must be >= 1")
-        except (TypeError, ValueError):
-            problems.append(f"workers must be an integer, got {workers!r}")
-        lag_order = pre.get("lag_order", 1)
-        if not isinstance(lag_order, int) or lag_order < 1:
-            problems.append(f"preprocessing.lag_order must be a positive int, got {lag_order!r}")
-        rule = pre.get("outlier_rule", {"kind": "none"})
-        if rule.get("kind", "none") not in ("none", "iqr", "zscore"):
-            problems.append(f"unknown outlier rule kind {rule.get('kind')!r}")
-        for name in ("static", "dynamic"):
-            if models.get(name) and "dependent" not in models[name]:
+        if not isinstance(top["input"] or "", str):
+            problems.append(f"input must be a CSV path, got {top['input']!r}")
+        groups = top["groups"]
+        if not isinstance(groups, dict):
+            problems.append(f"groups must be a JSON object, got {groups!r}")
+            groups = {}
+        groups = {name: _names(members, f"groups.{name}", problems)
+                  for name, members in groups.items()}
+        problems += [f"group {name!r} is empty" for name, m in groups.items() if not m]
+        workers = _integer(_default_workers() if top["workers"] is None else top["workers"],
+                           "workers", 1, problems)
+        names = {key: _names(pre[key], f"preprocessing.{key}", problems)
+                 for key in ("log_vars", "outlier_vars", "lag_vars")}
+        rule = blocks["preprocessing.outlier_rule"]
+        outlier_rule = _build(problems, "preprocessing.outlier_rule",
+                              lambda: dsm.OutlierRule(rule["kind"], float(rule["k"])))
+        specs = {}
+        for name, make in (("static", _static_spec), ("dynamic", _dynamic_spec)):
+            given, block = blocks["models"][name], blocks[f"models.{name}"]
+            if given and block["dependent"] is None:  # an empty block is an absent one
                 problems.append(f"models.{name}.dependent is required")
-        for section, known in (("forest", FOREST_KEYS), ("seq_test", SEQ_TEST_KEYS)):
-            unknown = sorted(set(raw.get(section, {})) - set(known))
-            if unknown:
-                problems.append(f"unknown {section} keys {unknown}; known: {list(known)}")
-        try:
-            _forest_config(raw.get("forest", {}), seed=0)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"forest: {exc}")
-        seq_test = {k: v for k, v in raw.get("seq_test", {}).items() if k in SEQ_TEST_KEYS}
-        try:
-            if _seq_test_config(seq_test).permute_within_groups:
-                problems.append("seq_test.permute_within_groups needs groups, "
-                                "which the command line cannot pass")
-        except (TypeError, ValueError) as exc:
-            problems.append(f"seq_test: {exc}")
+            elif given:
+                specs[name] = _build(problems, f"models.{name}", lambda: make(block, problems))
+        for key in ("mtry", "max_depth"):  # null, the default, means no limit
+            if blocks["forest"][key] is not None:
+                _integer(blocks["forest"][key], f"forest.{key}", 1, problems)
+        seq = blocks["seq_test"]
+        seq_test = _build(problems, "seq_test", lambda: SeqTestConfig(
+            **{**seq, "sapt_bounds": seq["sapt_bounds"] and tuple(seq["sapt_bounds"])}))
         if problems:
             raise ConfigError(problems)
-        return cls(
-            seed=int(raw["seed"]),
-            out=str(raw.get("out", "panelforest-out")),
-            input=raw.get("input"),
-            demo=bool(raw.get("demo", False)),
-            workers=workers,
-            groups={k: list(v) for k, v in (raw.get("groups") or {}).items()},
-            log_vars=list(pre.get("log_vars", [])),
-            outlier_rule=dict(rule),
-            outlier_vars=list(pre.get("outlier_vars", [])),
-            lag_vars=list(pre.get("lag_vars", [])),
-            lag_order=lag_order,
-            static=dict(models.get("static", {})),
-            dynamic=dict(models.get("dynamic", {})),
-            forest=dict(raw.get("forest", {})),
-            seq_test=dict(raw.get("seq_test", {})),
-            importance_repeats=int(raw.get("importance_repeats", 10)),
-        )
+        echo = copy.deepcopy({**top, "demo": bool(top["demo"]), "workers": workers,
+                              "groups": groups, "preprocessing": pre,
+                              "models": blocks["models"]})
+        del echo["out"]  # where artifacts go is not part of what they hold
+        return cls(seed=top["seed"], out=str(top["out"]), input=top["input"],
+                   demo=echo["demo"], workers=workers, groups=groups, **names,
+                   outlier_rule=outlier_rule, lag_order=pre["lag_order"],
+                   static=specs.get("static"), dynamic=specs.get("dynamic"),
+                   forest=ForestConfig(**blocks["forest"]), seq_test=seq_test,
+                   importance_repeats=top["importance_repeats"], echo=echo)
 
-    def echo(self) -> dict:
-        """Plain dict for the provenance manifest."""
-        return {
-            "input": self.input, "demo": self.demo, "seed": self.seed,
-            "workers": self.workers, "groups": self.groups,
-            "preprocessing": {"log_vars": self.log_vars,
-                              "outlier_rule": self.outlier_rule,
-                              "outlier_vars": self.outlier_vars,
-                              "lag_vars": self.lag_vars,
-                              "lag_order": self.lag_order},
-            "models": {"static": self.static, "dynamic": self.dynamic},
-            "forest": self.forest, "seq_test": self.seq_test,
-            "importance_repeats": self.importance_repeats,
-        }
+
+def _blocks(raw, problems: list[str]) -> dict[str, dict]:
+    """Each SECTIONS block of `raw`, defaults filled in; a non-object block,
+    an unknown key, or a count (int default) not an integer >= 1 is a problem."""
+    blocks: dict[str, dict] = {}
+    for path, defaults in SECTIONS.items():
+        parent, _, name = path.rpartition(".")
+        value = blocks[parent][name] if path else raw
+        if not isinstance(value, dict):
+            problems.append(f"{path or 'the config'} must be a JSON object, got {value!r}")
+            value = {}
+        prefix = f"{path}." if path else ""
+        problems += [f"unknown key '{prefix}{key}'; {path or 'top-level'} keys are "
+                     f"{', '.join(defaults)}" for key in value if key not in defaults]
+        for key, default in defaults.items():
+            if type(default) is int and key in value:
+                _integer(value[key], prefix + key, 1, problems)
+        blocks[path] = {key: value.get(key, default) for key, default in defaults.items()}
+    return blocks
+
+
+def _integer(value, where: str, minimum: int, problems: list[str]):
+    if not isinstance(value, int) or isinstance(value, bool):
+        problems.append(f"{where} must be an integer, got {value!r}")
+    elif value < minimum:
+        problems.append(f"{where} must be >= {minimum}, got {value}")
+    return value
+
+
+def _names(value, where: str, problems: list[str]) -> list[str]:
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return list(value)
+    problems.append(f"{where} must be a list of names, got {value!r}")
+    return []
+
+
+def _build(problems: list[str], where: str, make):
+    """make(), or None with its error recorded as a problem of `where`."""
+    try:
+        return make()
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{where}: {exc}")
+        return None
+
+
+def _static_spec(s: dict, problems: list[str]) -> lin.ModelSpec:
+    return lin.ModelSpec(
+        s["dependent"], _names(s["regressors"], "models.static.regressors", problems),
+        controls=_names(s["controls"], "models.static.controls", problems),
+        include_time_dummies=bool(s["time_dummies"]), effects=s["effects"])
+
+
+def _dynamic_spec(d: dict, problems: list[str]) -> gmm_mod.GmmSpec:
+    lags = d["instrument_lags"]
+    return gmm_mod.GmmSpec(
+        d["dependent"], _names(d["regressors"], "models.dynamic.regressors", problems),
+        instrument_lags=({k: tuple(v) for k, v in lags.items()} if isinstance(lags, dict)
+                         else tuple(lags)),
+        include_time_dummies=bool(d["time_dummies"]))
 
 
 def _default_workers() -> int:
@@ -191,36 +246,28 @@ class Runner:
         return ds
 
     def _validate_against_data(self, ds: dsm.PanelDataset) -> None:
-        problems = []
         known = set(ds.entities)
-        for name, members in self.cfg.groups.items():
-            unknown = [m for m in members if m not in known]
-            if unknown:
-                problems.append(f"group {name!r} references unknown entities {unknown}")
-        have = set(ds.columns)
-        for var in self.cfg.log_vars + self.cfg.outlier_vars:
-            if var not in have:
-                problems.append(f"preprocessing references unknown column {var!r}")
+        problems = [f"group {name!r} references unknown entities {unknown}"
+                    for name, members in self.cfg.groups.items()
+                    if (unknown := [m for m in members if m not in known])]
+        problems += [f"preprocessing references unknown column {var!r}"
+                     for var in self.cfg.log_vars + self.cfg.outlier_vars
+                     if var not in ds.columns]
         if problems:
             raise ConfigError(problems)
 
     @cached_property
     def prepared(self) -> dsm.PanelDataset:
         """Outlier-filtered, log-transformed, lagged dataset."""
-        ds = self.raw
-        rule = dsm.OutlierRule(self.cfg.outlier_rule.get("kind", "none"),
-                               float(self.cfg.outlier_rule.get("k", 1.5)))
-        vars_ = self.cfg.outlier_vars or [n for n in ds.columns]
-        ds, self._removal_log = dsm.remove_outliers(ds, vars_, rule)
-        if self.cfg.log_vars:
-            ds = dsm.log_transform(ds, self.cfg.log_vars)
-        lag_vars = [v for v in self.cfg.lag_vars if v in ds.columns]
+        ds, self._removal_log = dsm.remove_outliers(
+            self.raw, self.cfg.outlier_vars or list(self.raw.columns), self.cfg.outlier_rule)
+        ds = dsm.log_transform(ds, self.cfg.log_vars)
         missing = [v for v in self.cfg.lag_vars if v not in ds.columns]
         if missing:
             raise ConfigError([f"lag variable {v!r} not found after transforms"
                                for v in missing])
-        if lag_vars:
-            ds = dsm.add_lags(ds, lag_vars, self.cfg.lag_order)
+        if self.cfg.lag_vars:
+            ds = dsm.add_lags(ds, self.cfg.lag_vars, self.cfg.lag_order)
         return ds
 
     @cached_property
@@ -230,9 +277,7 @@ class Runner:
 
     @property
     def groups(self) -> dict[str, list[str]]:
-        if self.cfg.groups:
-            return self.cfg.groups
-        return {"all": self.prepared.entities}
+        return self.cfg.groups or {"all": self.prepared.entities}
 
     def group_data(self, members: list[str]) -> dsm.PanelDataset:
         mask = np.isin(self.prepared.entity.astype(str), members)
@@ -241,35 +286,12 @@ class Runner:
     # -- model specs ----------------------------------------------------
 
     def static_spec(self) -> lin.ModelSpec:
-        s = self.cfg.static
-        if not s:
+        if self.cfg.static is None:
             raise ConfigError(["models.static is required for this step"])
-        return lin.ModelSpec(
-            dependent=s["dependent"],
-            regressors=tuple(s.get("regressors", [])),
-            controls=tuple(s.get("controls", [])),
-            include_time_dummies=bool(s.get("time_dummies", False)),
-            effects=s.get("effects", "fixed"),
-        )
-
-    def dynamic_spec(self) -> gmm_mod.GmmSpec:
-        d = self.cfg.dynamic
-        if not d:
-            raise ConfigError(["models.dynamic is required for this step"])
-        lags = d.get("instrument_lags", [2, 4])
-        if isinstance(lags, dict):
-            lags = {k: tuple(v) for k, v in lags.items()}
-        else:
-            lags = tuple(lags)
-        return gmm_mod.GmmSpec(
-            dependent=d["dependent"],
-            regressors=tuple(d.get("regressors", [])),
-            instrument_lags=lags,
-            include_time_dummies=bool(d.get("time_dummies", False)),
-        )
+        return self.cfg.static
 
     def forest_config(self, *path) -> ForestConfig:
-        return _forest_config(self.cfg.forest, derive_seed(self.cfg.seed, "forest", *path))
+        return replace(self.cfg.forest, seed=derive_seed(self.cfg.seed, "forest", *path))
 
     def rf_design(self, ds: dsm.PanelDataset, setting: str):
         """Feature matrix for the forest: static spec regressors/controls,
@@ -336,7 +358,9 @@ class Runner:
 
     def step_fit_gmm(self) -> None:
         self.gmm_blocks = []
-        spec = self.dynamic_spec()
+        spec = self.cfg.dynamic
+        if spec is None:
+            raise ConfigError(["models.dynamic is required for this step"])
         for gname, members in self.groups.items():
             fit = gmm_mod.fit_system_gmm(spec, self.group_data(members))
             self.gmm_blocks.append(rpt.from_gmm(fit, gname, fingerprint=self.fingerprint))
@@ -373,11 +397,10 @@ class Runner:
 
     def step_importance(self) -> None:
         self.decisions = {}
-        cfg = _seq_test_config(self.cfg.seq_test)
         for (gname, setting), res in self.rf_results.items():
             features = res["features"]
             decisions = rfvimptest_all(
-                res["X"], res["y"], features, cfg,
+                res["X"], res["y"], features, self.cfg.seq_test,
                 master_seed=derive_seed(self.cfg.seed, "seqtest", gname, setting),
                 workers=self.cfg.workers, feature_names=features,
                 forest_config=self.forest_config(gname, setting))
@@ -417,19 +440,8 @@ class Runner:
             rpt.emit_tables(rpt.build_report([], self.rf_blocks()), self.out,
                             only=[("static", "rf"), ("dynamic", "rf")])
         if subcommand == "all":
-            rpt.write_manifest(self.out, self.cfg.echo(), self.cfg.seed, self.fingerprint)
+            rpt.write_manifest(self.out, self.cfg.echo, self.cfg.seed, self.fingerprint)
             print(f"all: artifacts under {self.out}")
-
-
-def _forest_config(raw: dict, seed: int) -> ForestConfig:
-    return ForestConfig(n_trees=int(raw.get("n_trees", 150)), mtry=raw.get("mtry"),
-                        min_leaf=int(raw.get("min_leaf", 5)),
-                        max_depth=raw.get("max_depth"), seed=seed)
-
-
-def _seq_test_config(raw: dict) -> SeqTestConfig:
-    return SeqTestConfig(**{k: (tuple(v) if k == "sapt_bounds" and v else v)
-                            for k, v in raw.items()})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,21 +472,17 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError([f"config is not valid JSON: {exc}"]) from None
+        if not isinstance(raw, dict):
+            raise ConfigError([f"{path} must hold a JSON object"])
     if args.demo and not raw:
         raw = demo_mod.demo_config(seed=args.seed if args.seed is not None else 0)
     # flag overrides beat file values
     if args.demo:
-        raw["demo"] = True
-        raw.pop("input", None)
+        raw.update(demo=True, input=None)
     if args.input is not None:
-        raw["input"] = args.input
-        raw["demo"] = False
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.workers is not None:
-        raw["workers"] = args.workers
-    if args.out is not None:
-        raw["out"] = args.out
+        raw.update(input=args.input, demo=False)
+    flags = {"seed": args.seed, "workers": args.workers, "out": args.out}
+    raw.update({key: value for key, value in flags.items() if value is not None})
     return RunConfig.from_mapping(raw)
 
 
@@ -483,12 +491,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         Runner(cfg).run(args.subcommand)
-    except ConfigError as exc:
+    except (ValueError, KeyError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     return 0
 
 

@@ -62,7 +62,8 @@ class PanelDataset:
     year : np.ndarray
         Calendar year per row (int64).
     columns : dict
-        Column name -> float64 array aligned with rows; NaN marks missing.
+        Column name -> float64 array aligned with rows; NaN marks missing
+        and an infinite value is an IntegrityError.
     column_roles : dict
         Column name -> role in {dependent, regressor, control, instrument,
         derived}.
@@ -98,6 +99,11 @@ class PanelDataset:
             if dups:
                 raise IntegrityError(f"duplicate (entity, year) keys: {sorted(dups)[:5]}")
             raise IntegrityError("rows must be sorted by (entity, year)")
+        infinite = [f"{e[i]} {y[i]} {name}={values[i]}" for name, values in self.columns.items()
+                    for i in np.flatnonzero(np.isinf(values))]
+        if infinite:
+            raise IntegrityError(f"{len(infinite)} infinite numeric cells "
+                                 f"(entity year variable=cell): {', '.join(infinite)}")
         for name, role in self.column_roles.items():
             if role not in ROLES:
                 raise IntegrityError(f"unknown role {role!r} for column {name!r}")

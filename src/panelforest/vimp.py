@@ -29,7 +29,8 @@ from scipy import stats as sps
 
 from ._common import star_code
 from ._rng import derive_seed, stream
-from .forest import Forest, ForestConfig, fit_forest, oob_predictions, predict, r2_score
+from .forest import (Forest, ForestConfig, _check_columns, fit_forest, oob_predictions,
+                     predict, r2_score)
 
 __all__ = [
     "PermImportanceResult",
@@ -82,20 +83,16 @@ def permutation_importance(forest: Forest, X: np.ndarray, y: np.ndarray,
         raise ValueError("n_repeats must be >= 1")
     if eval_set not in ("train", "oob"):
         raise ValueError(f"unknown eval_set {eval_set!r}")
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.shape[1] != len(forest.feature_names):
-        raise ValueError(f"X must have {len(forest.feature_names)} columns")
+    X = _check_columns(forest, X)
     y = np.asarray(y, dtype=np.float64)
     baseline = _score(forest, X, y, eval_set)
     names = forest.feature_names
     used = np.isin(np.arange(len(names)), forest.nodes.feature)
     drops = np.zeros((len(names), n_repeats))
     for j, name in enumerate(names):
-        if not used[j]:
-            continue  # predictions cannot depend on this column: drop 0
-        for r in range(n_repeats):
-            Xp = _null_permutation(X, j, stream(seed, name, "shuffle", r), None)
-            drops[j, r] = baseline - _score(forest, Xp, y, eval_set)
+        if used[j]:  # else predictions cannot depend on this column: drop 0
+            drops[j] = _shuffle_drops(forest, X, y, eval_set, baseline, j, (
+                stream(seed, name, "shuffle", r) for r in range(n_repeats)))
     means = {name: float(np.mean(drops[j])) for j, name in enumerate(names)}
     stds = {name: float(np.std(drops[j])) for j, name in enumerate(names)}
     return PermImportanceResult(means, stds, n_repeats, f"r2_{eval_set}", baseline)
@@ -125,7 +122,6 @@ class SeqTestConfig:
     nperm: int = 1
     eval_set: str = "train"
     mmax_fallback: bool = True
-    permute_within_groups: bool = False
     sapt_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -244,37 +240,35 @@ def _variable_vimp(X: np.ndarray, y: np.ndarray, col: int,
     forest = fit_forest(X, y, replace(fcfg, n_trees=cfg.ntree,
                                       seed=derive_seed(seed, *path, "fit")))
     baseline = _score(forest, X, y, cfg.eval_set)
-    drops = []
-    for r in range(cfg.nperm):
-        Xp = _null_permutation(X, col, stream(seed, *path, "vimp", r), None)
-        drops.append(baseline - _score(forest, Xp, y, cfg.eval_set))
-    return float(np.mean(drops))
+    return float(np.mean(_shuffle_drops(forest, X, y, cfg.eval_set, baseline, col, (
+        stream(seed, *path, "vimp", r) for r in range(cfg.nperm)))))
 
 
-def _null_permutation(X: np.ndarray, col: int, rng: np.random.Generator,
-                      groups: np.ndarray | None) -> np.ndarray:
-    """Copy of X with column `col` shuffled, globally or within `groups`."""
+def _shuffle_drops(forest: Forest, X: np.ndarray, y: np.ndarray, eval_set: str,
+                   baseline: float, col: int, streams) -> np.ndarray:
+    """Baseline score minus the score with column `col` shuffled, once per
+    stream."""
+    return np.array([baseline - _score(forest, _null_permutation(X, col, rng), y, eval_set)
+                     for rng in streams])
+
+
+def _null_permutation(X: np.ndarray, col: int, rng: np.random.Generator) -> np.ndarray:
+    """Copy of X with column `col` shuffled."""
     Xp = X.copy()
-    if groups is None:
-        Xp[:, col] = Xp[rng.permutation(len(X)), col]
-        return Xp
-    for g in np.unique(groups):
-        rows = np.where(groups == g)[0]
-        Xp[rows, col] = Xp[rows[rng.permutation(len(rows))], col]
+    Xp[:, col] = Xp[rng.permutation(len(X)), col]
     return Xp
 
 
 def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
                seed: int = 0, feature_names: Sequence[str] | None = None,
-               forest_config: ForestConfig | None = None,
-               groups: np.ndarray | None = None) -> SeqTestDecision:
+               forest_config: ForestConfig | None = None) -> SeqTestDecision:
     """Sequential permutation test of one variable's importance.
 
     The observed importance comes from a forest fit to the original data.
-    For each permutation j the variable's column is shuffled (globally, or
-    within `groups` when cfg.permute_within_groups), a fresh forest is fit
-    to the shuffled data, and the variable's importance is recomputed the
-    same way; an exceedance is a permuted importance >= the observed one.
+    For each permutation j the variable's column is shuffled, a fresh
+    forest is fit to the shuffled data, and the variable's importance is
+    recomputed the same way; an exceedance is a permuted importance >= the
+    observed one.
     cfg.method decides when to stop.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -283,16 +277,13 @@ def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
         else tuple(f"x{i}" for i in range(X.shape[1]))
     if variable not in names:
         raise KeyError(f"variable {variable!r} not among features {list(names)}")
-    if cfg.permute_within_groups and groups is None:
-        raise ValueError("permute_within_groups requires groups")
-    groups = None if not cfg.permute_within_groups else np.asarray(groups)
     col = names.index(variable)
     fcfg = forest_config or ForestConfig()
 
     observed = _variable_vimp(X, y, col, cfg, fcfg, seed, variable, "observed")
 
     def exceedance(j: int) -> bool:
-        X_null = _null_permutation(X, col, stream(seed, variable, "perm", j), groups)
+        X_null = _null_permutation(X, col, stream(seed, variable, "perm", j))
         vimp_j = _variable_vimp(X_null, y, col, cfg, fcfg, seed, variable, "perm", j)
         return vimp_j >= observed
 
@@ -311,9 +302,9 @@ class VimpTestError(RuntimeError):
 
 
 def _rfvimptest_task(args):
-    X, y, variable, cfg, seed, names, fcfg, groups = args
+    variable = args[2]
     try:
-        return variable, rfvimptest(X, y, variable, cfg, seed, names, fcfg, groups), None
+        return variable, rfvimptest(*args), None
     except Exception as exc:  # noqa: BLE001 - reported per variable
         return variable, None, f"{type(exc).__name__}: {exc}"
 
@@ -321,8 +312,7 @@ def _rfvimptest_task(args):
 def rfvimptest_all(X: np.ndarray, y: np.ndarray, variables: Sequence[str],
                    cfg: SeqTestConfig, master_seed: int = 0, workers: int = 1,
                    feature_names: Sequence[str] | None = None,
-                   forest_config: ForestConfig | None = None,
-                   groups: np.ndarray | None = None) -> dict[str, SeqTestDecision]:
+                   forest_config: ForestConfig | None = None) -> dict[str, SeqTestDecision]:
     """Run :func:`rfvimptest` for several variables, optionally in parallel.
 
     Each variable's streams are derived from (master_seed, variable name),
@@ -333,10 +323,8 @@ def rfvimptest_all(X: np.ndarray, y: np.ndarray, variables: Sequence[str],
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    names = tuple(feature_names) if feature_names is not None \
-        else tuple(f"x{i}" for i in range(np.asarray(X).shape[1]))
     tasks = [(np.ascontiguousarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64),
-              v, cfg, master_seed, names, forest_config, groups) for v in variables]
+              v, cfg, master_seed, feature_names, forest_config) for v in variables]
     results: dict[str, SeqTestDecision] = {}
     failures: dict[str, str] = {}
     if workers == 1 or len(tasks) <= 1:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +254,26 @@ class TestArtifacts:
         assert tree == artifact_tree(tmp_path / "many")
 
 
+# a config path set to a malformed value, and the problem that names it
+MALFORMED = [
+    ("forest", [["n_trees", 5]], "forest must be a JSON object"),
+    ("seq_test", [1], "seq_test must be a JSON object"),
+    ("preprocessing", [], "preprocessing must be a JSON object"),
+    ("models", [], "models must be a JSON object"),
+    ("preprocessing.outlier_rule", "iqr",
+     "preprocessing.outlier_rule must be a JSON object"),
+    ("importance_repeats", "x", "importance_repeats must be an integer"),
+    ("importance_repeats", 0, "importance_repeats must be >= 1"),
+    ("seq_test.mmax", 15.5, "seq_test.mmax must be an integer"),
+    ("preprocessing.log_vars", "Growth",
+     "preprocessing.log_vars must be a list of names"),
+    ("sead", 7, "unknown key 'sead'"),
+    ("preprocessing.lags", [2], "unknown key 'preprocessing.lags'"),
+    ("models.gmm", {}, "unknown key 'models.gmm'"),
+    ("models.static.regresors", [], "unknown key 'models.static.regresors'"),
+]
+
+
 class TestConfigAtLoad:
     """Config errors surface before any data is read, as exit code 2."""
 
@@ -297,3 +319,33 @@ class TestConfigAtLoad:
         (tmp_path / "c.json").write_text(json.dumps(cfg))
         assert main(["fit-rf", "-c", str(tmp_path / "c.json")]) == 2
         assert "models.static" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, problem", MALFORMED,
+                             ids=[f"{path}={value!r}" for path, value, _ in MALFORMED])
+    def test_malformed_named_before_any_data(self, path, value, problem, tmp_path, capsys):
+        cfg = fast_demo_config(16, tmp_path / "run")
+        del cfg["demo"]
+        cfg["input"] = str(tmp_path / "missing.csv")  # reading it would exit 1
+        *parents, key = path.split(".")
+        block = cfg
+        for name in parents:
+            block = block[name]
+        block[key] = value
+        with pytest.raises(ConfigError, match=re.escape(problem)):
+            RunConfig.from_mapping(cfg)
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["all", "-c", str(tmp_path / "c.json")]) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_documented_configs_parse(self):
+        from panelforest.cli import SECTIONS
+
+        RunConfig.from_mapping(demo_config())
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = RunConfig.from_mapping(json.loads(example))
+        assert cfg.static is not None and cfg.dynamic is not None
+        undocumented = [f"{block}.{key}" for block, keys in SECTIONS.items()
+                        for key in keys if f"`{key}`" not in readme]
+        assert not undocumented

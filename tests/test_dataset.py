@@ -364,3 +364,19 @@ class TestInfiniteCells:
         with pytest.raises(IntegrityError, match="2 infinite") as err:
             load_csv(p)
         assert "USA 2000 x=inf" in str(err.value) and "USA 2001 w=-inf" in str(err.value)
+
+    @pytest.mark.parametrize("model", ["linear", "gmm"])
+    def test_from_records_rejects_before_any_fit(self, model):
+        from panelforest.gmm import GmmSpec, fit_system_gmm
+        from panelforest.linear import ModelSpec, fit
+
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=80), rng.normal(size=80)
+        x[21] = -np.inf  # entity E2, year 2005
+        with pytest.raises(IntegrityError, match="1 infinite .*: E2 2005 x=-inf$"):
+            ds = from_records(np.repeat([f"E{i}" for i in range(10)], 8),
+                              np.tile(np.arange(2000, 2008), 10), {"y": y, "x": x})
+            if model == "linear":
+                fit(ModelSpec("y", ("x",)), ds)
+            else:
+                fit_system_gmm(GmmSpec("y", ("x",), instrument_lags=(2, 2)), ds)

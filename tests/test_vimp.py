@@ -229,17 +229,6 @@ class TestRfvimptest:
         dec = rfvimptest(X, y, "x0", cfg, seed=6, forest_config=FAST_FOREST)
         assert dec.p_estimate in (0.5, 1.0)
 
-    def test_within_group_permutation(self):
-        X, y = signal_data(15, n=60)
-        groups = np.repeat(np.arange(6), 10)
-        cfg = SeqTestConfig(method="complete", mmax=10, ntree=5, nperm=1,
-                            permute_within_groups=True)
-        dec = rfvimptest(X, y, "x0", cfg, seed=7, forest_config=FAST_FOREST,
-                         groups=groups)
-        assert dec.m == 10
-        with pytest.raises(ValueError, match="groups"):
-            rfvimptest(X, y, "x0", cfg, seed=7, forest_config=FAST_FOREST)
-
     def test_unknown_variable(self):
         X, y = signal_data(16)
         cfg = SeqTestConfig(method="complete", mmax=10, ntree=5)
