@@ -91,7 +91,7 @@ class RunConfig:
     lag_order: int
     static: lin.ModelSpec | None
     dynamic: gmm_mod.GmmSpec | None
-    forest: ForestConfig  # seed 0: Runner.forest_config seeds each forest
+    forest: ForestConfig  # seed 0: step_fit_rf seeds each forest
     seq_test: SeqTestConfig
     importance_repeats: int
     echo: dict  # the settings as given, for the provenance manifest
@@ -138,16 +138,16 @@ class RunConfig:
             if blocks["forest"][key] is not None:
                 _integer(blocks["forest"][key], f"forest.{key}", 1, problems)
         seq = blocks["seq_test"]
+        bounds = seq["sapt_bounds"]
         seq_test = _build(problems, "seq_test", lambda: SeqTestConfig(
-            **{**seq, "sapt_bounds": seq["sapt_bounds"] and tuple(seq["sapt_bounds"])}))
+            **{**seq, "sapt_bounds": tuple(bounds) if isinstance(bounds, list) else bounds}))
         if problems:
             raise ConfigError(problems)
-        echo = copy.deepcopy({**top, "demo": bool(top["demo"]), "workers": workers,
-                              "groups": groups, "preprocessing": pre,
-                              "models": blocks["models"]})
+        echo = copy.deepcopy({**top, "workers": workers, "groups": groups,
+                              "preprocessing": pre, "models": blocks["models"]})
         del echo["out"]  # where artifacts go is not part of what they hold
         return cls(seed=top["seed"], out=str(top["out"]), input=top["input"],
-                   demo=echo["demo"], workers=workers, groups=groups, **names,
+                   demo=top["demo"], workers=workers, groups=groups, **names,
                    outlier_rule=outlier_rule, lag_order=pre["lag_order"],
                    static=specs.get("static"), dynamic=specs.get("dynamic"),
                    forest=ForestConfig(**blocks["forest"]), seq_test=seq_test,
@@ -156,7 +156,8 @@ class RunConfig:
 
 def _blocks(raw, problems: list[str]) -> dict[str, dict]:
     """Each SECTIONS block of `raw`, defaults filled in; a non-object block,
-    an unknown key, or a count (int default) not an integer >= 1 is a problem."""
+    an unknown key, a count (int default) not an integer >= 1, or a switch
+    (bool default) not a JSON boolean is a problem."""
     blocks: dict[str, dict] = {}
     for path, defaults in SECTIONS.items():
         parent, _, name = path.rpartition(".")
@@ -170,6 +171,8 @@ def _blocks(raw, problems: list[str]) -> dict[str, dict]:
         for key, default in defaults.items():
             if type(default) is int and key in value:
                 _integer(value[key], prefix + key, 1, problems)
+            elif type(default) is bool and not isinstance(value.get(key, default), bool):
+                problems.append(f"{prefix}{key} must be true or false, got {value[key]!r}")
         blocks[path] = {key: value.get(key, default) for key, default in defaults.items()}
     return blocks
 
@@ -199,10 +202,12 @@ def _build(problems: list[str], where: str, make):
 
 
 def _static_spec(s: dict, problems: list[str]) -> lin.ModelSpec:
+    if s["effects"] not in ("fixed", "random"):  # the two estimators fit-linear runs
+        problems.append(f"models.static.effects must be fixed or random, got {s['effects']!r}")
     return lin.ModelSpec(
         s["dependent"], _names(s["regressors"], "models.static.regressors", problems),
         controls=_names(s["controls"], "models.static.controls", problems),
-        include_time_dummies=bool(s["time_dummies"]), effects=s["effects"])
+        include_time_dummies=s["time_dummies"], effects=s["effects"])
 
 
 def _dynamic_spec(d: dict, problems: list[str]) -> gmm_mod.GmmSpec:
@@ -211,7 +216,7 @@ def _dynamic_spec(d: dict, problems: list[str]) -> gmm_mod.GmmSpec:
         d["dependent"], _names(d["regressors"], "models.dynamic.regressors", problems),
         instrument_lags=({k: tuple(v) for k, v in lags.items()} if isinstance(lags, dict)
                          else tuple(lags)),
-        include_time_dummies=bool(d["time_dummies"]))
+        include_time_dummies=d["time_dummies"])
 
 
 def _default_workers() -> int:
@@ -289,9 +294,6 @@ class Runner:
         if self.cfg.static is None:
             raise ConfigError(["models.static is required for this step"])
         return self.cfg.static
-
-    def forest_config(self, *path) -> ForestConfig:
-        return replace(self.cfg.forest, seed=derive_seed(self.cfg.seed, "forest", *path))
 
     def rf_design(self, ds: dsm.PanelDataset, setting: str):
         """Feature matrix for the forest: static spec regressors/controls,
@@ -376,7 +378,9 @@ class Runner:
         for setting in ("static", "dynamic"):
             for gname, members in self.groups.items():
                 X, y, features, _ = self.rf_design(self.group_data(members), setting)
-                forest = fit_forest(X, y, self.forest_config(gname, setting), features)
+                fcfg = replace(self.cfg.forest,
+                               seed=derive_seed(self.cfg.seed, "forest", gname, setting))
+                forest = fit_forest(X, y, fcfg, features)
                 metrics = forest_metrics(forest, X, y)
                 oob = oob_score(forest, X, y)
                 imp = permutation_importance(
@@ -403,7 +407,7 @@ class Runner:
                 res["X"], res["y"], features, self.cfg.seq_test,
                 master_seed=derive_seed(self.cfg.seed, "seqtest", gname, setting),
                 workers=self.cfg.workers, feature_names=features,
-                forest_config=self.forest_config(gname, setting))
+                forest_config=self.cfg.forest)
             self.decisions[(gname, setting)] = decisions
             stars = vimp_mod.significance_codes(decisions)
             imp = res["importance"]

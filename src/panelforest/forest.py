@@ -95,6 +95,7 @@ class Tree:
     from the root of node i's tree; value[i] is the node's training-target
     mean (the prediction for leaves), n_samples[i] the bootstrap-multiset
     size, sse_decrease[i] the split's reduction in total squared error.
+    n_features is the column count of the X the trees route.
     """
 
     feature: np.ndarray
@@ -104,6 +105,7 @@ class Tree:
     value: np.ndarray
     n_samples: np.ndarray
     sse_decrease: np.ndarray
+    n_features: int
 
     @property
     def n_nodes(self) -> int:
@@ -111,6 +113,7 @@ class Tree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf value of every row of X in the tree rooted at node 0."""
+        X = _check_columns(self, X)
         n = len(X)
         return self.value[_leaves(self, 0, np.zeros(n, dtype=np.intp), X, np.arange(n))]
 
@@ -123,10 +126,6 @@ _ENTRIES_PER_GROUP = 8192
 _NODE_DTYPES = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
                 "right": np.intp, "value": np.float64, "n_samples": np.intp,
                 "sse_decrease": np.float64}
-
-
-def _node_table(columns: dict[str, list]) -> Tree:
-    return Tree(**{k: np.asarray(columns[k], dtype=t) for k, t in _NODE_DTYPES.items()})
 
 
 def _leaves(nodes: Tree, offset: np.ndarray | int, node: np.ndarray, X: np.ndarray,
@@ -163,7 +162,7 @@ class Forest:
     def trees(self) -> tuple[Tree, ...]:
         """Per-tree views of the node table (no copies)."""
         parts = [np.split(getattr(self.nodes, name), self.roots[1:]) for name in _NODE_DTYPES]
-        return tuple(Tree(*columns) for columns in zip(*parts))
+        return tuple(Tree(*columns, self.nodes.n_features) for columns in zip(*parts))
 
 
 def _best_splits(sel: np.ndarray, feat: np.ndarray, cand: np.ndarray, node: np.ndarray,
@@ -342,7 +341,7 @@ def _grow(X: np.ndarray, y: np.ndarray, in_bag: np.ndarray, mtry: int,
     right = np.where(inner, left + 1, -1)
     columns = (feature, threshold, left, right, centre + sums / n_samples, n_samples,
                sse_decrease)
-    return Tree(*(c[pack] for c in columns)), roots
+    return Tree(*(c[pack] for c in columns), p), roots
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
@@ -385,7 +384,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     offsets = np.cumsum([0] + [nodes.n_nodes for nodes, _ in groups[:-1]])
     roots = np.concatenate([r + o for (_, r), o in zip(groups, offsets)])
     nodes = Tree(**{name: np.concatenate([getattr(g, name) for g, _ in groups])
-                    for name in _NODE_DTYPES})
+                    for name in _NODE_DTYPES}, n_features=p)
     return Forest(nodes, roots, in_bag, tuple(feature_names), cfg, n)
 
 
@@ -397,16 +396,16 @@ def _row_sums(forest: Forest, X: np.ndarray, tree: np.ndarray, rows: np.ndarray)
     return np.bincount(rows, weights=forest.nodes.value[leaf], minlength=len(X))
 
 
-def _check_columns(forest: Forest, X: np.ndarray) -> np.ndarray:
+def _check_columns(nodes: Tree, X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(forest.feature_names):
-        raise ValueError(f"X must have {len(forest.feature_names)} columns")
+    if X.ndim != 2 or X.shape[1] != nodes.n_features:
+        raise ValueError(f"X must have {nodes.n_features} columns")
     return X
 
 
 def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Arithmetic mean of per-tree predictions."""
-    X = _check_columns(forest, X)
+    X = _check_columns(forest.nodes, X)
     n_trees = len(forest.roots)
     tree, rows = np.indices((n_trees, len(X))).reshape(2, -1)
     return _row_sums(forest, X, tree, rows) / n_trees
@@ -439,7 +438,7 @@ def oob_predictions(forest: Forest, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Returns (predictions, covered mask); uncovered rows are NaN.
     """
-    X = _check_columns(forest, X)
+    X = _check_columns(forest.nodes, X)
     if len(X) != forest.n_rows:
         raise ValueError("OOB scoring requires the training rows")
     tree, rows = np.nonzero(forest.in_bag_counts == 0)
@@ -552,7 +551,9 @@ def load_forest(path) -> Forest:
         raise ValueError(f"unsupported forest format version {version!r}")
     trees = doc["trees"]
     # a float column turns the null leaf thresholds back into NaN
-    nodes = _node_table({name: [v for t in trees for v in t[name]] for name in _NODE_DTYPES})
+    nodes = Tree(**{name: np.asarray([v for t in trees for v in t[name]], dtype=dtype)
+                    for name, dtype in _NODE_DTYPES.items()},
+                 n_features=len(doc["feature_names"]))
     roots = np.cumsum([0] + [len(t["feature"]) for t in trees[:-1]], dtype=np.intp)
     return Forest(nodes, roots, np.asarray(doc["in_bag_counts"], dtype=np.intp),
                   tuple(doc["feature_names"]), ForestConfig(**doc["config"]),

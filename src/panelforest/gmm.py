@@ -132,8 +132,6 @@ class GmmFit:
     residuals_level: np.ndarray
     diff_entity: np.ndarray
     diff_year: np.ndarray
-    level_entity: np.ndarray
-    level_year: np.ndarray
     sargan: SarganResult
     ar_tests: dict[int, ArResult]
     wald: WaldResult
@@ -289,8 +287,6 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         residuals_level=u_level,
         diff_entity=diff_entity,
         diff_year=d_year,
-        level_entity=level_entity,
-        level_year=l_year,
         sargan=SarganResult(math.nan, 0, math.nan),
         ar_tests={},
         wald=WaldResult(math.nan, 0, math.nan),

@@ -14,6 +14,7 @@ Two layers:
 
 Every random draw comes from a stream keyed by (seed, variable, role,
 index), so results are identical for any worker count or evaluation order.
+Errors propagate: a test that fails raises its own exception to the caller.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -36,7 +38,6 @@ __all__ = [
     "PermImportanceResult",
     "SeqTestConfig",
     "SeqTestDecision",
-    "VimpTestError",
     "permutation_importance",
     "rfvimptest",
     "rfvimptest_all",
@@ -83,7 +84,7 @@ def permutation_importance(forest: Forest, X: np.ndarray, y: np.ndarray,
         raise ValueError("n_repeats must be >= 1")
     if eval_set not in ("train", "oob"):
         raise ValueError(f"unknown eval_set {eval_set!r}")
-    X = _check_columns(forest, X)
+    X = _check_columns(forest.nodes, X)
     y = np.asarray(y, dtype=np.float64)
     baseline = _score(forest, X, y, eval_set)
     names = forest.feature_names
@@ -144,6 +145,12 @@ class SeqTestConfig:
             problems.append("ntree and nperm must be >= 1")
         if self.eval_set not in ("train", "oob"):
             problems.append(f"eval_set must be 'train' or 'oob', got {self.eval_set!r}")
+        bounds = self.sapt_bounds
+        if bounds is not None and not (isinstance(bounds, tuple) and len(bounds) == 2
+                                       and all(isinstance(b, (int, float)) for b in bounds)
+                                       and bounds[0] < 0 < bounds[1]):
+            problems.append("sapt_bounds must be a pair (lower, upper) with "
+                            f"lower < 0 < upper, got {bounds!r}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -175,18 +182,14 @@ def run_sequential(cfg: SeqTestConfig,
     def p_est(d: int, m: int) -> float:
         return (d + 1) / (m + 1)
 
-    if cfg.method == "sprt":
+    if cfg.method in ("sprt", "sapt"):
         step_exc = math.log(cfg.p1 / cfg.p0)
         step_non = math.log((1 - cfg.p1) / (1 - cfg.p0))
-        upper = math.log((1 - cfg.beta) / cfg.alpha)
         lower = math.log(cfg.beta / (1 - cfg.alpha))
-        boundary_reason = "sprt_boundary"
-    elif cfg.method == "sapt":
-        step_exc = math.log(cfg.p1 / cfg.p0)
-        step_non = math.log((1 - cfg.p1) / (1 - cfg.p0))
-        lower, upper = cfg.sapt_bounds or (math.log(cfg.beta / (1 - cfg.alpha)),
-                                           -math.log(cfg.beta / (1 - cfg.alpha)))
-        boundary_reason = "sapt_boundary"
+        if cfg.method == "sprt":
+            upper = math.log((1 - cfg.beta) / cfg.alpha)
+        else:
+            lower, upper = cfg.sapt_bounds or (lower, -lower)
 
     certain_threshold = math.floor(alpha * (mmax + 1))
 
@@ -196,42 +199,36 @@ def run_sequential(cfg: SeqTestConfig,
         exceeded = bool(exceedance_fn(m))
         d += exceeded
 
-        if cfg.method == "complete":
-            continue
         if cfg.method == "certain":
             if d >= certain_threshold:
                 return "not_significant", p_est(d, m), m, d, "forced_decision"
             if d + (mmax - m) < certain_threshold:
                 return "significant", p_est(d, m), m, d, "forced_decision"
-            continue
-        if cfg.method in ("sprt", "sapt"):
+        elif cfg.method in ("sprt", "sapt"):
             llr += step_exc if exceeded else step_non
             if llr >= upper:
-                return "significant", p_est(d, m), m, d, boundary_reason
+                return "significant", p_est(d, m), m, d, f"{cfg.method}_boundary"
             if llr <= lower:
-                return "not_significant", p_est(d, m), m, d, boundary_reason
-            continue
-        # pval: Clopper-Pearson interval for the exceedance probability
-        lo = 0.0 if d == 0 else float(sps.beta.ppf(cfg.gamma / 2, d, m - d + 1))
-        hi = 1.0 if d == m else float(sps.beta.ppf(1 - cfg.gamma / 2, d + 1, m - d))
-        if lo > alpha:
-            return "not_significant", p_est(d, m), m, d, "ci_boundary"
-        if hi < alpha:
-            return "significant", p_est(d, m), m, d, "ci_boundary"
+                return "not_significant", p_est(d, m), m, d, f"{cfg.method}_boundary"
+        elif cfg.method == "pval":
+            # Clopper-Pearson interval for the exceedance probability
+            lo = 0.0 if d == 0 else float(sps.beta.ppf(cfg.gamma / 2, d, m - d + 1))
+            hi = 1.0 if d == m else float(sps.beta.ppf(1 - cfg.gamma / 2, d + 1, m - d))
+            if lo > alpha:
+                return "not_significant", p_est(d, m), m, d, "ci_boundary"
+            if hi < alpha:
+                return "significant", p_est(d, m), m, d, "ci_boundary"
 
     p = p_est(d, mmax)
-    if cfg.method == "complete":
-        decision = "significant" if p <= alpha else "not_significant"
-        return decision, p, mmax, d, "complete"
-    if cfg.method == "certain":
-        # the forced bounds above are exhaustive for d >= threshold, so
-        # reaching mmax means the complete decision is significant
-        decision = "significant" if p <= alpha else "not_significant"
-        return decision, p, mmax, d, "complete"
-    if cfg.mmax_fallback:
-        decision = "significant" if p <= alpha else "not_significant"
-        return decision, p, mmax, d, "mmax_fallback"
-    return "undecided", p, mmax, d, "mmax_undecided"
+    if cfg.method in ("complete", "certain"):
+        # certain: the forced bounds above are exhaustive for d >= threshold,
+        # so reaching mmax means the complete decision is significant
+        reason = "complete"
+    elif cfg.mmax_fallback:
+        reason = "mmax_fallback"
+    else:
+        return "undecided", p, mmax, d, "mmax_undecided"
+    return "significant" if p <= alpha else "not_significant", p, mmax, d, reason
 
 
 def _variable_vimp(X: np.ndarray, y: np.ndarray, col: int,
@@ -259,6 +256,10 @@ def _null_permutation(X: np.ndarray, col: int, rng: np.random.Generator) -> np.n
     return Xp
 
 
+def _feature_names(X: np.ndarray, names: Sequence[str] | None) -> tuple[str, ...]:
+    return tuple(names) if names is not None else tuple(f"x{i}" for i in range(np.shape(X)[1]))
+
+
 def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
                seed: int = 0, feature_names: Sequence[str] | None = None,
                forest_config: ForestConfig | None = None) -> SeqTestDecision:
@@ -269,12 +270,14 @@ def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
     forest is fit to the shuffled data, and the variable's importance is
     recomputed the same way; an exceedance is a permuted importance >= the
     observed one.
-    cfg.method decides when to stop.
+    cfg.method decides when to stop.  Every forest of the test takes mtry,
+    min_leaf, max_depth and bootstrap_fraction from forest_config; its size
+    is cfg.ntree and its seed derives from `seed`, so forest_config's n_trees
+    and seed are not used.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    names = tuple(feature_names) if feature_names is not None \
-        else tuple(f"x{i}" for i in range(X.shape[1]))
+    names = _feature_names(X, feature_names)
     if variable not in names:
         raise KeyError(f"variable {variable!r} not among features {list(names)}")
     col = names.index(variable)
@@ -291,56 +294,31 @@ def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
     return SeqTestDecision(variable, decision, p, m, d, reason, observed)
 
 
-class VimpTestError(RuntimeError):
-    """One or more per-variable tests failed; carries the partial results."""
-
-    def __init__(self, failures: dict[str, str], partial: dict[str, SeqTestDecision]):
-        self.failures = failures
-        self.partial = partial
-        detail = "; ".join(f"{name}: {msg}" for name, msg in failures.items())
-        super().__init__(f"rfvimptest failed for {len(failures)} variable(s): {detail}")
-
-
-def _rfvimptest_task(args):
-    variable = args[2]
-    try:
-        return variable, rfvimptest(*args), None
-    except Exception as exc:  # noqa: BLE001 - reported per variable
-        return variable, None, f"{type(exc).__name__}: {exc}"
-
-
 def rfvimptest_all(X: np.ndarray, y: np.ndarray, variables: Sequence[str],
                    cfg: SeqTestConfig, master_seed: int = 0, workers: int = 1,
                    feature_names: Sequence[str] | None = None,
                    forest_config: ForestConfig | None = None) -> dict[str, SeqTestDecision]:
-    """Run :func:`rfvimptest` for several variables, optionally in parallel.
+    """:func:`rfvimptest` mapped over `variables`, optionally in parallel;
+    the decisions come back in the order of `variables`.
 
     Each variable's streams are derived from (master_seed, variable name),
     so the decision map is identical for any `workers` count and any
-    scheduling order.  Per-variable failures do not abort the others; they
-    are collected and raised together as :class:`VimpTestError` (with the
-    successful decisions attached).
+    scheduling order.  Unknown variables raise one KeyError before any
+    forest is grown; a test that fails raises its own exception.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    tasks = [(np.ascontiguousarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64),
-              v, cfg, master_seed, feature_names, forest_config) for v in variables]
-    results: dict[str, SeqTestDecision] = {}
-    failures: dict[str, str] = {}
-    if workers == 1 or len(tasks) <= 1:
-        outcomes = map(_rfvimptest_task, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_rfvimptest_task, tasks))
-    for variable, decision, error in outcomes:
-        if error is not None:
-            failures[variable] = error
-        else:
-            results[variable] = decision
-    ordered = {v: results[v] for v in variables if v in results}
-    if failures:
-        raise VimpTestError(failures, ordered)
-    return ordered
+    names = _feature_names(X, feature_names)
+    unknown = [v for v in variables if v not in names]
+    if unknown:
+        raise KeyError(f"variables {unknown} not among features {list(names)}")
+    test = partial(rfvimptest, np.ascontiguousarray(X, dtype=np.float64),
+                   np.asarray(y, dtype=np.float64), cfg=cfg, seed=master_seed,
+                   feature_names=names, forest_config=forest_config)
+    if workers == 1 or len(variables) <= 1:
+        return dict(zip(variables, map(test, variables)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return dict(zip(variables, pool.map(test, variables)))
 
 
 def significance_codes(decisions: Mapping[str, SeqTestDecision | float]) -> dict[str, str]:

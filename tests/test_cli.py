@@ -271,6 +271,12 @@ MALFORMED = [
     ("preprocessing.lags", [2], "unknown key 'preprocessing.lags'"),
     ("models.gmm", {}, "unknown key 'models.gmm'"),
     ("models.static.regresors", [], "unknown key 'models.static.regresors'"),
+    ("models.static.time_dummies", "false",
+     "models.static.time_dummies must be true or false"),
+    ("models.static.effects", "pooled", "models.static.effects must be fixed or random"),
+    ("seq_test.sapt_bounds", [-1.0, 1.0, 2.0],
+     "sapt_bounds must be a pair (lower, upper) with lower < 0 < upper"),
+    ("seq_test.sapt_bounds", ["-1", 1], "sapt_bounds must be a pair"),
 ]
 
 

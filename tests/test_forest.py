@@ -424,14 +424,24 @@ class TestGoldenForestFile:
 
 
 class TestOobColumns:
-    @pytest.mark.parametrize("width", [2, 4])
-    def test_wrong_column_count_rejected(self, width):
+    @staticmethod
+    def forest_and_wide_x():
         rng = np.random.default_rng(10)
         X = rng.normal(size=(30, 3))
         f = fit_forest(X, X[:, 0] + rng.normal(size=30), ForestConfig(n_trees=5, seed=1))
-        Xw = np.column_stack([X, X[:, 0]])[:, :width]
+        return f, np.column_stack([X, X[:, 0]])
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_wrong_column_count_rejected(self, width):
+        f, X4 = self.forest_and_wide_x()
         with pytest.raises(ValueError, match="3 columns"):
-            oob_predictions(f, Xw)
+            oob_predictions(f, X4[:, :width])
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_tree_view_checks_column_count(self, width):
+        f, X4 = self.forest_and_wide_x()
+        with pytest.raises(ValueError, match="3 columns"):
+            f.trees[0].predict(X4[:, :width])
 
 
 def node_multisets(forest, X, t):

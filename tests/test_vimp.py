@@ -5,11 +5,11 @@ import time
 import numpy as np
 import pytest
 
+from panelforest import vimp
 from panelforest._rng import stream
 from panelforest.forest import ForestConfig, fit_forest
 from panelforest.vimp import (
     SeqTestConfig,
-    VimpTestError,
     permutation_importance,
     rfvimptest,
     rfvimptest_all,
@@ -236,6 +236,11 @@ class TestRfvimptest:
             rfvimptest(X, y, "x9", cfg, seed=8)
 
 
+class InjectedError(Exception):
+    """Raised inside one variable's test; defined at module level so a pool
+    worker can send it back."""
+
+
 class TestRfvimptestAll:
     def test_worker_counts_give_identical_decisions(self):
         X, y = signal_data(17)
@@ -251,15 +256,32 @@ class TestRfvimptestAll:
                  for w, m in maps.items()}
         assert blobs[1] == blobs[2]
 
-    def test_failure_isolated_with_partial_results(self):
+    def test_unknown_variable_rejected_before_any_forest(self, monkeypatch):
+        def no_forest(*args, **kwargs):
+            raise AssertionError("a forest was fit")
+
+        monkeypatch.setattr(vimp, "fit_forest", no_forest)
         X, y = signal_data(18)
         cfg = SeqTestConfig(method="sprt", mmax=15, ntree=5, nperm=1)
-        with pytest.raises(VimpTestError) as err:
+        with pytest.raises(KeyError, match="ghost"):
             rfvimptest_all(X, y, ["x0", "ghost"], cfg, master_seed=12,
                            feature_names=["x0", "x1"], forest_config=FAST_FOREST)
-        assert "ghost" in str(err.value)
-        assert set(err.value.partial) == {"x0"}
-        assert err.value.partial["x0"].decision in ("significant", "not_significant")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_in_one_test_reaches_the_caller(self, workers, monkeypatch):
+        variable_vimp = vimp._variable_vimp
+
+        def failing(X, y, col, cfg, fcfg, seed, variable, *path):
+            if variable == "x1":
+                raise InjectedError(f"{variable} failed")
+            return variable_vimp(X, y, col, cfg, fcfg, seed, variable, *path)
+
+        monkeypatch.setattr(vimp, "_variable_vimp", failing)
+        X, y = signal_data(18)
+        cfg = SeqTestConfig(method="complete", mmax=10, ntree=5, nperm=1)
+        with pytest.raises(InjectedError, match="x1 failed"):
+            rfvimptest_all(X, y, ["x0", "x1"], cfg, master_seed=12, workers=workers,
+                           forest_config=FAST_FOREST)
 
     def test_result_order_follows_input(self):
         X, y = signal_data(19)
