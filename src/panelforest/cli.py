@@ -120,8 +120,10 @@ class RunConfig:
         groups = {name: _names(members, f"groups.{name}", problems)
                   for name, members in groups.items()}
         problems += [f"group {name!r} is empty" for name, m in groups.items() if not m]
-        workers = _integer(_default_workers() if top["workers"] is None else top["workers"],
-                           "workers", 1, problems)
+        if top["workers"] is None:
+            workers = _integer(_env_workers(), "PANELFOREST_WORKERS", 1, problems)
+        else:
+            workers = _integer(top["workers"], "workers", 1, problems)
         names = {key: _names(pre[key], f"preprocessing.{key}", problems)
                  for key in ("log_vars", "outlier_vars", "lag_vars")}
         rule = blocks["preprocessing.outlier_rule"]
@@ -202,12 +204,14 @@ def _build(problems: list[str], where: str, make):
 
 
 def _static_spec(s: dict, problems: list[str]) -> lin.ModelSpec:
-    if s["effects"] not in ("fixed", "random"):  # the two estimators fit-linear runs
-        problems.append(f"models.static.effects must be fixed or random, got {s['effects']!r}")
+    effects = s["effects"]
+    if effects not in ("fixed", "random"):  # the two estimators fit-linear runs
+        problems.append(f"models.static.effects must be fixed or random, got {effects!r}")
+        effects = "fixed"  # reported once; the rest of the block is still checked
     return lin.ModelSpec(
         s["dependent"], _names(s["regressors"], "models.static.regressors", problems),
         controls=_names(s["controls"], "models.static.controls", problems),
-        include_time_dummies=s["time_dummies"], effects=s["effects"])
+        include_time_dummies=s["time_dummies"], effects=effects)
 
 
 def _dynamic_spec(d: dict, problems: list[str]) -> gmm_mod.GmmSpec:
@@ -219,11 +223,14 @@ def _dynamic_spec(d: dict, problems: list[str]) -> gmm_mod.GmmSpec:
         include_time_dummies=d["time_dummies"])
 
 
-def _default_workers() -> int:
+def _env_workers():
+    """PANELFOREST_WORKERS (default 1) as an int, or as given when it does
+    not spell one, for `_integer` to reject."""
+    raw = os.environ.get("PANELFOREST_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("PANELFOREST_WORKERS", "1")))
+        return int(raw)
     except ValueError:
-        return 1
+        return raw
 
 
 class Runner:

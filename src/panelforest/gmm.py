@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats as sps
+from scipy import special
 
 from ._common import segment_starts
 from .dataset import PanelDataset
@@ -390,7 +390,8 @@ def sargan_test(fit: GmmFit) -> SarganResult:
     u = np.concatenate([fit.residuals_diff, fit.residuals_level])
     g = fit.z_matrix.T @ u
     stat = float(g @ fit.weight @ g) / fit.sigma2
-    return SarganResult(stat, df, float(sps.chi2.sf(stat, df)))
+    # an ill-conditioned Z'HZ can leave W indefinite and stat < 0: p = 1
+    return SarganResult(stat, df, float(special.chdtrc(df, np.maximum(stat, 0.0))))
 
 
 def ar_test(fit: GmmFit, order: int) -> ArResult:
@@ -426,4 +427,4 @@ def ar_test(fit: GmmFit, order: int) -> ArResult:
     if var <= 0.0:
         return ArResult(math.nan, math.nan)
     z_stat = q / math.sqrt(var)
-    return ArResult(z_stat, 2.0 * float(sps.norm.sf(abs(z_stat))))
+    return ArResult(z_stat, 2.0 * float(special.ndtr(-abs(z_stat))))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats as sps
+from scipy import special
 
 from ._common import segment_ids, segment_starts, star_code
 from .dataset import PanelDataset
@@ -265,7 +265,8 @@ def _metrics_from(rss: float, tss: float, n: int, k: int) -> FitMetrics:
     if r2 >= 1.0:
         return FitMetrics(r2, adj, math.inf, 0.0)
     f = (r2 / k) / ((1.0 - r2) / (n - k - 1))
-    return FitMetrics(r2, adj, f, float(sps.f.sf(f, k, n - k - 1)))
+    # r2 < 0 gives f < 0, below the F support: p = 1
+    return FitMetrics(r2, adj, f, float(special.fdtrc(k, n - k - 1, np.maximum(f, 0.0))))
 
 
 def fit_metrics(fit_: LinearFit) -> FitMetrics:
@@ -326,7 +327,7 @@ def t_tests(fit_: LinearFit) -> dict[str, TTest]:
             out[name] = TTest(est, 0.0, math.nan, math.nan, "")
             continue
         t = est / se
-        p = 2.0 * float(sps.t.sf(abs(t), fit_.df_residual))
+        p = 2.0 * float(special.stdtr(fit_.df_residual, -abs(t)))
         out[name] = TTest(est, se, t, p, star_code(p))
     return out
 
@@ -357,7 +358,8 @@ def wald_joint(fit_, subset: Sequence[str]) -> WaldResult:
         raise ValueError(f"singular covariance block for subset {subset}") from None
     if not math.isfinite(w):
         raise ValueError(f"singular covariance block for subset {subset}")
-    return WaldResult(w, len(subset), float(sps.chi2.sf(w, len(subset))))
+    # an indefinite covariance block can give w < 0: p = 1
+    return WaldResult(w, len(subset), float(special.chdtrc(len(subset), np.maximum(w, 0.0))))
 
 
 @dataclass(frozen=True)
@@ -395,5 +397,5 @@ def hausman(fe: LinearFit, re: LinearFit) -> HausmanResult:
     nonpsd = bool(eig.min() < -1e-10 * scale)
     h = max(0.0, float(diff @ np.linalg.pinv(v) @ diff))
     df = len(common)
-    return HausmanResult(h, df, float(sps.chi2.sf(h, df)),
-                         "fixed" if sps.chi2.sf(h, df) < 0.05 else "random", nonpsd)
+    p = float(special.chdtrc(df, h))
+    return HausmanResult(h, df, p, "fixed" if p < 0.05 else "random", nonpsd)

@@ -27,7 +27,7 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from ._common import star_code
 from ._rng import derive_seed, stream
@@ -212,8 +212,8 @@ def run_sequential(cfg: SeqTestConfig,
                 return "not_significant", p_est(d, m), m, d, f"{cfg.method}_boundary"
         elif cfg.method == "pval":
             # Clopper-Pearson interval for the exceedance probability
-            lo = 0.0 if d == 0 else float(sps.beta.ppf(cfg.gamma / 2, d, m - d + 1))
-            hi = 1.0 if d == m else float(sps.beta.ppf(1 - cfg.gamma / 2, d + 1, m - d))
+            lo = 0.0 if d == 0 else float(special.betaincinv(d, m - d + 1, cfg.gamma / 2))
+            hi = 1.0 if d == m else float(special.betaincinv(d + 1, m - d, 1 - cfg.gamma / 2))
             if lo > alpha:
                 return "not_significant", p_est(d, m), m, d, "ci_boundary"
             if hi < alpha:

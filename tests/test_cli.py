@@ -97,6 +97,16 @@ class TestOverrides:
                                          "--workers", "2"]))
         assert parsed.workers == 2
 
+    @pytest.mark.parametrize("value", ["0", "four"])
+    def test_bad_env_workers_exits_2(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PANELFOREST_WORKERS", value)
+        with pytest.raises(ConfigError, match="PANELFOREST_WORKERS"):
+            load_config(build_args(["describe", "--demo", "--seed", "1"]))
+        out = tmp_path / "o"
+        assert main(["describe", "--demo", "--seed", "1", "--out", str(out)]) == 2
+        assert "PANELFOREST_WORKERS must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_input_flag_disables_demo(self, tmp_path):
         (tmp_path / "d.csv").write_text(TOY_CSV)
         cfg = {"seed": 1, "demo": True}
@@ -343,6 +353,19 @@ class TestConfigAtLoad:
         assert main(["all", "-c", str(tmp_path / "c.json")]) == 2
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_unknown_effects_reported_once(self, tmp_path, capsys):
+        cfg = fast_demo_config(16, tmp_path / "run")
+        cfg["models"]["static"]["effects"] = "bogus"
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_mapping(cfg)
+        assert info.value.problems == [
+            "models.static.effects must be fixed or random, got 'bogus'"]
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["fit-linear", "-c", str(tmp_path / "c.json")]) == 2
+        problem_lines = [line for line in capsys.readouterr().err.splitlines()
+                         if line.startswith("  - ")]
+        assert len(problem_lines) == 1 and "'bogus'" in problem_lines[0]
 
     def test_documented_configs_parse(self):
         from panelforest.cli import SECTIONS
