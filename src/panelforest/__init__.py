@@ -40,16 +40,13 @@ from .linear import (
     ModelSpec,
     WaldResult,
     fit,
-    fit_metrics,
     hausman,
     robust_covariance,
     t_tests,
     wald_joint,
 )
 from .report import (
-    ComparisonReport,
     ModelBlock,
-    build_report,
     emit_importance_figure,
     emit_tables,
     from_forest,

@@ -215,12 +215,23 @@ def _static_spec(s: dict, problems: list[str]) -> lin.ModelSpec:
 
 
 def _dynamic_spec(d: dict, problems: list[str]) -> gmm_mod.GmmSpec:
-    lags = d["instrument_lags"]
+    lags, where = d["instrument_lags"], "models.dynamic.instrument_lags"
     return gmm_mod.GmmSpec(
         d["dependent"], _names(d["regressors"], "models.dynamic.regressors", problems),
-        instrument_lags=({k: tuple(v) for k, v in lags.items()} if isinstance(lags, dict)
-                         else tuple(lags)),
+        instrument_lags=({k: _lag_pair(v, f"{where}.{k}", problems) for k, v in lags.items()}
+                         if isinstance(lags, dict) else _lag_pair(lags, where, problems)),
         include_time_dummies=d["time_dummies"])
+
+
+def _lag_pair(value, where: str, problems: list[str]) -> tuple[int, int]:
+    """`value` as a (min, max) pair of integers >= 2, or, with the problem
+    recorded, the default pair; GmmSpec checks that min <= max."""
+    found = len(problems)
+    if isinstance(value, list) and len(value) == 2:
+        value = tuple(_integer(v, where, 2, problems) for v in value)
+    else:
+        problems.append(f"{where} must be a pair [min, max] of integers, got {value!r}")
+    return value if len(problems) == found else (2, 4)
 
 
 def _env_workers():
@@ -280,7 +291,23 @@ class Runner:
                                for v in missing])
         if self.cfg.lag_vars:
             ds = dsm.add_lags(ds, self.cfg.lag_vars, self.cfg.lag_order)
+        self._validate_model_columns(ds)
         return ds
+
+    def _validate_model_columns(self, ds: dsm.PanelDataset) -> None:
+        """Every name a model block gives must be a column of the prepared
+        data, checked before any stage writes an artifact."""
+        named = []
+        if (s := self.cfg.static) is not None:
+            named += [("static.dependent", [s.dependent]), ("static.regressors", s.regressors),
+                      ("static.controls", s.controls)]
+        if (d := self.cfg.dynamic) is not None:
+            named += [("dynamic.dependent", [d.dependent]), ("dynamic.regressors", d.regressors)]
+        problems = [f"models.{key} names unknown column {name!r}; the prepared data has "
+                    f"{', '.join(ds.columns)}"
+                    for key, names in named for name in names if name not in ds.columns]
+        if problems:
+            raise ConfigError(problems)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -359,8 +386,7 @@ class Runner:
         tables = self.out / "tables"
         write_csv(tables / "hausman.csv",
                   ["group", "statistic", "df", "p", "preferred", "nonpsd"], hausman_rows)
-        rpt.emit_tables(rpt.build_report(self.linear_blocks), self.out,
-                        only=[("static", "linear")])
+        rpt.emit_tables(self.linear_blocks, self.out)
         # the estimator not chosen as main still gets reported
         alt = "random" if spec.effects != "random" else "fixed"
         rpt.write_model_table(tables / f"table_static_linear_{alt}.csv", alt_blocks)
@@ -375,8 +401,7 @@ class Runner:
             self.gmm_blocks.append(rpt.from_gmm(fit, gname, fingerprint=self.fingerprint))
             print(f"fit-gmm[{gname}]: n_diff={fit.n_obs_diff} n_level={fit.n_obs_level} "
                   f"instruments={fit.instrument_count} sargan_p={fmt4(fit.sargan.p)}")
-        rpt.emit_tables(rpt.build_report(self.gmm_blocks), self.out,
-                        only=[("dynamic", "gmm")])
+        rpt.emit_tables(self.gmm_blocks, self.out)
 
     def step_fit_rf(self) -> None:
         """Fit forests per (group, setting) with everything the importance
@@ -430,14 +455,14 @@ class Runner:
             print(f"importance[{gname}/{setting}]: {n_sig}/{len(decisions)} significant")
 
     def step_compare(self) -> None:
-        report = rpt.build_report(self.linear_blocks + self.gmm_blocks + self.rf_blocks())
+        blocks = self.linear_blocks + self.gmm_blocks + self.rf_blocks()
         write_csv(self.out / "tables" / "model_comparison.csv",
                   ["group", "setting", "model", "r2", "adj_r2", "mse", "f_stat", "n_obs"],
                   ([b.group, b.setting, b.model,
                     fmt4(b.metrics.get("r2")), fmt4(b.metrics.get("adj_r2")),
                     fmt4(b.metrics.get("mse")), fmt4(b.metrics.get("f_stat")),
-                    b.metrics.get("n_obs", "")] for b in report.blocks))
-        print(f"compare: {len(report.blocks)} model blocks")
+                    b.metrics.get("n_obs", "")] for b in blocks))
+        print(f"compare: {len(blocks)} model blocks")
 
     def run(self, subcommand: str) -> None:
         stages = STAGES[subcommand]
@@ -448,8 +473,7 @@ class Runner:
             getattr(self, f"step_{stage}")()
         if "fit_rf" in stages:
             # written once, after importance (if it ran) added its p-values
-            rpt.emit_tables(rpt.build_report([], self.rf_blocks()), self.out,
-                            only=[("static", "rf"), ("dynamic", "rf")])
+            rpt.emit_tables(self.rf_blocks(), self.out)
         if subcommand == "all":
             rpt.write_manifest(self.out, self.cfg.echo, self.cfg.seed, self.fingerprint)
             print(f"all: artifacts under {self.out}")

@@ -40,9 +40,6 @@ __all__ = [
     "write_removal_log",
 ]
 
-ROLES = {"dependent", "regressor", "control", "instrument", "derived"}
-
-
 class SchemaError(ValueError):
     """Input file does not provide the required entity/year layout."""
 
@@ -64,11 +61,6 @@ class PanelDataset:
     columns : dict
         Column name -> float64 array aligned with rows; NaN marks missing
         and an infinite value is an IntegrityError.
-    column_roles : dict
-        Column name -> role in {dependent, regressor, control, instrument,
-        derived}.
-    derived_from : dict
-        For derived columns, name -> (parent column, transformation tag).
     parse_warnings : dict
         Column name -> count of unparseable cells coerced to missing
         during CSV loading.
@@ -77,8 +69,6 @@ class PanelDataset:
     entity: np.ndarray
     year: np.ndarray
     columns: dict[str, np.ndarray]
-    column_roles: dict[str, str] = field(default_factory=dict)
-    derived_from: dict[str, tuple[str, str]] = field(default_factory=dict)
     parse_warnings: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -104,9 +94,6 @@ class PanelDataset:
         if infinite:
             raise IntegrityError(f"{len(infinite)} infinite numeric cells "
                                  f"(entity year variable=cell): {', '.join(infinite)}")
-        for name, role in self.column_roles.items():
-            if role not in ROLES:
-                raise IntegrityError(f"unknown role {role!r} for column {name!r}")
 
     # -- basic views ---------------------------------------------------
 
@@ -153,24 +140,17 @@ class PanelDataset:
         if missing:
             raise KeyError(f"unknown columns {missing}; have {sorted(self.columns)}")
 
-    def with_column(self, name: str, values: np.ndarray, role: str = "derived",
-                    parent: str | None = None, transform: str | None = None) -> "PanelDataset":
+    def with_column(self, name: str, values: np.ndarray) -> "PanelDataset":
         """New dataset with one column added (or replaced)."""
         cols = dict(self.columns)
         cols[name] = np.asarray(values, dtype=np.float64)
-        roles = dict(self.column_roles)
-        roles[name] = role
-        derived = dict(self.derived_from)
-        if parent is not None:
-            derived[name] = (parent, transform or "")
-        return PanelDataset(self.entity, self.year, cols, roles, derived, dict(self.parse_warnings))
+        return PanelDataset(self.entity, self.year, cols, dict(self.parse_warnings))
 
     def select_rows(self, mask: np.ndarray) -> "PanelDataset":
         """New dataset restricted to rows where mask is True."""
         mask = np.asarray(mask, dtype=bool)
         cols = {name: values[mask] for name, values in self.columns.items()}
         return PanelDataset(self.entity[mask], self.year[mask], cols,
-                            dict(self.column_roles), dict(self.derived_from),
                             dict(self.parse_warnings))
 
     def complete_rows(self, names: Sequence[str]) -> np.ndarray:
@@ -197,18 +177,16 @@ class PanelDataset:
 
 
 def from_records(entity: Sequence[str], year: Sequence[int],
-                 columns: Mapping[str, Sequence[float]],
-                 column_roles: Mapping[str, str] | None = None) -> PanelDataset:
+                 columns: Mapping[str, Sequence[float]]) -> PanelDataset:
     """Build a dataset from parallel sequences, sorting rows canonically."""
     ent = np.asarray(entity, dtype=object)
     yr = np.asarray(year, dtype=np.int64)
     order = np.lexsort((yr, ent))
     cols = {name: np.asarray(vals, dtype=np.float64)[order] for name, vals in columns.items()}
-    return PanelDataset(ent[order], yr[order], cols, dict(column_roles or {}))
+    return PanelDataset(ent[order], yr[order], cols)
 
 
-def load_csv(path, role_map: Mapping[str, str] | None = None,
-             entity_col: str = "Code", year_col: str = "Year") -> PanelDataset:
+def load_csv(path, entity_col: str = "Code", year_col: str = "Year") -> PanelDataset:
     """Load a UTF-8 CSV with a header row into a PanelDataset.
 
     The file must contain `entity_col` and `year_col`; every other column
@@ -220,12 +198,11 @@ def load_csv(path, role_map: Mapping[str, str] | None = None,
     Raises
     ------
     SchemaError
-        Missing entity/year column, or a role_map name absent from the header.
+        Missing entity/year column.
     IntegrityError
         Duplicate (entity, year) rows, or infinite cells (the message names
         the entity, year and variable of each).
     """
-    role_map = dict(role_map or {})
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -237,9 +214,6 @@ def load_csv(path, role_map: Mapping[str, str] | None = None,
             raise SchemaError(f"{path}: missing entity column {entity_col!r}")
         if year_col not in header:
             raise SchemaError(f"{path}: missing year column {year_col!r}")
-        unknown_roles = [n for n in role_map if n not in header]
-        if unknown_roles:
-            raise SchemaError(f"{path}: role_map names not in header: {unknown_roles}")
 
         e_idx, y_idx = header.index(entity_col), header.index(year_col)
         value_names = [h for i, h in enumerate(header) if i not in (e_idx, y_idx)]
@@ -280,7 +254,7 @@ def load_csv(path, role_map: Mapping[str, str] | None = None,
     order = np.lexsort((yr, ent))
     cols = {name: np.asarray(vals, dtype=np.float64)[order] for name, vals in raw_cols.items()}
     try:
-        ds = PanelDataset(ent[order], yr[order], cols, role_map, parse_warnings=bad_cells)
+        ds = PanelDataset(ent[order], yr[order], cols, parse_warnings=bad_cells)
     except IntegrityError as exc:
         raise IntegrityError(f"{path}: {exc}") from None
     if bad_cells:
@@ -304,8 +278,7 @@ def add_lags(ds: PanelDataset, vars: Sequence[str], k: int = 1) -> PanelDataset:
     rows = ds.lag_rows(k)
     for name in vars:
         lagged = np.where(rows >= 0, ds.columns[name][rows], np.nan)
-        out = out.with_column(f"{name}(t-{k})", lagged, role="derived",
-                              parent=name, transform=f"lag:{k}")
+        out = out.with_column(f"{name}(t-{k})", lagged)
     return out
 
 
@@ -328,8 +301,7 @@ def log_transform(ds: PanelDataset, vars: Sequence[str]) -> PanelDataset:
                 + (f" (+{bad.size - 1} more)" if bad.size > 1 else "")
             )
         with np.errstate(invalid="ignore"):
-            out = out.with_column(f"LN_{name}", np.log(src), role="derived",
-                                  parent=name, transform="log")
+            out = out.with_column(f"LN_{name}", np.log(src))
     return out
 
 

@@ -62,10 +62,7 @@ def make_demo_panel(seed: int = 0, n_years: int = 20, start_year: int = 2000) ->
             cols["Jobless_Rate"].append(float(np.exp(ln_jobless)))
             cols["Tax_Share"].append(float(np.exp(ln_tax)))
             cols["Inflation"].append(float(inflation))
-    roles = {"Investment_Ratio": "dependent", "Growth": "regressor",
-             "Jobless_Rate": "regressor", "Tax_Share": "regressor",
-             "Inflation": "regressor"}
-    return from_records(entities, years, cols, roles)
+    return from_records(entities, years, cols)
 
 
 def demo_config(seed: int = 0, out: str = "panelforest-demo") -> dict:

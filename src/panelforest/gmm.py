@@ -53,15 +53,12 @@ class GmmSpec:
 
     dependent: str
     regressors: tuple[str, ...]
-    lag_dependent: int = 1
     instrument_lags: tuple[int, int] | Mapping[str, tuple[int, int]] = (2, 4)
     include_time_dummies: bool = False
     collapse: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "regressors", tuple(self.regressors))
-        if self.lag_dependent != 1:
-            raise ValueError("only first-order dependent lags are supported")
         if self.dependent in self.regressors:
             raise ValueError(f"dependent {self.dependent!r} also appears as a regressor")
         for var, (lo, hi) in self._lag_items():

@@ -32,7 +32,6 @@ __all__ = [
     "t_tests",
     "wald_joint",
     "hausman",
-    "fit_metrics",
 ]
 
 TIME_DUMMY_PREFIX = "year_"
@@ -267,11 +266,6 @@ def _metrics_from(rss: float, tss: float, n: int, k: int) -> FitMetrics:
     f = (r2 / k) / ((1.0 - r2) / (n - k - 1))
     # r2 < 0 gives f < 0, below the F support: p = 1
     return FitMetrics(r2, adj, f, float(special.fdtrc(k, n - k - 1, np.maximum(f, 0.0))))
-
-
-def fit_metrics(fit_: LinearFit) -> FitMetrics:
-    """Fit quality computed at estimation time (returned as-is)."""
-    return fit_.metrics
 
 
 def robust_covariance(fit_: LinearFit, ds: PanelDataset | None = None,

@@ -1,6 +1,10 @@
 """Side-by-side comparison artifacts: coefficient/importance tables and
 importance figures.
 
+Blocks in, files out: each fitted model becomes a :class:`ModelBlock`
+(`from_linear`, `from_gmm`, `from_forest`), and `emit_tables` writes the
+tables of the (setting, model) pairs that a list of blocks covers.
+
 Tables render values at 4 decimal places with the dispersion measure in a
 paired row beneath each estimate (standard errors for regressions,
 standard deviations for importances) and a metrics footer; a companion
@@ -16,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._common import fmt4, star_code, write_csv
 from .forest import ForestMetrics
@@ -27,11 +31,9 @@ from .vimp import PermImportanceResult, SeqTestDecision
 __all__ = [
     "VariableCell",
     "ModelBlock",
-    "ComparisonReport",
     "from_linear",
     "from_gmm",
     "from_forest",
-    "build_report",
     "emit_tables",
     "write_model_table",
     "emit_importance_figure",
@@ -147,37 +149,6 @@ def from_forest(metrics: ForestMetrics, importance: PermImportanceResult,
                       fingerprint)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Aligned model blocks sharing one dataset fingerprint."""
-
-    blocks: tuple[ModelBlock, ...]
-    provenance: dict
-
-    def select(self, setting: str, model: str) -> list[ModelBlock]:
-        return [b for b in self.blocks if b.setting == setting and b.model == model]
-
-    @property
-    def groups(self) -> list[str]:
-        return list(dict.fromkeys(b.group for b in self.blocks))
-
-
-def build_report(fits: Iterable[ModelBlock], importance: Iterable[ModelBlock] = (),
-                 provenance: Mapping | None = None) -> ComparisonReport:
-    """Merge regression and importance blocks into one report.
-
-    All blocks carrying a fingerprint must agree on it; missing model
-    cells simply stay absent (they are never zero-filled).
-    """
-    blocks = tuple(fits) + tuple(importance)
-    if not blocks:
-        raise ValueError("nothing to report")
-    prints = {b.fingerprint for b in blocks if b.fingerprint}
-    if len(prints) > 1:
-        raise ValueError(f"dataset fingerprint mismatch across fits: {sorted(prints)}")
-    return ComparisonReport(blocks, dict(provenance or {}))
-
-
 def write_model_table(path: Path, blocks: Sequence[ModelBlock]) -> None:
     """One display table: a column per group, each estimate above its
     dispersion, then the metrics and footer rows."""
@@ -216,66 +187,50 @@ TABLE_PLAN = (
 )
 
 
-def emit_tables(report: ComparisonReport, out_dir,
-                only: Iterable[tuple[str, str]] | None = None) -> list[Path]:
-    """Write the comparison tables under out_dir/tables.
+def emit_tables(blocks: Sequence[ModelBlock], out_dir) -> None:
+    """Write, under out_dir/tables, the display table and its _full
+    companion for each (setting, model) pair that `blocks` covers, in
+    TABLE_PLAN order; every other table is left alone.
 
-    Produces table_static_linear.csv, table_dynamic_gmm.csv,
-    rf_importance_static.csv and rf_importance_dynamic.csv (plus _full
-    companions); tables without any contributing fit hold headers only.
-    `only` restricts emission to the given (setting, model) pairs so a
-    partial pipeline step does not touch the other tables.
+    All blocks carrying a fingerprint must agree on it.
     """
+    prints = {b.fingerprint for b in blocks if b.fingerprint}
+    if len(prints) > 1:
+        raise ValueError(f"dataset fingerprint mismatch across fits: {sorted(prints)}")
     out = Path(out_dir) / "tables"
-    wanted = set(only) if only is not None else None
-    written = []
     for fname, setting, model in TABLE_PLAN:
-        if wanted is not None and (setting, model) not in wanted:
-            continue
-        blocks = report.select(setting, model)
-        path = out / fname
-        if blocks:
-            write_model_table(path, blocks)
-            _write_full_precision(out / fname.replace(".csv", "_full.csv"), blocks)
-        else:
-            write_csv(path, ["variable"], [])
-        written.append(path)
-    return written
+        chosen = [b for b in blocks if b.setting == setting and b.model == model]
+        if chosen:
+            write_model_table(out / fname, chosen)
+            _write_full_precision(out / fname.replace(".csv", "_full.csv"), chosen)
 
 
 SVG_BAR_COLOR = "#4878a8"
 SVG_GRAY = "#b0b0b0"
 
 
-def emit_importance_figure(decisions: Mapping[str, SeqTestDecision | float],
-                           scores: PermImportanceResult | Mapping[str, tuple],
-                           path) -> Path:
+def emit_importance_figure(decisions: Mapping[str, SeqTestDecision],
+                           importance: PermImportanceResult, path) -> Path:
     """Horizontal importance bar chart as deterministic SVG.
 
     Bars are sorted by importance descending; a bar is gray when its
     p-value exceeds 0.05, colored otherwise; whiskers show +/- one std.
-    `decisions` and `scores` must cover identical variable sets.
+    `decisions` and `importance` must cover identical variable sets.
     """
-    if isinstance(scores, PermImportanceResult):
-        score_map = {n: (scores.means[n], scores.stds[n]) for n in scores.means}
-    else:
-        score_map = {n: (float(v[0]), float(v[1])) for n, v in scores.items()}
-    if not score_map:
+    means, stds = importance.means, importance.stds
+    if not means:
         raise ValueError("no variables to draw")
-    if set(score_map) != set(decisions):
+    if set(means) != set(decisions):
         raise ValueError("decisions and scores cover different variables: "
-                         f"{sorted(set(score_map) ^ set(decisions))}")
+                         f"{sorted(set(means) ^ set(decisions))}")
 
-    def p_of(d) -> float:
-        return d.p_estimate if isinstance(d, SeqTestDecision) else float(d)
-
-    order = sorted(score_map, key=lambda n: score_map[n][0], reverse=True)
+    order = sorted(means, key=lambda n: means[n], reverse=True)
     bar_h, gap, left, top = 24, 10, 170, 30
     width = 640
     plot_w = width - left - 40
     height = top + len(order) * (bar_h + gap) + 40
-    upper = max(max(m + s for m, s in score_map.values()), 1e-12)
-    lower = min(0.0, min(m - s for m, s in score_map.values()))
+    upper = max(max(means[n] + stds[n] for n in means), 1e-12)
+    lower = min(0.0, min(means[n] - stds[n] for n in means))
     span = upper - lower
 
     def sx(v: float) -> float:
@@ -291,8 +246,8 @@ def emit_importance_figure(decisions: Mapping[str, SeqTestDecision | float],
         f'y2="{height - 30}" stroke="#555" stroke-width="1"/>',
     ]
     for i, name in enumerate(order):
-        mean, std = score_map[name]
-        p = p_of(decisions[name])
+        mean, std = means[name], stds[name]
+        p = decisions[name].p_estimate
         y = top + i * (bar_h + gap)
         x0, x1 = sorted((sx(0.0), sx(mean)))
         fill = SVG_GRAY if p > 0.05 else SVG_BAR_COLOR
@@ -318,13 +273,10 @@ def _xml(s: str) -> str:
     return (s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def write_manifest(out_dir, config: Mapping, seed: int,
-                   fingerprint: str, timestamp: str | None = None) -> Path:
+def write_manifest(out_dir, config: Mapping, seed: int, fingerprint: str) -> Path:
     """Write provenance.json: config echo, seed, data fingerprint, and a
-    content hash over every artifact file (manifest excluded).
-
-    The content hash is reproducible across runs; the optional timestamp
-    lives only here and is excluded from hashing.
+    content hash over every artifact file (manifest excluded), which is
+    reproducible across runs.
     """
     import hashlib
 
@@ -340,8 +292,6 @@ def write_manifest(out_dir, config: Mapping, seed: int,
         "config": dict(config),
         "content_hash": digest.hexdigest(),
     }
-    if timestamp is not None:
-        manifest["created_at"] = timestamp
     path = out / "provenance.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")

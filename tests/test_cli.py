@@ -287,6 +287,12 @@ MALFORMED = [
     ("seq_test.sapt_bounds", [-1.0, 1.0, 2.0],
      "sapt_bounds must be a pair (lower, upper) with lower < 0 < upper"),
     ("seq_test.sapt_bounds", ["-1", 1], "sapt_bounds must be a pair"),
+    ("models.dynamic.instrument_lags", [2.7, 3],
+     "models.dynamic.instrument_lags must be an integer, got 2.7"),
+    ("models.dynamic.instrument_lags", [2],
+     "models.dynamic.instrument_lags must be a pair [min, max] of integers"),
+    ("models.dynamic.instrument_lags", {"Growth(t-1)": [2, "3"]},
+     "models.dynamic.instrument_lags.Growth(t-1) must be an integer, got '3'"),
 ]
 
 
@@ -352,6 +358,18 @@ class TestConfigAtLoad:
         (tmp_path / "c.json").write_text(json.dumps(cfg))
         assert main(["all", "-c", str(tmp_path / "c.json")]) == 2
         assert problem in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("sub", ["fit-linear", "all"])
+    def test_unknown_model_column_named_before_any_write(self, sub, tmp_path, capsys):
+        cfg = fast_demo_config(16, tmp_path / "run")
+        cfg["models"]["static"]["regressors"] = ["Growth(t-1)", "Nope"]
+        cfg["models"]["dynamic"]["dependent"] = "Gone"
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main([sub, "-c", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert "models.static.regressors names unknown column 'Nope'" in err
+        assert "models.dynamic.dependent names unknown column 'Gone'" in err
         assert not (tmp_path / "run").exists()
 
     def test_unknown_effects_reported_once(self, tmp_path, capsys):

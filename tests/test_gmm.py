@@ -45,10 +45,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="max_lag"):
             GmmSpec("y", ("x",), instrument_lags=(3, 2))
 
-    def test_only_first_order_lag_dependent(self):
-        with pytest.raises(ValueError, match="first-order"):
-            GmmSpec("y", ("x",), lag_dependent=2)
-
     def test_per_variable_lags(self):
         spec = GmmSpec("y", ("x",), instrument_lags={"y": (2, 3), "x": (2, 2)})
         assert spec.lags_for("y") == (2, 3)

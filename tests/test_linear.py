@@ -8,7 +8,6 @@ from panelforest.dataset import from_records
 from panelforest.linear import (
     ModelSpec,
     fit,
-    fit_metrics,
     hausman,
     robust_covariance,
     t_tests,
@@ -311,7 +310,7 @@ class TestHausman:
 class TestMetrics:
     def test_perfect_fit(self):
         f = fit(SPEC_FE, noiseless_panel())
-        assert fit_metrics(f).r_squared == pytest.approx(1.0, abs=1e-12)
+        assert f.metrics.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_computed_r2(self):
         # y=[1,2,3], yhat=[1,2,2]: RSS=1, TSS=2 -> R2 = 0.5; via a pooled

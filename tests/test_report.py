@@ -9,10 +9,8 @@ from panelforest.forest import ForestConfig, fit_forest, forest_metrics
 from panelforest.gmm import GmmSpec, fit_system_gmm
 from panelforest.linear import ModelSpec, fit, robust_covariance
 from panelforest.report import (
-    ComparisonReport,
     ModelBlock,
     VariableCell,
-    build_report,
     emit_importance_figure,
     emit_tables,
     from_forest,
@@ -20,7 +18,7 @@ from panelforest.report import (
     from_linear,
     write_manifest,
 )
-from panelforest.vimp import SeqTestDecision, permutation_importance
+from panelforest.vimp import PermImportanceResult, SeqTestDecision, permutation_importance
 
 from conftest import dynamic_panel, fe_panel
 
@@ -43,40 +41,55 @@ def forest_block(seed=0, group="g7", fingerprint=None, decisions=None):
                        decisions=decisions, fingerprint=fingerprint or "")
 
 
-class TestBuildReport:
-    def test_single_linear_fit_leaves_rf_absent(self):
-        report = build_report([linear_block()])
-        assert report.select("static", "linear")
-        assert report.select("static", "rf") == []
-        assert report.select("dynamic", "gmm") == []
+def written(out_dir):
+    return sorted(p.name for p in (out_dir / "tables").iterdir())
 
-    def test_fingerprint_mismatch_rejected(self):
+
+def header(path):
+    with open(path, newline="") as fh:
+        return next(csv.reader(fh))
+
+
+class TestBuildReport:
+    """Which tables emit_tables writes for a list of blocks."""
+
+    def test_single_linear_fit_leaves_rf_absent(self, tmp_path):
+        emit_tables([linear_block()], tmp_path)
+        assert written(tmp_path) == ["table_static_linear.csv",
+                                     "table_static_linear_full.csv"]
+
+    def test_fingerprint_mismatch_rejected(self, tmp_path):
         a = linear_block(0)
         b = linear_block(1)  # different data -> different fingerprint
         assert a.fingerprint != b.fingerprint
         with pytest.raises(ValueError, match="fingerprint"):
-            build_report([a, b])
+            emit_tables([a, b], tmp_path)
 
-    def test_override_fingerprint_alignment(self):
+    def test_override_fingerprint_alignment(self, tmp_path):
         a = linear_block(0, fingerprint="shared")
         b = linear_block(1, group="brics", fingerprint="shared")
-        report = build_report([a, b])
-        assert report.groups == ["g7", "brics"]
+        emit_tables([a, b], tmp_path)
+        assert header(tmp_path / "tables" / "table_static_linear.csv") == \
+            ["variable", "g7", "brics"]
 
-    def test_full_battery_block_count(self):
+    def test_full_battery_block_count(self, tmp_path):
         # 4 groups x 2 settings x 3 models = 24 metric blocks
+        groups = ("g7", "brics", "eu15", "oecd")
         blocks = []
-        for group in ("g7", "brics", "eu15", "oecd"):
+        for group in groups:
             for setting in ("static", "dynamic"):
                 for model in ("linear", "gmm", "rf"):
                     blocks.append(ModelBlock(group, setting, model,
                                              (VariableCell("x", 1.0, 0.1, 0.03),),
                                              {"r2": 0.5}, {}, "fp"))
-        report = build_report(blocks)
-        assert len(report.blocks) == 24
-        for setting in ("static", "dynamic"):
-            for model in ("linear", "gmm", "rf"):
-                assert len(report.select(setting, model)) == 4
+        assert len(blocks) == 24
+        emit_tables(blocks, tmp_path)
+        tables = ("table_static_linear.csv", "table_dynamic_gmm.csv",
+                  "rf_importance_static.csv", "rf_importance_dynamic.csv")
+        assert written(tmp_path) == sorted(
+            t for name in tables for t in (name, name.replace(".csv", "_full.csv")))
+        for name in tables:
+            assert header(tmp_path / "tables" / name) == ["variable", *groups]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="setting"):
@@ -89,22 +102,16 @@ class TestEmitTables:
     def test_golden_static_linear(self, tmp_path):
         """Byte-for-byte comparison against the reviewed golden file."""
         block = linear_block(0, fingerprint="fp")
-        emit_tables(build_report([block]), tmp_path, only=[("static", "linear")])
+        emit_tables([block], tmp_path)
         produced = (tmp_path / "tables" / "table_static_linear.csv").read_bytes()
         expected = (GOLDEN / "table_static_linear.csv").read_bytes()
         assert produced == expected
-
-    def test_empty_report_headers_only(self, tmp_path):
-        emit_tables(ComparisonReport((), {}), tmp_path)
-        for name in ("table_static_linear.csv", "table_dynamic_gmm.csv",
-                     "rf_importance_static.csv", "rf_importance_dynamic.csv"):
-            assert (tmp_path / "tables" / name).read_bytes() == b"variable\r\n"
 
     def test_four_decimal_rendering(self, tmp_path):
         block = ModelBlock("g7", "static", "linear",
                            (VariableCell("gdp", 0.011234, 0.00456, 0.004),),
                            {"r2": 0.45849}, {}, "fp")
-        emit_tables(build_report([block]), tmp_path, only=[("static", "linear")])
+        emit_tables([block], tmp_path)
         text = (tmp_path / "tables" / "table_static_linear.csv").read_text()
         assert "0.0112***" in text
         assert "(0.0046)" in text
@@ -112,7 +119,7 @@ class TestEmitTables:
 
     def test_round_trip_to_printed_precision(self, tmp_path):
         block = linear_block(2, fingerprint="fp")
-        emit_tables(build_report([block]), tmp_path, only=[("static", "linear")])
+        emit_tables([block], tmp_path)
         with open(tmp_path / "tables" / "table_static_linear.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         by_name = {cell.name: cell for cell in block.cells}
@@ -129,7 +136,7 @@ class TestEmitTables:
 
     def test_full_precision_companion(self, tmp_path):
         block = linear_block(3, fingerprint="fp")
-        emit_tables(build_report([block]), tmp_path, only=[("static", "linear")])
+        emit_tables([block], tmp_path)
         with open(tmp_path / "tables" / "table_static_linear_full.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["group", "setting", "model", "variable", "value",
@@ -141,7 +148,7 @@ class TestEmitTables:
     def test_gmm_footer_rows(self, tmp_path):
         fit_ = fit_system_gmm(GmmSpec("y", ("x",)), dynamic_panel(0, n_ent=60))
         block = from_gmm(fit_, "all", fingerprint="fp")
-        emit_tables(build_report([block]), tmp_path, only=[("dynamic", "gmm")])
+        emit_tables([block], tmp_path)
         text = (tmp_path / "tables" / "table_dynamic_gmm.csv").read_text()
         for token in ("sargan", "ar1_z", "ar2_z", "wald", "instruments"):
             assert token in text
@@ -152,12 +159,14 @@ SIG = SeqTestDecision("v", "significant", 0.01, 10, 0, "x", 1.0)
 
 def decisions_for(scores, ps):
     return {name: SeqTestDecision(name, "significant" if p <= 0.05 else
-                                  "not_significant", p, 10, 1, "complete", scores[name][0])
+                                  "not_significant", p, 10, 1, "complete",
+                                  scores.means[name])
             for name, p in ps.items()}
 
 
 class TestImportanceFigure:
-    SCORES = {"a": (0.5, 0.1), "b": (0.2, 0.05), "c": (0.9, 0.2)}
+    SCORES = PermImportanceResult({"a": 0.5, "b": 0.2, "c": 0.9},
+                                  {"a": 0.1, "b": 0.05, "c": 0.2}, 10, "mse", 1.0)
 
     def test_one_bar_per_variable_sorted(self, tmp_path):
         ps = {"a": 0.2, "b": 0.01, "c": 0.03}
@@ -193,7 +202,8 @@ class TestImportanceFigure:
 
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no variables"):
-            emit_importance_figure({}, {}, tmp_path / "fig.svg")
+            emit_importance_figure({}, PermImportanceResult({}, {}, 10, "mse", 1.0),
+                                   tmp_path / "fig.svg")
 
     def test_coverage_mismatch_rejected(self, tmp_path):
         ps = {"a": 0.2, "b": 0.01}
@@ -207,7 +217,7 @@ class TestImportanceFigure:
         y = X[:, 0] + 0.1 * rng.normal(size=60)
         forest = fit_forest(X, y, ForestConfig(n_trees=10, seed=5), ["x0", "x1"])
         imp = permutation_importance(forest, X, y, n_repeats=3, seed=5)
-        decisions = {"x0": 0.01, "x1": 0.5}
+        decisions = decisions_for(imp, {"x0": 0.01, "x1": 0.5})
         path = emit_importance_figure(decisions, imp, tmp_path / "fig.svg")
         assert path.read_text().count('class="bar"') == 2
 
@@ -226,23 +236,13 @@ class TestManifest:
         m3 = write_manifest(tmp_path, {"k": 1}, seed=7, fingerprint="fp")
         assert json.loads(m3.read_text())["content_hash"] != h1
 
-    def test_timestamp_confined_to_manifest(self, tmp_path):
-        m = write_manifest(tmp_path, {}, seed=1, fingerprint="fp",
-                           timestamp="2026-01-01T00:00:00")
-        import json
-        data = json.loads(m.read_text())
-        assert data["created_at"] == "2026-01-01T00:00:00"
-        m2 = write_manifest(tmp_path, {}, seed=1, fingerprint="fp",
-                            timestamp="2030-12-31T23:59:59")
-        assert json.loads(m2.read_text())["content_hash"] == data["content_hash"]
-
 
 class TestSignedInfinity:
     def test_negative_infinite_metric_keeps_sign(self, tmp_path):
         block = ModelBlock("g7", "static", "linear",
                            (VariableCell("gdp", 0.5, 0.1, 0.2),),
                            {"r2": float("-inf"), "f_stat": float("inf")}, {}, "fp")
-        emit_tables(build_report([block]), tmp_path, only=[("static", "linear")])
+        emit_tables([block], tmp_path)
         with open(tmp_path / "tables" / "table_static_linear.csv", newline="") as fh:
             rows = {row[0]: row[1:] for row in csv.reader(fh)}
         assert rows["r2"] == ["-inf"]
