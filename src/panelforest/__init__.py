@@ -33,7 +33,7 @@ from .forest import (
     predict,
     r2_score,
 )
-from .gmm import GmmFit, GmmSpec, ar_test, fit_system_gmm, sargan_test
+from .gmm import GmmFit, GmmSpec, fit_system_gmm
 from .linear import (
     HausmanResult,
     LinearFit,

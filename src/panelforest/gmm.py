@@ -8,7 +8,8 @@ block, identity for the level block.  Instruments are collapsed by default
 (one column per lag distance) to curb proliferation when the entity and
 period counts are similar.
 
-Diagnostics: Sargan over-identification test under the one-step weight,
+Diagnostics are computed inside the fit and stored on it, as xtabond2
+reports them: Sargan over-identification test under the one-step weight,
 Arellano-Bond AR(1)/AR(2) tests on the differenced residuals, and a
 chi-square Wald test of joint significance.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,8 +35,6 @@ __all__ = [
     "SarganResult",
     "ArResult",
     "fit_system_gmm",
-    "sargan_test",
-    "ar_test",
     "wald_joint",
 ]
 
@@ -61,24 +60,27 @@ class GmmSpec:
         object.__setattr__(self, "regressors", tuple(self.regressors))
         if self.dependent in self.regressors:
             raise ValueError(f"dependent {self.dependent!r} also appears as a regressor")
-        for var, (lo, hi) in self._lag_items():
+        for switch in ("include_time_dummies", "collapse"):
+            if not isinstance(getattr(self, switch), bool):
+                raise ValueError(f"{switch} must be a bool, got {getattr(self, switch)!r}")
+        lag_items = (self.instrument_lags.items() if isinstance(self.instrument_lags, Mapping)
+                     else [("*", self.instrument_lags)])
+        for var, lags in lag_items:
+            if not (isinstance(lags, (tuple, list)) and len(lags) == 2
+                    and all(isinstance(v, int) and not isinstance(v, bool) for v in lags)):
+                raise ValueError(f"instrument lags for {var!r} must be a (min, max) pair "
+                                 f"of integers, got {lags!r}")
+            lo, hi = lags
             if lo < 2:
                 raise ValueError(f"instrument min_lag must be >= 2 (got {lo} for {var!r}); "
                                  "levels dated t-1 are not valid for the differenced equation")
             if hi < lo:
                 raise ValueError(f"instrument max_lag < min_lag for {var!r}")
 
-    def _lag_items(self):
-        if isinstance(self.instrument_lags, Mapping):
-            return list(self.instrument_lags.items())
-        return [("*", tuple(self.instrument_lags))]
-
     def lags_for(self, var: str) -> tuple[int, int]:
         if isinstance(self.instrument_lags, Mapping):
-            lo, hi = self.instrument_lags.get(var, (2, 4))
-        else:
-            lo, hi = self.instrument_lags
-        return int(lo), int(hi)
+            return tuple(self.instrument_lags.get(var, (2, 4)))
+        return tuple(self.instrument_lags)
 
     @property
     def lagdep_name(self) -> str:
@@ -110,9 +112,9 @@ class ArResult:
 class GmmFit:
     """One-step System GMM estimate with instrument accounting.
 
-    Diff-block context (design rows, instruments, weights, per-entity
-    scores Z_g'u_g, diff-row bounds) lets the AR tests and Sargan statistic
-    be recomputed from the fit alone.  lagdep_stable is False when |rho| >= 1.
+    The Sargan, AR(1)/AR(2) and Wald results are computed in the fit, whose
+    workspace is not kept; z_matrix holds the stacked instruments (diff
+    block, then level block).  lagdep_stable is False when |rho| >= 1.
     """
 
     spec: GmmSpec
@@ -125,28 +127,12 @@ class GmmFit:
     n_obs_diff: int
     n_obs_level: int
     n_entities: int
-    residuals_diff: np.ndarray
-    residuals_level: np.ndarray
-    diff_entity: np.ndarray
-    diff_year: np.ndarray
     sargan: SarganResult
     ar_tests: dict[int, ArResult]
     wald: WaldResult
     lagdep_stable: bool
     fingerprint: str
-    # estimation context
-    design_diff: np.ndarray
     z_matrix: np.ndarray
-    zx: np.ndarray
-    weight: np.ndarray
-    a_inv: np.ndarray
-    sigma2: float
-    entity_scores: np.ndarray
-    entity_diff_rows: np.ndarray
-
-    @property
-    def beta(self) -> np.ndarray:
-        return np.array([self.coefficients[n] for n in self.coef_names])
 
 
 def fit_system_gmm(spec: GmmSpec, ds: PanelDataset) -> GmmFit:
@@ -268,6 +254,22 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
     else:
         sigma2 = float(u_diff @ u_diff) / (2.0 * n_d)
 
+    # Sargan: u'Z W Z'u / sigma2 ~ chi2(n_inst - k); NaN marker when just identified
+    df = n_inst - k
+    sargan = SarganResult(math.nan, 0, math.nan)
+    if df >= 1:
+        g = z.T @ u
+        stat = float(g @ w_mat @ g) / sigma2
+        # an ill-conditioned Z'HZ can leave W indefinite and stat < 0: p = 1
+        sargan = SarganResult(stat, df, float(special.chdtrc(df, np.maximum(stat, 0.0))))
+
+    # diff position of each dataset row; the extra last slot maps a missing lag (-1) to -1
+    diff_pos = np.full(ds.n_rows + 1, -1)
+    diff_pos[d_idx] = np.arange(n_d)
+    ar = {m: _ar_test(u_diff, diff_pos[lag_idx[m][d_idx]], bounds[:, :2], scores,
+                      x_stack[:n_d], a_inv, zx, w_mat, cov)
+          for m in (1, 2)}
+
     coefficients = {name: float(b) for name, b in zip(param_names, theta)}
     fit = GmmFit(
         spec=spec,
@@ -280,32 +282,14 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         n_obs_diff=n_d,
         n_obs_level=n_l,
         n_entities=n_entities,
-        residuals_diff=u_diff,
-        residuals_level=u_level,
-        diff_entity=diff_entity,
-        diff_year=d_year,
-        sargan=SarganResult(math.nan, 0, math.nan),
-        ar_tests={},
+        sargan=sargan,
+        ar_tests=ar,
         wald=WaldResult(math.nan, 0, math.nan),
         lagdep_stable=abs(coefficients[spec.lagdep_name]) < 1.0,
         fingerprint=ds.fingerprint(),
-        design_diff=x_stack[:n_d],
         z_matrix=z,
-        zx=zx,
-        weight=w_mat,
-        a_inv=a_inv,
-        sigma2=sigma2,
-        entity_scores=scores,
-        entity_diff_rows=bounds[:, :2],
     )
-    sargan = sargan_test(fit)
-    ar = {1: ar_test(fit, 1), 2: ar_test(fit, 2)}
-    joint = [n for n in param_names if n != "const"]
-    wald = wald_joint(fit, joint)
-    object.__setattr__(fit, "sargan", sargan)
-    object.__setattr__(fit, "ar_tests", ar)
-    object.__setattr__(fit, "wald", wald)
-    return fit
+    return replace(fit, wald=wald_joint(fit, [n for n in param_names if n != "const"]))
 
 
 def _build_instruments(spec, at, d_idx, l_idx, d_year, l_year, inst_vars, include_level):
@@ -375,49 +359,27 @@ def _safe_inverse(mat: np.ndarray, names: Sequence[str], what: str) -> np.ndarra
     return np.linalg.inv(mat)
 
 
-def sargan_test(fit: GmmFit) -> SarganResult:
-    """Over-identification test under the one-step weight.
-
-    S = u'Z (Z'HZ)^-1 Z'u / sigma2 ~ chi-square(instruments - parameters).
-    A just-identified model gets the inapplicable marker (df=0, NaN).
-    """
-    df = fit.instrument_count - fit.parameter_count
-    if df < 1:
-        return SarganResult(math.nan, 0, math.nan)
-    u = np.concatenate([fit.residuals_diff, fit.residuals_level])
-    g = fit.z_matrix.T @ u
-    stat = float(g @ fit.weight @ g) / fit.sigma2
-    # an ill-conditioned Z'HZ can leave W indefinite and stat < 0: p = 1
-    return SarganResult(stat, df, float(special.chdtrc(df, np.maximum(stat, 0.0))))
-
-
-def ar_test(fit: GmmFit, order: int) -> ArResult:
-    """Arellano-Bond test for order-m serial correlation in Du.
-
-    Standardized covariance of the differenced residuals with their
-    calendar lag-m values, accounting for estimation error in the
-    coefficients; two-sided normal p.  NaN marker when no residual pairs
-    overlap at distance `order`.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    w = fit.residuals_diff
-    lagged = PanelDataset(fit.diff_entity, fit.diff_year, {}).lag_rows(order)
+def _ar_test(w, lagged, diff_bounds, scores, design_diff, a_inv, zx, w_mat, cov) -> ArResult:
+    """Arellano-Bond test: standardized covariance of the differenced
+    residuals w with their order-m partners at positions `lagged` (-1: none),
+    accounting for estimation error in the coefficients (diff_bounds and
+    scores: each entity's diff rows and Z_g'u_g).  Two-sided normal p; NaN
+    marker when no pairs overlap."""
     if not (lagged >= 0).any():
         return ArResult(math.nan, math.nan)
     w_lag = np.where(lagged >= 0, w[lagged], 0.0)
 
     q = float(w_lag @ w)
     term1 = 0.0
-    m_vec = np.zeros(fit.instrument_count)
-    for (a, b), s_i in zip(fit.entity_diff_rows, fit.entity_scores):
+    m_vec = np.zeros(zx.shape[0])
+    for (a, b), s_i in zip(diff_bounds, scores):
         a_i = float(w_lag[a:b] @ w[a:b])
         term1 += a_i * a_i
         m_vec += s_i * a_i
 
-    c = fit.design_diff.T @ w_lag
-    term2 = -2.0 * float(c @ fit.a_inv @ (fit.zx.T @ (fit.weight @ m_vec)))
-    term3 = float(c @ fit.covariance @ c)
+    c = design_diff.T @ w_lag
+    term2 = -2.0 * float(c @ a_inv @ (zx.T @ (w_mat @ m_vec)))
+    term3 = float(c @ cov @ c)
     var = term1 + term2 + term3
     if var <= 0.0:
         var = term1 + term3  # cross-term overshoot; fall back to the outer terms

@@ -52,6 +52,9 @@ class ModelSpec:
         object.__setattr__(self, "controls", tuple(self.controls))
         if self.effects not in {"pooled", "fixed", "random"}:
             raise ValueError(f"unknown effects {self.effects!r}")
+        if not isinstance(self.include_time_dummies, bool):
+            raise ValueError(f"include_time_dummies must be a bool, "
+                             f"got {self.include_time_dummies!r}")
         slopes = self.regressors + self.controls
         if self.dependent in slopes:
             raise ValueError(f"dependent {self.dependent!r} also appears as a regressor")
@@ -77,8 +80,8 @@ class LinearFit:
     """Fitted panel regression.
 
     `covariance` rows/columns follow `coef_names`; `cov_method` is
-    "classical" or "arellano_cluster".  Residuals are keyed by row via
-    (row_entity, row_year).  The transformed design matrix is retained so
+    "classical" or "arellano_cluster".  row_entity is the entity of each
+    residual row.  The transformed design matrix is retained so
     cluster-robust covariances and specification tests can be computed
     without refitting.
     """
@@ -93,7 +96,6 @@ class LinearFit:
     df_residual: int
     residuals: np.ndarray
     row_entity: np.ndarray
-    row_year: np.ndarray
     metrics: FitMetrics
     design: np.ndarray
     fingerprint: str
@@ -134,15 +136,15 @@ def _build_design(spec: ModelSpec, ds: PanelDataset) -> tuple:
     cols = [ds.column(v)[mask] for v in spec.slopes]
     col_names = list(spec.slopes)
     entity = ds.entity[mask]
-    year = ds.year[mask]
     if spec.include_time_dummies:
+        year = ds.year[mask]
         years = np.unique(year)
         for t in years[1:]:  # first year is the omitted base
             cols.append((year == t).astype(np.float64))
             col_names.append(f"{TIME_DUMMY_PREFIX}{int(t)}")
     if not cols:
         raise ValueError("model has no regressors")
-    return y, np.column_stack(cols), col_names, entity, year
+    return y, np.column_stack(cols), col_names, entity
 
 
 def _entity_means(values: np.ndarray, inverse: np.ndarray) -> np.ndarray:
@@ -163,7 +165,7 @@ def fit(spec: ModelSpec, ds: PanelDataset) -> LinearFit:
     collinear columns) and on too few observations (with counts).
     """
     ds.require_columns([spec.dependent, *spec.slopes])
-    y, X, col_names, entity, year = _build_design(spec, ds)
+    y, X, col_names, entity = _build_design(spec, ds)
     n = len(y)
     groups = segment_ids(entity)  # fit rows keep the dataset's sorted order
     n_entities = int(groups[-1]) + 1
@@ -209,7 +211,6 @@ def fit(spec: ModelSpec, ds: PanelDataset) -> LinearFit:
         df_residual=df_resid,
         residuals=resid,
         row_entity=entity,
-        row_year=year,
         metrics=metrics,
         design=X_t,
         fingerprint=ds.fingerprint(),

@@ -104,13 +104,12 @@ def from_gmm(fit: GmmFit, group: str, setting: str = "dynamic",
         cells.append(VariableCell(name, fit.coefficients[name], se, p))
     metrics = {"n_obs": fit.n_obs_level + fit.n_obs_diff,
                "wald": fit.wald.statistic, "instruments": fit.instrument_count}
-    ar1, ar2 = fit.ar_tests.get(1), fit.ar_tests.get(2)
     footer = {
         "sargan": f"{fit.sargan.statistic:.4f} (df={fit.sargan.df})"
                   if fit.sargan.applicable else "n/a",
         "sargan_p": f"{fit.sargan.p:.4f}" if fit.sargan.applicable else "n/a",
-        "ar1_z": _fmt_ar(ar1),
-        "ar2_z": _fmt_ar(ar2),
+        "ar1_z": _fmt_ar(fit.ar_tests[1]),
+        "ar2_z": _fmt_ar(fit.ar_tests[2]),
         "wald": f"{fit.wald.statistic:.4f}{star_code(fit.wald.p)}",
         "entities": str(fit.n_entities),
     }
@@ -119,7 +118,7 @@ def from_gmm(fit: GmmFit, group: str, setting: str = "dynamic",
 
 
 def _fmt_ar(ar) -> str:
-    if ar is None or not ar.applicable:
+    if not ar.applicable:
         return "n/a"
     return f"{ar.z:.4f}{star_code(ar.p)}"
 

@@ -153,6 +153,25 @@ class SeqTestConfig:
                             f"lower < 0 < upper, got {bounds!r}")
         if problems:
             raise ValueError("; ".join(problems))
+        if self.method in ("sprt", "sapt"):
+            # every step a non-exceedance is the shortest walk to the upper bound
+            _, step_non, _, upper = _llr_walk(self)
+            shortest = math.ceil(upper / step_non)
+            if shortest > self.mmax:
+                warnings.warn(f"{self.method} needs at least {shortest} permutations to "
+                              f"reach 'significant' but mmax={self.mmax}; the tests "
+                              "of important variables end at mmax", stacklevel=3)
+
+
+def _llr_walk(cfg: SeqTestConfig) -> tuple[float, float, float, float]:
+    """sprt/sapt log-likelihood-ratio steps (exceedance, non-exceedance)
+    and boundaries (lower, upper)."""
+    lower = math.log(cfg.beta / (1 - cfg.alpha))
+    if cfg.method == "sprt":
+        upper = math.log((1 - cfg.beta) / cfg.alpha)
+    else:
+        lower, upper = cfg.sapt_bounds or (lower, -lower)
+    return math.log(cfg.p1 / cfg.p0), math.log((1 - cfg.p1) / (1 - cfg.p0)), lower, upper
 
 
 @dataclass(frozen=True)
@@ -183,13 +202,7 @@ def run_sequential(cfg: SeqTestConfig,
         return (d + 1) / (m + 1)
 
     if cfg.method in ("sprt", "sapt"):
-        step_exc = math.log(cfg.p1 / cfg.p0)
-        step_non = math.log((1 - cfg.p1) / (1 - cfg.p0))
-        lower = math.log(cfg.beta / (1 - cfg.alpha))
-        if cfg.method == "sprt":
-            upper = math.log((1 - cfg.beta) / cfg.alpha)
-        else:
-            lower, upper = cfg.sapt_bounds or (lower, -lower)
+        step_exc, step_non, lower, upper = _llr_walk(cfg)
 
     certain_threshold = math.floor(alpha * (mmax + 1))
 

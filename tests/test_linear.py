@@ -126,6 +126,8 @@ class TestFit:
             ModelSpec("y", ("x", "x"))
         with pytest.raises(ValueError, match="effects"):
             ModelSpec("y", ("x",), effects="between")
+        with pytest.raises(ValueError, match="include_time_dummies must be a bool"):
+            ModelSpec("y", ("x",), include_time_dummies="false")
 
 
 class TestRobustCovariance:

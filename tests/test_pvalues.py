@@ -19,7 +19,7 @@ DFS = [1, 2, 3, 5, 10, 57, 1000, 1e6]
 
 
 @pytest.mark.parametrize("df", DFS)
-def test_chi2_tail(df):  # wald_joint, hausman, sargan_test
+def test_chi2_tail(df):  # wald_joint, hausman, the GMM Sargan test
     x = np.maximum(STATS, 0.0)
     np.testing.assert_array_equal(special.chdtrc(df, x), stats.chi2.sf(x, df))
 
@@ -37,7 +37,7 @@ def test_f_tail(dfn, dfd):  # _metrics_from
     np.testing.assert_array_equal(special.fdtrc(dfn, dfd, x), stats.f.sf(x, dfn, dfd))
 
 
-def test_normal_tail():  # ar_test
+def test_normal_tail():  # the GMM AR tests
     z = np.concatenate([np.random.default_rng(1).normal(0.0, 5.0, 500),
                         [0.0, np.nan, np.inf, -np.inf, 1e-300, -1e6]])
     np.testing.assert_array_equal(special.ndtr(-abs(z)), stats.norm.sf(abs(z)))

@@ -1,6 +1,7 @@
 import json
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,18 @@ class TestStoppingRules:
             SeqTestConfig(mmax=0)
         with pytest.warns(UserWarning, match="below the supported minimum"):
             SeqTestConfig(mmax=5)
+
+    @pytest.mark.parametrize("method, shortest", [("sprt", 132), ("sapt", 75)])
+    def test_unreachable_significance_warns(self, method, shortest):
+        # the demo settings: mmax=40 with the default p0, p1, alpha, beta
+        with pytest.warns(UserWarning, match=f"needs at least {shortest} permutations"):
+            SeqTestConfig(method=method, mmax=40)
+
+    def test_reachable_significance_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SeqTestConfig(method="sprt", mmax=200)
+            SeqTestConfig(method="sapt", mmax=200)
 
 
 class TestRfvimptest:
