@@ -35,7 +35,7 @@ print("columns:", sorted(panel.columns))
 
 stats = describe(panel)
 print(f"\n{'variable':<18}{'mean':>9}{'median':>9}{'std':>8}{'skew':>8}{'kurt':>8}")
-for name, s in stats.columns.items():
+for name, s in stats.items():
     print(f"{name:<18}{s.mean:>9.4f}{s.median:>9.4f}{s.std_dev:>8.4f}"
           f"{s.skewness:>8.4f}{s.kurtosis:>8.4f}")
 

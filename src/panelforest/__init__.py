@@ -9,7 +9,6 @@ comparison tables and figures.
 
 from .dataset import (
     CorrelationMatrix,
-    DescriptiveStats,
     IntegrityError,
     OutlierRule,
     PanelDataset,

@@ -16,7 +16,7 @@ import copy
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -314,37 +314,43 @@ class Runner:
         """Fingerprint of the prepared dataset, shared by every report block."""
         return self.prepared.fingerprint()
 
-    @property
-    def groups(self) -> dict[str, list[str]]:
-        return self.cfg.groups or {"all": self.prepared.entities}
+    @cached_property
+    def panels(self) -> dict[str, dsm.PanelDataset]:
+        """The prepared rows of each group (one group "all" when none is
+        configured), selected once for every stage."""
+        ds = self.prepared
+        entity = ds.entity.astype(str)
+        return {name: ds.select_rows(np.isin(entity, members))
+                for name, members in (self.cfg.groups or {"all": ds.entities}).items()}
 
-    def group_data(self, members: list[str]) -> dsm.PanelDataset:
-        mask = np.isin(self.prepared.entity.astype(str), members)
-        return self.prepared.select_rows(mask)
-
-    # -- model specs ----------------------------------------------------
-
-    def static_spec(self) -> lin.ModelSpec:
-        if self.cfg.static is None:
-            raise ConfigError(["models.static is required for this step"])
-        return self.cfg.static
+    def _check_needs(self, stages: tuple[str, ...]) -> None:
+        """Each stage finds the model and columns it reads, checked before
+        any artifact is written."""
+        static, problems = self.cfg.static, []
+        if static is None and {"fit_linear", "fit_rf"} & set(stages):
+            problems.append("models.static is required for this step")
+        if self.cfg.dynamic is None and "fit_gmm" in stages:
+            problems.append("models.dynamic is required for this step")
+        if static is not None and "fit_rf" in stages:
+            dep = static.dependent
+            lagdep = f"{dep}(t-{self.cfg.lag_order})"
+            if lagdep not in self.prepared.columns:
+                problems.append(f"dynamic RF needs {lagdep!r}; add {dep!r} to "
+                                "preprocessing.lag_vars")
+        if problems:
+            raise ConfigError(problems)
 
     def rf_design(self, ds: dsm.PanelDataset, setting: str):
         """Feature matrix for the forest: static spec regressors/controls,
         plus the lagged dependent in the dynamic setting."""
-        spec = self.static_spec()
-        dep = spec.dependent
-        features = list(spec.slopes)
+        dep = self.cfg.static.dependent
+        features = list(self.cfg.static.slopes)
         if setting == "dynamic":
-            lagdep = f"{dep}(t-{self.cfg.lag_order})"
-            if lagdep not in ds.columns:
-                raise ConfigError([f"dynamic RF needs {lagdep!r}; add {dep!r} to "
-                                   "preprocessing.lag_vars"])
-            features = [lagdep] + features
+            features = [f"{dep}(t-{self.cfg.lag_order})"] + features
         mask = ds.complete_rows([dep, *features])
         X = np.column_stack([ds.column(f)[mask] for f in features])
         y = ds.column(dep)[mask]
-        return X, y, features, mask
+        return X, y, features
 
     # -- stages ----------------------------------------------------------
 
@@ -355,8 +361,8 @@ class Runner:
         write_csv(tables / "descriptive_stats.csv",
                   ["variable", "mean", "median", "min", "max",
                    "std_dev", "skewness", "kurtosis", "count"],
-                  ([row[0]] + [fmt4(v) for v in row[1:-1]] + [row[-1]]
-                   for row in stats.rows()))
+                  ([name] + [fmt4(v) for v in astuple(s)[:-1]] + [s.count]
+                   for name, s in stats.items()))
         corr = dsm.correlation_matrix(ds, list(ds.columns))
         write_csv(tables / "correlation_matrix.csv", ["variable", *corr.names],
                   ([name] + [fmt4(v) for v in corr.matrix[i]]
@@ -366,10 +372,9 @@ class Runner:
 
     def step_fit_linear(self) -> None:
         self.linear_blocks = []
-        spec = self.static_spec()
+        spec = self.cfg.static
         hausman_rows, alt_blocks = [], []
-        for gname, members in self.groups.items():
-            sub = self.group_data(members)
+        for gname, sub in self.panels.items():
             fe = lin.fit(replace(spec, effects="fixed"), sub)
             re = lin.fit(replace(spec, effects="random"), sub)
             # Hausman compares the classical covariances
@@ -393,11 +398,8 @@ class Runner:
 
     def step_fit_gmm(self) -> None:
         self.gmm_blocks = []
-        spec = self.cfg.dynamic
-        if spec is None:
-            raise ConfigError(["models.dynamic is required for this step"])
-        for gname, members in self.groups.items():
-            fit = gmm_mod.fit_system_gmm(spec, self.group_data(members))
+        for gname, sub in self.panels.items():
+            fit = gmm_mod.fit_system_gmm(self.cfg.dynamic, sub)
             self.gmm_blocks.append(rpt.from_gmm(fit, gname, fingerprint=self.fingerprint))
             print(f"fit-gmm[{gname}]: n_diff={fit.n_obs_diff} n_level={fit.n_obs_level} "
                   f"instruments={fit.instrument_count} sargan_p={fmt4(fit.sargan.p)}")
@@ -408,8 +410,8 @@ class Runner:
         and compare stages need; decisions on earlier forests are dropped."""
         self.rf_results, self.decisions = {}, {}
         for setting in ("static", "dynamic"):
-            for gname, members in self.groups.items():
-                X, y, features, _ = self.rf_design(self.group_data(members), setting)
+            for gname, sub in self.panels.items():
+                X, y, features = self.rf_design(sub, setting)
                 fcfg = replace(self.cfg.forest,
                                seed=derive_seed(self.cfg.seed, "forest", gname, setting))
                 forest = fit_forest(X, y, fcfg, features)
@@ -468,6 +470,7 @@ class Runner:
         stages = STAGES[subcommand]
         if stages != ("describe",):  # every other stage reads the prepared panel,
             self.prepared  # whose outlier filter fills the removal log
+            self._check_needs(stages)
             dsm.write_removal_log(self._removal_log, self.out / "removal_log.csv")
         for stage in stages:
             getattr(self, f"step_{stage}")()

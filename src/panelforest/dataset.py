@@ -23,7 +23,6 @@ from ._common import segment_ids, write_csv
 
 __all__ = [
     "PanelDataset",
-    "DescriptiveStats",
     "ColumnStats",
     "CorrelationMatrix",
     "OutlierRule",
@@ -186,14 +185,14 @@ def from_records(entity: Sequence[str], year: Sequence[int],
     return PanelDataset(ent[order], yr[order], cols)
 
 
-def load_csv(path, entity_col: str = "Code", year_col: str = "Year") -> PanelDataset:
+def load_csv(path) -> PanelDataset:
     """Load a UTF-8 CSV with a header row into a PanelDataset.
 
-    The file must contain `entity_col` and `year_col`; every other column
-    is parsed as numeric.  Empty cells and unparseable numeric cells become
-    missing (the latter are counted per column in ``parse_warnings``).  An
-    infinite cell ("inf", "-Infinity", or a literal that overflows) is
-    rejected.
+    The file must contain the entity column `Code` and the year column
+    `Year`; every other column is parsed as numeric.  Empty cells and
+    unparseable numeric cells become missing (the latter are counted per
+    column in ``parse_warnings``).  An infinite cell ("inf", "-Infinity",
+    or a literal that overflows) is rejected.
 
     Raises
     ------
@@ -210,12 +209,12 @@ def load_csv(path, entity_col: str = "Code", year_col: str = "Year") -> PanelDat
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if entity_col not in header:
-            raise SchemaError(f"{path}: missing entity column {entity_col!r}")
-        if year_col not in header:
-            raise SchemaError(f"{path}: missing year column {year_col!r}")
+        if "Code" not in header:
+            raise SchemaError(f"{path}: missing entity column 'Code'")
+        if "Year" not in header:
+            raise SchemaError(f"{path}: missing year column 'Year'")
 
-        e_idx, y_idx = header.index(entity_col), header.index(year_col)
+        e_idx, y_idx = header.index("Code"), header.index("Year")
         value_names = [h for i, h in enumerate(header) if i not in (e_idx, y_idx)]
         value_pos = [header.index(name) for name in value_names]
         entities, years = [], []
@@ -377,6 +376,14 @@ def write_removal_log(log: Sequence[RemovalRecord], path) -> None:
 
 @dataclass(frozen=True)
 class ColumnStats:
+    """Summary statistics of one column over its non-missing cells.
+
+    std_dev is the sample standard deviation (n-1 denominator); skewness
+    and kurtosis are the standardized central-moment estimators m3/m2^1.5
+    and m4/m2^2 - 3 (excess/Fisher convention).  Undefined statistics are
+    NaN, never an exception.
+    """
+
     mean: float
     median: float
     min: float
@@ -385,29 +392,6 @@ class ColumnStats:
     skewness: float
     kurtosis: float
     count: int
-
-
-@dataclass(frozen=True)
-class DescriptiveStats:
-    """Per-column summary statistics over non-missing cells.
-
-    std_dev is the sample standard deviation (n-1 denominator); skewness
-    and kurtosis are the standardized central-moment estimators m3/m2^1.5
-    and m4/m2^2 - 3 (excess/Fisher convention).  Undefined statistics are
-    NaN, never an exception.
-    """
-
-    columns: dict[str, ColumnStats]
-
-    def __getitem__(self, name: str) -> ColumnStats:
-        return self.columns[name]
-
-    def rows(self) -> list[tuple]:
-        out = []
-        for name, s in self.columns.items():
-            out.append((name, s.mean, s.median, s.min, s.max, s.std_dev,
-                        s.skewness, s.kurtosis, s.count))
-        return out
 
 
 def _column_stats(values: np.ndarray) -> ColumnStats:
@@ -430,11 +414,9 @@ def _column_stats(values: np.ndarray) -> ColumnStats:
                        float(np.max(clean)), float(np.std(clean, ddof=1)), skew, kurt, n)
 
 
-def describe(ds: PanelDataset, vars: Sequence[str] | None = None) -> DescriptiveStats:
-    """Descriptive statistics for `vars` (default: every column)."""
-    names = list(vars) if vars is not None else list(ds.columns)
-    ds.require_columns(names)
-    return DescriptiveStats({name: _column_stats(ds.columns[name]) for name in names})
+def describe(ds: PanelDataset) -> dict[str, ColumnStats]:
+    """Descriptive statistics of every column, in column order."""
+    return {name: _column_stats(values) for name, values in ds.columns.items()}
 
 
 @dataclass(frozen=True)

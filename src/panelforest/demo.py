@@ -20,9 +20,10 @@ DEMO_GROUPS = {
     "north": [f"N{i:02d}" for i in range(12)],
     "south": [f"S{i:02d}" for i in range(12)],
 }
+START_YEAR, N_YEARS = 2000, 20
 
 
-def make_demo_panel(seed: int = 0, n_years: int = 20, start_year: int = 2000) -> PanelDataset:
+def make_demo_panel(seed: int = 0) -> PanelDataset:
     """Synthetic unbalanced panel with columns
     Investment_Ratio, Growth, Jobless_Rate, Tax_Share, Inflation."""
     rng = stream(seed, "demo-panel")
@@ -36,15 +37,15 @@ def make_demo_panel(seed: int = 0, n_years: int = 20, start_year: int = 2000) ->
         eta = rng.normal() * 0.06
         growth_beta = 0.016 if southern else 0.009
         # start a few entities late / stop early: unbalanced coverage
-        first = start_year + (3 if idx % 7 == 0 else 0)
-        last = start_year + n_years - (2 if idx % 9 == 0 else 0)
+        first = START_YEAR + (3 if idx % 7 == 0 else 0)
+        last = START_YEAR + N_YEARS - (2 if idx % 9 == 0 else 0)
 
         growth = rng.normal(2.5, 1.5)
         ln_jobless = rng.normal(np.log(7.0), 0.3)
         ln_tax = rng.normal(np.log(20.0), 0.2)
         inflation = rng.normal(2.5, 1.0)
         ln_inv = np.log(0.21) + eta
-        for year in range(start_year - 8, last):  # burn-in before first
+        for year in range(START_YEAR - 8, last):  # burn-in before first
             growth = 0.3 * growth + 0.7 * 2.5 + rng.normal() * (2.2 if southern else 1.4)
             ln_jobless = 0.85 * ln_jobless + 0.15 * np.log(7.0) + rng.normal() * 0.08
             ln_tax = 0.95 * ln_tax + 0.05 * np.log(20.0) + rng.normal() * 0.02

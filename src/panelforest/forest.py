@@ -57,15 +57,14 @@ __all__ = [
 class ForestConfig:
     """Forest hyperparameters.
 
-    mtry=None means ceil(p / 3), the regression convention.  Bootstrap
-    samples are drawn with replacement at `bootstrap_fraction` of n.
+    mtry=None means ceil(p / 3), the regression convention.  Every
+    bootstrap sample draws n rows with replacement.
     """
 
     n_trees: int = 500
     mtry: int | None = None
     min_leaf: int = 5
     max_depth: int | None = None
-    bootstrap_fraction: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -75,8 +74,6 @@ class ForestConfig:
             raise ValueError("min_leaf must be >= 1")
         if self.mtry is not None and self.mtry < 1:
             raise ValueError("mtry must be >= 1 when set")
-        if not (0 < self.bootstrap_fraction <= 1.0):
-            raise ValueError("bootstrap_fraction must be in (0, 1]")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 when set")
 
@@ -369,23 +366,25 @@ def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     if n < 2 * cfg.min_leaf:
         raise ValueError(f"need at least {2 * cfg.min_leaf} rows, got {n}")
     mtry = cfg.resolve_mtry(p)
-    if feature_names is None:
-        feature_names = tuple(f"x{i}" for i in range(p))
-    elif len(feature_names) != p:
+    feature_names = _feature_names(X, feature_names)
+    if len(feature_names) != p:
         raise ValueError("feature_names length must match X columns")
 
-    n_boot = max(1, round(cfg.bootstrap_fraction * n))
     rngs = [stream(cfg.seed, i) for i in range(cfg.n_trees)]
-    in_bag = np.stack([np.bincount(rng.integers(0, n, size=n_boot), minlength=n)
+    in_bag = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n)
                        for rng in rngs])
-    step = max(1, _ENTRIES_PER_GROUP // n_boot)
+    step = max(1, _ENTRIES_PER_GROUP // n)
     groups = [_grow(X, y, in_bag[i:i + step], mtry, cfg.min_leaf, cfg.max_depth,
                     rngs[i:i + step]) for i in range(0, cfg.n_trees, step)]
     offsets = np.cumsum([0] + [nodes.n_nodes for nodes, _ in groups[:-1]])
     roots = np.concatenate([r + o for (_, r), o in zip(groups, offsets)])
     nodes = Tree(**{name: np.concatenate([getattr(g, name) for g, _ in groups])
                     for name in _NODE_DTYPES}, n_features=p)
-    return Forest(nodes, roots, in_bag, tuple(feature_names), cfg, n)
+    return Forest(nodes, roots, in_bag, feature_names, cfg, n)
+
+
+def _feature_names(X: np.ndarray, names: Sequence[str] | None) -> tuple[str, ...]:
+    return tuple(names) if names is not None else tuple(f"x{i}" for i in range(np.shape(X)[1]))
 
 
 def _row_sums(forest: Forest, X: np.ndarray, tree: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -493,16 +492,15 @@ class ForestMetrics:
     k: int
 
 
-def forest_metrics(forest: Forest, X: np.ndarray, y: np.ndarray,
-                   k: int | None = None) -> ForestMetrics:
+def forest_metrics(forest: Forest, X: np.ndarray, y: np.ndarray) -> ForestMetrics:
     """R-squared, adjusted R-squared, MSE and the R-squared-based pseudo-F.
 
-    The pseudo-F is (R2/k) / ((1-R2)/(n-k-1)) with k feature count; it is
-    reported for comparability with linear fits, not as a calibrated test.
-    Undefined quantities (n <= k+1, zero TSS, perfect fit) are NaN.
+    The pseudo-F is (R2/k) / ((1-R2)/(n-k-1)), k the forest's feature count;
+    it is reported for comparability with linear fits, not as a calibrated
+    test.  Undefined quantities (n <= k+1, zero TSS, perfect fit) are NaN.
     """
     y = np.asarray(y, dtype=np.float64)
-    k = k if k is not None else len(forest.feature_names)
+    k = len(forest.feature_names)
     n = len(y)
     preds = predict(forest, X)
     r2 = r2_score(y, preds)
@@ -555,6 +553,9 @@ def load_forest(path) -> Forest:
                     for name, dtype in _NODE_DTYPES.items()},
                  n_features=len(doc["feature_names"]))
     roots = np.cumsum([0] + [len(t["feature"]) for t in trees[:-1]], dtype=np.intp)
+    config = doc["config"]
+    # older files record the bootstrap fraction; every sample now draws n rows
+    if config.pop("bootstrap_fraction", 1.0) != 1.0:
+        raise ValueError("a bootstrap_fraction other than 1.0 is not supported")
     return Forest(nodes, roots, np.asarray(doc["in_bag_counts"], dtype=np.intp),
-                  tuple(doc["feature_names"]), ForestConfig(**doc["config"]),
-                  int(doc["n_rows"]))
+                  tuple(doc["feature_names"]), ForestConfig(**config), int(doc["n_rows"]))

@@ -137,7 +137,11 @@ class GmmFit:
 
 def fit_system_gmm(spec: GmmSpec, ds: PanelDataset) -> GmmFit:
     """Estimate the dynamic model by one-step System GMM."""
-    return _fit_gmm(spec, ds, include_level=True)
+    fit = _fit_gmm(spec, ds, include_level=True)
+    if fit.instrument_count >= fit.n_entities:
+        warnings.warn(f"instrument proliferation: {fit.instrument_count} instruments with "
+                      f"only {fit.n_entities} entities", stacklevel=2)
+    return fit
 
 
 def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> GmmFit:
@@ -215,9 +219,6 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
     entity_rows = [np.concatenate([np.arange(a, b), np.arange(c, d)])
                    for a, b, c, d in bounds]
     n_entities = len(entity_rows)
-    if n_inst >= n_entities:
-        warnings.warn(f"instrument proliferation: {n_inst} instruments with only "
-                      f"{n_entities} entities", stacklevel=2)
 
     year_all = np.concatenate([d_year, l_year])
 

@@ -94,8 +94,8 @@ def from_linear(fit: LinearFit, group: str, setting: str,
                       fingerprint if fingerprint is not None else fit.fingerprint)
 
 
-def from_gmm(fit: GmmFit, group: str, setting: str = "dynamic",
-             fingerprint: str | None = None) -> ModelBlock:
+def from_gmm(fit: GmmFit, group: str, fingerprint: str | None = None) -> ModelBlock:
+    """Adapt a System GMM fit, always as a block of the dynamic setting."""
     cells = []
     for i, name in enumerate(fit.coef_names):
         se = math.sqrt(max(fit.covariance[i, i], 0.0))
@@ -113,7 +113,7 @@ def from_gmm(fit: GmmFit, group: str, setting: str = "dynamic",
         "wald": f"{fit.wald.statistic:.4f}{star_code(fit.wald.p)}",
         "entities": str(fit.n_entities),
     }
-    return ModelBlock(group, setting, "gmm", tuple(cells), metrics, footer,
+    return ModelBlock(group, "dynamic", "gmm", tuple(cells), metrics, footer,
                       fingerprint if fingerprint is not None else fit.fingerprint)
 
 

@@ -31,8 +31,8 @@ from scipy import special
 
 from ._common import star_code
 from ._rng import derive_seed, stream
-from .forest import (Forest, ForestConfig, _check_columns, fit_forest, oob_predictions,
-                     predict, r2_score)
+from .forest import (Forest, ForestConfig, _check_columns, _feature_names, fit_forest,
+                     oob_predictions, predict, r2_score)
 
 __all__ = [
     "PermImportanceResult",
@@ -88,12 +88,9 @@ def permutation_importance(forest: Forest, X: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     baseline = _score(forest, X, y, eval_set)
     names = forest.feature_names
-    used = np.isin(np.arange(len(names)), forest.nodes.feature)
-    drops = np.zeros((len(names), n_repeats))
-    for j, name in enumerate(names):
-        if used[j]:  # else predictions cannot depend on this column: drop 0
-            drops[j] = _shuffle_drops(forest, X, y, eval_set, baseline, j, (
-                stream(seed, name, "shuffle", r) for r in range(n_repeats)))
+    drops = np.array([_shuffle_drops(forest, X, y, eval_set, baseline, j, (
+        stream(seed, name, "shuffle", r) for r in range(n_repeats)))
+        for j, name in enumerate(names)])
     means = {name: float(np.mean(drops[j])) for j, name in enumerate(names)}
     stds = {name: float(np.std(drops[j])) for j, name in enumerate(names)}
     return PermImportanceResult(means, stds, n_repeats, f"r2_{eval_set}", baseline)
@@ -269,10 +266,6 @@ def _null_permutation(X: np.ndarray, col: int, rng: np.random.Generator) -> np.n
     return Xp
 
 
-def _feature_names(X: np.ndarray, names: Sequence[str] | None) -> tuple[str, ...]:
-    return tuple(names) if names is not None else tuple(f"x{i}" for i in range(np.shape(X)[1]))
-
-
 def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
                seed: int = 0, feature_names: Sequence[str] | None = None,
                forest_config: ForestConfig | None = None) -> SeqTestDecision:
@@ -284,9 +277,9 @@ def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
     recomputed the same way; an exceedance is a permuted importance >= the
     observed one.
     cfg.method decides when to stop.  Every forest of the test takes mtry,
-    min_leaf, max_depth and bootstrap_fraction from forest_config; its size
-    is cfg.ntree and its seed derives from `seed`, so forest_config's n_trees
-    and seed are not used.
+    min_leaf and max_depth from forest_config; its size is cfg.ntree and
+    its seed derives from `seed`, so forest_config's n_trees and seed are
+    not used.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

@@ -240,7 +240,7 @@ def test_criterion_11_optional_data_path():
         ds = load_csv(os.environ[OSF_ENV])
         assert len(ds.entities) == 32
         assert ds.years[0] == 2000 and ds.years[-1] == 2022
-        stats = describe(ds, ["GFCF_Ratio"])["GFCF_Ratio"]
+        stats = describe(ds)["GFCF_Ratio"]
         assert round(stats.mean, 4) == 0.2180
         assert round(stats.median, 4) == 0.2164
         assert round(stats.std_dev, 4) == 0.0511

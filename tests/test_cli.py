@@ -342,6 +342,21 @@ class TestConfigAtLoad:
         assert main(["fit-rf", "-c", str(tmp_path / "c.json")]) == 2
         assert "models.static" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["no-static", "no-dynamic", "no-lagged-dependent"])
+    def test_stage_needs_checked_before_any_write(self, case, tmp_path, capsys):
+        cfg = fast_demo_config(3, tmp_path / "run")
+        if case == "no-lagged-dependent":  # the dynamic forest's first feature
+            cfg["preprocessing"]["lag_vars"].remove("LN_Investment_Ratio")
+            problem = "dynamic RF needs 'LN_Investment_Ratio(t-1)'"
+        else:
+            model = case.removeprefix("no-")
+            del cfg["models"][model]
+            problem = f"models.{model} is required for this step"
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["all", "-c", str(tmp_path / "c.json")]) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("path, value, problem", MALFORMED,
                              ids=[f"{path}={value!r}" for path, value, _ in MALFORMED])
     def test_malformed_named_before_any_data(self, path, value, problem, tmp_path, capsys):

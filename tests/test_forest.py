@@ -145,6 +145,30 @@ class TestFitForest:
         grid2[:, 0] = 2.0 * grid2[:, 0] + 1.0
         np.testing.assert_allclose(predict(f1, grid), predict(f2, grid2), rtol=0, atol=0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    def test_increasing_map_keeps_partitions(self, seed, ties):
+        # Thresholds move with the map, and so may an out-of-bag row that
+        # falls between two adjacent bootstrap values, so only the node
+        # columns that follow from the training partitions are compared.
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(10, 60)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, p))
+        if ties:
+            X = np.round(X, 1)
+        y = np.sin(X).sum(axis=1) + rng.normal(size=n)
+        j = int(rng.integers(p))
+        distinct = np.unique(X[:, j])
+        scale = 2.0 ** int(rng.integers(-20, 20))
+        mapped = scale * (rng.normal() * n + np.cumsum(rng.uniform(0.1, 10.0, len(distinct))))
+        X2 = X.copy()
+        X2[:, j] = mapped[np.searchsorted(distinct, X[:, j])]
+        cfg = ForestConfig(n_trees=5, mtry=int(rng.integers(1, p + 1)),
+                           min_leaf=int(rng.integers(1, 6)), seed=seed)
+        a, b = fit_forest(X, y, cfg).nodes, fit_forest(X2, y, cfg).nodes
+        for name in ("feature", "left", "right", "value", "n_samples", "sse_decrease"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
     def test_predictions_bounded_by_training_target(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -328,10 +352,10 @@ class TestForestMetrics:
 
     def test_degenerate_n_markers(self):
         rng = np.random.default_rng(14)
-        X = rng.normal(size=(10, 2))
-        y = X[:, 0] + 0.1 * rng.normal(size=10)
+        X = rng.normal(size=(3, 2))  # n = 3 <= k + 1
+        y = X[:, 0] + 0.1 * rng.normal(size=3)
         f = fit_forest(X, y, ForestConfig(n_trees=3, min_leaf=1, seed=4))
-        m = forest_metrics(f, X, y, k=9)
+        m = forest_metrics(f, X, y)
         assert math.isnan(m.adj_r2) and math.isnan(m.pseudo_f)
 
 
@@ -420,7 +444,15 @@ class TestGoldenForestFile:
         for doc in (old, new):  # target range keys: optional, ignored on load
             doc.pop("y_min", None)
             doc.pop("y_max", None)
+        assert old["config"].pop("bootstrap_fraction") == 1.0  # no longer written
         assert new == old
+
+    def test_other_bootstrap_fraction_rejected(self, tmp_path):
+        doc = json.loads((GOLDEN / "forest_v1.json").read_text())
+        doc["config"]["bootstrap_fraction"] = 0.8
+        (tmp_path / "f.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="bootstrap_fraction"):
+            load_forest(tmp_path / "f.json")
 
 
 class TestOobColumns:

@@ -145,6 +145,11 @@ class TestFit:
         with pytest.warns(UserWarning, match="proliferation"):
             fit_system_gmm(SPEC, ds)
 
+    def test_proliferation_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning, match="proliferation") as record:
+            fit_system_gmm(SPEC, dynamic_panel(5, n_ent=8))
+        assert record[0].filename == __file__
+
     def test_unstable_flagged(self):
         import dataclasses
         fit = fit_system_gmm(SPEC, dynamic_panel(6, n_ent=60))
