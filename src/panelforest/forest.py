@@ -20,7 +20,8 @@ forest is a pure function of (X, y, config).
 A forest stores all its trees in one node table, tree after tree, with the
 offset of each tree's root; child links are tree-local.  One function,
 `_leaves`, routes (tree, row) pairs for predict, OOB scoring and
-`Tree.predict`; MDI and save/load work on whole node columns.
+`Tree.predict`, and a shuffle reroutes a pair only from its leaf's
+`_first_splits` entry; MDI and save/load work on whole node columns.
 """
 
 from __future__ import annotations
@@ -88,10 +89,10 @@ class ForestConfig:
 class Tree:
     """Array-encoded CART node table: one tree, or a forest's trees in turn.
 
-    feature[i] == -1 marks a leaf; left[i]/right[i] index the children
-    from the root of node i's tree; value[i] is the node's training-target
-    mean (the prediction for leaves), n_samples[i] the bootstrap-multiset
-    size, sse_decrease[i] the split's reduction in total squared error.
+    feature[i] == -1 marks a leaf; left[i] and right[i] = left[i] + 1 index
+    the children from the root of node i's tree; value[i] is the node's
+    training-target mean (the prediction for leaves), n_samples[i] the
+    bootstrap-multiset size, sse_decrease[i] the split's SSE reduction.
     n_features is the column count of the X the trees route.
     """
 
@@ -112,12 +113,13 @@ class Tree:
         """Leaf value of every row of X in the tree rooted at node 0."""
         X = _check_columns(self, X)
         n = len(X)
-        return self.value[_leaves(self, 0, np.zeros(n, dtype=np.intp), X, np.arange(n))]
+        return self.value[_leaves(self, [0], np.zeros(n, dtype=np.intp), X, np.arange(n))]
 
 
 # `fit_forest` grows trees in groups of at most about this many bootstrap
 # draws: it bounds the working memory to a few MiB and changes no tree
 _ENTRIES_PER_GROUP = 8192
+_LEVELS_PER_PASS = 3  # `_leaves` drops the finished pairs every this many levels
 
 # node-table columns in Tree field order
 _NODE_DTYPES = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
@@ -125,22 +127,30 @@ _NODE_DTYPES = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
                 "sse_decrease": np.float64}
 
 
-def _leaves(nodes: Tree, offset: np.ndarray | int, node: np.ndarray, X: np.ndarray,
+def _leaves(nodes: Tree, roots: Sequence[int], node: np.ndarray, X: np.ndarray,
             rows: np.ndarray) -> np.ndarray:
     """Table index of the leaf each (tree, row) pair reaches, starting at
-    node[i] and descending on X[rows[i]]; offset[j] is the root of node j's
-    tree (0 for a lone tree), which makes child links table indices."""
-    left, right = nodes.left + offset, nodes.right + offset
-    node = node.copy()
-    todo = np.flatnonzero(nodes.feature[node] >= 0)
-    at = node[todo]
+    node[i] and descending on X[rows[i]]; roots are the trees' offsets.
+    A leaf routes to itself (its NaN threshold fails `x <= thr` and its
+    right link points back), so a level is one gather-compare-step of every
+    unfinished pair; finished ones are dropped every _LEVELS_PER_PASS."""
+    inner = nodes.feature >= 0
+    offset = np.repeat(roots, np.diff(roots, append=nodes.n_nodes))
+    right = np.where(inner, nodes.right + offset, np.arange(nodes.n_nodes))
+    column = np.maximum(nodes.feature, 0) * len(X)
+    x = X.T.ravel()  # x[f * n + r] = X[r, f]
+    leaf = node.copy()
+    todo = np.flatnonzero(inner[leaf]).astype(np.int32)
+    at, row = leaf[todo], rows[todo].astype(np.int32)
     while todo.size:
-        go_left = X[rows[todo], nodes.feature[at]] <= nodes.threshold[at]
-        at = np.where(go_left, left[at], right[at])
-        node[todo] = at
-        inner = nodes.feature[at] >= 0
-        todo, at = todo[inner], at[inner]
-    return node
+        for _ in range(_LEVELS_PER_PASS):
+            go_left = x[column[at] + row] <= nodes.threshold[at]
+            at = right[at]
+            at -= go_left
+        leaf[todo] = at
+        live = inner[at]
+        todo, at, row = todo[live], at[live], row[live]
+    return leaf
 
 
 @dataclass(frozen=True)
@@ -387,12 +397,30 @@ def _feature_names(X: np.ndarray, names: Sequence[str] | None) -> tuple[str, ...
     return tuple(names) if names is not None else tuple(f"x{i}" for i in range(np.shape(X)[1]))
 
 
-def _row_sums(forest: Forest, X: np.ndarray, tree: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per-row sum of the (tree[i], rows[i]) pairs' leaf values, added in
-    pair order: tree-major pairs sum exactly as a tree-by-tree loop."""
-    offset = np.repeat(forest.roots, np.diff(forest.roots, append=forest.nodes.n_nodes))
-    leaf = _leaves(forest.nodes, offset, forest.roots[tree], X, rows)
-    return np.bincount(rows, weights=forest.nodes.value[leaf], minlength=len(X))
+def _pairs(forest: Forest, X: np.ndarray, oob: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Row and leaf of each (tree, row) pair that scores X (with `oob`, the
+    out-of-bag ones), tree-major: sums over them add as a tree-by-tree loop."""
+    if oob and len(X) != forest.n_rows:
+        raise ValueError("OOB scoring requires the training rows")
+    scores = forest.in_bag_counts == 0 if oob else np.ones((len(forest.roots), len(X)), bool)
+    tree, rows = np.divmod(np.flatnonzero(scores), len(X))
+    return rows, _leaves(forest.nodes, forest.roots, forest.roots[tree], X, rows)
+
+
+def _first_splits(forest: Forest) -> np.ndarray:
+    """(n_nodes, p) table of the shallowest node above node i splitting on
+    feature f, or -1: a shuffle of column f moves a pair only below it."""
+    nodes, level = forest.nodes, forest.roots
+    first = np.full((nodes.n_nodes, nodes.n_features), -1, dtype=np.int32)
+    offset = np.repeat(level, np.diff(level, append=nodes.n_nodes))
+    while level.size:
+        parent = level[nodes.feature[level] >= 0]
+        above, k, f = first[parent], np.arange(len(parent)), nodes.feature[parent]
+        above[k, f] = np.where(above[k, f] < 0, parent, above[k, f])
+        kids = nodes.left[parent] + offset[parent]
+        first[kids] = first[kids + 1] = above
+        level = np.concatenate((kids, kids + 1))
+    return first
 
 
 def _check_columns(nodes: Tree, X: np.ndarray) -> np.ndarray:
@@ -405,9 +433,9 @@ def _check_columns(nodes: Tree, X: np.ndarray) -> np.ndarray:
 def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Arithmetic mean of per-tree predictions."""
     X = _check_columns(forest.nodes, X)
-    n_trees = len(forest.roots)
-    tree, rows = np.indices((n_trees, len(X))).reshape(2, -1)
-    return _row_sums(forest, X, tree, rows) / n_trees
+    rows, leaf = _pairs(forest, X, oob=False)
+    return np.bincount(rows, weights=forest.nodes.value[leaf],
+                       minlength=len(X)) / len(forest.roots)
 
 
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -438,10 +466,8 @@ def oob_predictions(forest: Forest, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Returns (predictions, covered mask); uncovered rows are NaN.
     """
     X = _check_columns(forest.nodes, X)
-    if len(X) != forest.n_rows:
-        raise ValueError("OOB scoring requires the training rows")
-    tree, rows = np.nonzero(forest.in_bag_counts == 0)
-    totals = _row_sums(forest, X, tree, rows)
+    rows, leaf = _pairs(forest, X, oob=True)
+    totals = np.bincount(rows, weights=forest.nodes.value[leaf], minlength=len(X))
     counts = np.bincount(rows, minlength=len(X))
     covered = counts > 0
     preds = np.full(len(X), np.nan)
@@ -552,6 +578,8 @@ def load_forest(path) -> Forest:
     nodes = Tree(**{name: np.asarray([v for t in trees for v in t[name]], dtype=dtype)
                     for name, dtype in _NODE_DTYPES.items()},
                  n_features=len(doc["feature_names"]))
+    if not np.array_equal(nodes.right[nodes.feature >= 0], nodes.left[nodes.feature >= 0] + 1):
+        raise ValueError("every right child must follow its left child")  # `_leaves` needs it
     roots = np.cumsum([0] + [len(t["feature"]) for t in trees[:-1]], dtype=np.intp)
     config = doc["config"]
     # older files record the bootstrap fraction; every sample now draws n rows

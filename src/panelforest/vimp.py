@@ -2,8 +2,8 @@
 
 Two layers:
 
-* :func:`permutation_importance` -- the classic shuffle-and-rescore score
-  (baseline minus permuted performance), with repeats.
+* :func:`permutation_importance` -- shuffle-and-rescore importance, with
+  repeats; a shuffle reroutes only the pairs below the column's first split.
 * :func:`rfvimptest` / :func:`rfvimptest_all` -- significance testing of a
   variable's permutation importance.  The observed importance is compared
   against importances recomputed on data where that column was permuted
@@ -24,15 +24,15 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import special
 
 from ._common import star_code
 from ._rng import derive_seed, stream
-from .forest import (Forest, ForestConfig, _check_columns, _feature_names, fit_forest,
-                     oob_predictions, predict, r2_score)
+from .forest import (Forest, ForestConfig, _check_columns, _feature_names, _first_splits,
+                     _leaves, _pairs, fit_forest, r2_score)
 
 __all__ = [
     "PermImportanceResult",
@@ -63,11 +63,28 @@ class PermImportanceResult:
         return sorted(self.means, key=lambda n: self.means[n], reverse=True)
 
 
-def _score(forest: Forest, X: np.ndarray, y: np.ndarray, eval_set: str) -> float:
-    if eval_set == "oob":
-        preds, covered = oob_predictions(forest, X)
-        return r2_score(y[covered], preds[covered])
-    return r2_score(y, predict(forest, X))
+def _scorer(forest: Forest, X: np.ndarray, y: np.ndarray,
+            eval_set: str) -> tuple[float, Callable[[int, Iterable], np.ndarray]]:
+    """R-squared on (X, y), and a function giving it minus the score with
+    column `col` shuffled, once per stream.  A shuffle reroutes only pairs
+    below a split on `col`; sums keep `predict`'s and `oob_predictions`' order."""
+    rows, base = _pairs(forest, X, eval_set == "oob")
+    counts = np.bincount(rows, minlength=len(X))
+    seen = np.flatnonzero(counts)
+
+    def score(leaf: np.ndarray) -> float:
+        totals = np.bincount(rows, weights=forest.nodes.value[leaf], minlength=len(X))
+        return r2_score(y[seen], totals[seen] / counts[seen])
+
+    baseline, first = score(base), _first_splits(forest)
+
+    def drops(col: int, streams: Iterable) -> np.ndarray:
+        start = np.where(first[base, col] >= 0, first[base, col], base)  # else keep the leaf
+        return np.array([baseline - score(_leaves(forest.nodes, forest.roots, start,
+                                                  _null_permutation(X, col, rng), rows))
+                         for rng in streams])
+
+    return baseline, drops
 
 
 def permutation_importance(forest: Forest, X: np.ndarray, y: np.ndarray,
@@ -86,11 +103,11 @@ def permutation_importance(forest: Forest, X: np.ndarray, y: np.ndarray,
         raise ValueError(f"unknown eval_set {eval_set!r}")
     X = _check_columns(forest.nodes, X)
     y = np.asarray(y, dtype=np.float64)
-    baseline = _score(forest, X, y, eval_set)
+    baseline, shuffle_drops = _scorer(forest, X, y, eval_set)
     names = forest.feature_names
-    drops = np.array([_shuffle_drops(forest, X, y, eval_set, baseline, j, (
-        stream(seed, name, "shuffle", r) for r in range(n_repeats)))
-        for j, name in enumerate(names)])
+    drops = np.array([shuffle_drops(j, (stream(seed, name, "shuffle", r)
+                                        for r in range(n_repeats)))
+                      for j, name in enumerate(names)])
     means = {name: float(np.mean(drops[j])) for j, name in enumerate(names)}
     stds = {name: float(np.std(drops[j])) for j, name in enumerate(names)}
     return PermImportanceResult(means, stds, n_repeats, f"r2_{eval_set}", baseline)
@@ -158,6 +175,9 @@ class SeqTestConfig:
                 warnings.warn(f"{self.method} needs at least {shortest} permutations to "
                               f"reach 'significant' but mmax={self.mmax}; the tests "
                               "of important variables end at mmax", stacklevel=3)
+        elif self.method in ("certain", "complete") and self.alpha * (self.mmax + 1) < 1:
+            warnings.warn(f"{self.method} cannot reach 'significant' with mmax={self.mmax}: "
+                          "its p-value is at least 1/(mmax + 1) > alpha", stacklevel=3)
 
 
 def _llr_walk(cfg: SeqTestConfig) -> tuple[float, float, float, float]:
@@ -246,17 +266,9 @@ def _variable_vimp(X: np.ndarray, y: np.ndarray, col: int,
     """Importance of one column: forest fit plus nperm shuffle repeats."""
     forest = fit_forest(X, y, replace(fcfg, n_trees=cfg.ntree,
                                       seed=derive_seed(seed, *path, "fit")))
-    baseline = _score(forest, X, y, cfg.eval_set)
-    return float(np.mean(_shuffle_drops(forest, X, y, cfg.eval_set, baseline, col, (
-        stream(seed, *path, "vimp", r) for r in range(cfg.nperm)))))
-
-
-def _shuffle_drops(forest: Forest, X: np.ndarray, y: np.ndarray, eval_set: str,
-                   baseline: float, col: int, streams) -> np.ndarray:
-    """Baseline score minus the score with column `col` shuffled, once per
-    stream."""
-    return np.array([baseline - _score(forest, _null_permutation(X, col, rng), y, eval_set)
-                     for rng in streams])
+    _, shuffle_drops = _scorer(forest, X, y, cfg.eval_set)
+    return float(np.mean(shuffle_drops(col, (stream(seed, *path, "vimp", r)
+                                             for r in range(cfg.nperm)))))
 
 
 def _null_permutation(X: np.ndarray, col: int, rng: np.random.Generator) -> np.ndarray:

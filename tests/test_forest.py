@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from panelforest.forest import (
     Forest,
     ForestConfig,
+    _leaves,
     fit_forest,
     forest_metrics,
     load_forest,
@@ -454,6 +455,15 @@ class TestGoldenForestFile:
         with pytest.raises(ValueError, match="bootstrap_fraction"):
             load_forest(tmp_path / "f.json")
 
+    def test_right_child_apart_from_left_rejected(self, tmp_path):
+        doc = json.loads((GOLDEN / "forest_v1.json").read_text())
+        tree = doc["trees"][0]
+        inner = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+        tree["right"][inner] = tree["left"][inner]
+        (tmp_path / "f.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="right child must follow its left child"):
+            load_forest(tmp_path / "f.json")
+
 
 class TestOobColumns:
     @staticmethod
@@ -606,3 +616,69 @@ class TestNonFiniteInput:
             y[3] = value
         with pytest.raises(ValueError, match="infinite"):
             fit_forest(X, y, ForestConfig(n_trees=2, seed=1))
+
+
+def walk(nodes, roots, start, x):
+    """Leaf that one row x reaches from node `start`, one node at a time."""
+    root = roots[np.searchsorted(roots, start, side="right") - 1]
+    at = start
+    while nodes.feature[at] >= 0:
+        go_left = x[nodes.feature[at]] <= nodes.threshold[at]  # False for NaN
+        at = root + (nodes.left[at] if go_left else nodes.right[at])
+    return at
+
+
+class TestLeaves:
+    """The vectorised router against a scalar walk of each (start, row) pair."""
+
+    @staticmethod
+    def check(nodes, roots, start, X, rows):
+        got = _leaves(nodes, roots, start, X, rows)
+        expected = [walk(nodes, roots, s, X[r]) for s, r in zip(start, rows)]
+        assert np.array_equal(got, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_scalar_walk_from_any_node(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(10, 60)), int(rng.integers(1, 4))
+        X = np.round(rng.normal(size=(n, p)), 1)
+        cfg = ForestConfig(n_trees=int(rng.integers(1, 6)), min_leaf=int(rng.integers(1, 4)),
+                           max_depth=[None, 2][seed % 2], seed=seed)
+        f = fit_forest(X, X[:, 0] + rng.normal(size=n), cfg)
+        # query cells: training values, the thresholds themselves, NaN, +-inf
+        cells = np.concatenate([X.ravel(), f.nodes.threshold[f.nodes.feature >= 0],
+                                [np.nan, np.inf, -np.inf]])
+        Q = rng.choice(cells, size=(int(rng.integers(1, 40)), p))
+        pairs = int(rng.integers(1, 200))
+        start = rng.integers(0, f.nodes.n_nodes, size=pairs)  # leaves and inner nodes
+        self.check(f.nodes, f.roots, start, Q, rng.integers(0, len(Q), size=pairs))
+
+    def test_threshold_goes_left_nan_and_inf_go_right(self):
+        X = np.arange(10.0)[:, None]
+        f = fit_forest(X, (X[:, 0] > 4.5).astype(float),
+                       ForestConfig(n_trees=1, min_leaf=1, max_depth=1, seed=0))
+        nodes = f.nodes
+        thr = nodes.threshold[0]
+        Q = np.array([[thr], [np.nextafter(thr, np.inf)], [np.nan], [np.inf], [-np.inf]])
+        got = _leaves(nodes, f.roots, np.zeros(5, dtype=np.intp), Q, np.arange(5))
+        left, right = nodes.left[0], nodes.right[0]
+        assert got.tolist() == [left, right, right, right, left]
+        self.check(nodes, f.roots, np.zeros(5, dtype=np.intp), Q, np.arange(5))
+
+    def test_lone_leaf_trees_keep_their_root(self):
+        X = np.random.default_rng(1).normal(size=(12, 2))
+        f = fit_forest(X, np.full(12, 3.0), ForestConfig(n_trees=4, seed=2))
+        assert f.nodes.n_nodes == 4
+        tree, rows = np.indices((4, 12)).reshape(2, -1)
+        Q = X.copy()
+        Q[0, 0] = np.nan
+        assert np.array_equal(_leaves(f.nodes, f.roots, f.roots[tree], Q, rows), f.roots[tree])
+
+    def test_golden_forest(self):
+        f = load_forest(GOLDEN / "forest_v1.json")
+        grid = np.array(json.loads((GOLDEN / "forest_v1_expected.json").read_text())["grid"])
+        grid[::3, 0] = np.nan
+        grid[1::4, -1] = np.inf
+        tree, rows = np.indices((len(f.roots), len(grid))).reshape(2, -1)
+        self.check(f.nodes, f.roots, f.roots[tree], grid, rows)

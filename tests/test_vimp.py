@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelforest import vimp
 from panelforest._rng import stream
-from panelforest.forest import ForestConfig, fit_forest
+from panelforest.forest import ForestConfig, fit_forest, oob_predictions, predict, r2_score
 from panelforest.vimp import (
     SeqTestConfig,
     permutation_importance,
@@ -72,6 +74,73 @@ class TestPermutationImportance:
             permutation_importance(f, X, y, eval_set="test")
         with pytest.raises(ValueError):
             permutation_importance(f, X[:, :1], y)
+
+    def test_oob_needs_the_training_rows(self):
+        X, y = signal_data(9)
+        f = fit_forest(X, y, ForestConfig(n_trees=5, seed=1))
+        with pytest.raises(ValueError, match="OOB scoring requires the training rows"):
+            permutation_importance(f, X[:40], y[:40], eval_set="oob")
+
+
+def bits(*values):
+    """The IEEE bytes of the values: equal only when every bit is."""
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def oracle_importance(forest, X, y, n_repeats, seed, eval_set):
+    """Means, stds and baseline of permutation importance computed the
+    direct way: shuffle a copy of X, then score it through the whole forest."""
+    def score(Xs):
+        if eval_set == "oob":
+            preds, covered = oob_predictions(forest, Xs)
+            return r2_score(y[covered], preds[covered])
+        return r2_score(y, predict(forest, Xs))
+
+    baseline = score(X)
+    means, stds = {}, {}
+    for j, name in enumerate(forest.feature_names):
+        drops = []
+        for r in range(n_repeats):
+            Xs = X.copy()
+            Xs[:, j] = X[stream(seed, name, "shuffle", r).permutation(len(X)), j]
+            drops.append(baseline - score(Xs))
+        means[name], stds[name] = float(np.mean(drops)), float(np.std(drops))
+    return means, stds, baseline
+
+
+class TestScoringOracle:
+    """Rerouting only the pairs below the shuffled column's first split gives
+    the direct scores bit for bit (NaN where R-squared is undefined, as on a
+    constant target)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), eval_set=st.sampled_from(["train", "oob"]),
+           ties=st.booleans(), constant_y=st.booleans())
+    def test_equals_shuffle_and_predict(self, seed, eval_set, ties, constant_y):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(12, 80)), int(rng.integers(1, 4))
+        X = rng.normal(size=(n, p))
+        if ties:
+            X = np.round(X, 1)
+        X = np.column_stack([X, np.full(n, 0.5)])  # a feature no tree splits on
+        y = np.full(n, 2.0) if constant_y else np.sin(2 * X[:, 0]) + rng.normal(size=n)
+        cfg = ForestConfig(n_trees=int(rng.integers(1, 12)), mtry=int(rng.integers(1, p + 2)),
+                           min_leaf=int(rng.integers(1, 6)),
+                           max_depth=[None, 1, 3][int(rng.integers(3))], seed=seed)
+        f = fit_forest(X, y, cfg)
+        n_repeats, shuffle_seed = int(rng.integers(1, 4)), int(rng.integers(1000))
+        try:
+            means, stds, baseline = oracle_importance(f, X, y, n_repeats, shuffle_seed, eval_set)
+        except ValueError as err:  # too few out-of-bag rows to score
+            with pytest.raises(ValueError) as got:
+                permutation_importance(f, X, y, n_repeats, shuffle_seed, eval_set)
+            assert str(got.value) == str(err)
+            return
+        imp = permutation_importance(f, X, y, n_repeats, shuffle_seed, eval_set)
+        assert bits(*imp.means.values()) == bits(*means.values())
+        assert bits(*imp.stds.values()) == bits(*stds.values())
+        assert bits(imp.baseline_score) == bits(baseline)
+        assert imp.means[f.feature_names[-1]] == 0.0 or constant_y
 
 
 class TestStoppingRules:
@@ -197,6 +266,15 @@ class TestStoppingRules:
         # the demo settings: mmax=40 with the default p0, p1, alpha, beta
         with pytest.warns(UserWarning, match=f"needs at least {shortest} permutations"):
             SeqTestConfig(method=method, mmax=40)
+
+    @pytest.mark.parametrize("method", ["certain", "complete"])
+    def test_p_value_floor_above_alpha_warns(self, method):
+        # 1/(mmax + 1) > alpha = 0.05 until mmax = 19
+        with pytest.warns(UserWarning, match=f"{method} cannot reach 'significant' with mmax=15"):
+            SeqTestConfig(method=method, mmax=15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SeqTestConfig(method=method, mmax=19)
 
     def test_reachable_significance_silent(self):
         with warnings.catch_warnings():
