@@ -12,6 +12,9 @@ Diagnostics are computed inside the fit and stored on it, as xtabond2
 reports them: Sargan over-identification test under the one-step weight,
 Arellano-Bond AR(1)/AR(2) tests on the differenced residuals, and a
 chi-square Wald test of joint significance.
+
+Z'HZ and the normal matrix must pass `linear.full_rank_qr`, scaled by powers
+of two on both sides; the inverses are taken of the unscaled matrices.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import special
 
 from ._common import segment_starts
 from .dataset import PanelDataset
-from .linear import TIME_DUMMY_PREFIX, WaldResult, wald_joint
+from .linear import TIME_DUMMY_PREFIX, WaldResult, full_rank_qr, wald_joint
 
 __all__ = [
     "GmmSpec",
@@ -158,10 +160,7 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         return np.where(lag_idx[k] >= 0, ds.column(name)[lag_idx[k]], np.nan)
 
     def observed(names, k):
-        ok = np.ones(ds.n_rows, dtype=bool)
-        for name in names:
-            ok &= ~np.isnan(at(name, k))
-        return ok
+        return np.all([~np.isnan(at(name, k)) for name in names], axis=0)
 
     # a level row needs y(t), y(t-1) and x(t); a diff row also y(t-2), x(t-1)
     dep_two = observed([dep], 0) & observed([dep], 1)
@@ -214,8 +213,7 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         raise ValueError(f"under-identified: {n_inst} instruments for {k} parameters "
                          f"(instruments: {list(z_names)})")
 
-    diff_entity, level_entity = ds.entity[d_idx], ds.entity[l_idx]
-    bounds = _entity_bounds(diff_entity, level_entity)
+    bounds = _entity_bounds(ds.entity[d_idx], ds.entity[l_idx])
     entity_rows = [np.concatenate([np.arange(a, b), np.arange(c, d)])
                    for a, b, c, d in bounds]
     n_entities = len(entity_rows)
@@ -234,11 +232,12 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         zi = z[rows]
         s_zhz += zi.T @ h @ zi
 
-    w_mat = _safe_inverse(s_zhz, z_names, "moment matrix Z'HZ")
-    zx = z.T @ x_stack
-    zy = z.T @ y_stack
+    _require_full_rank(s_zhz, z_names, "moment matrix Z'HZ")
+    w_mat = np.linalg.inv(s_zhz)
+    zx, zy = z.T @ x_stack, z.T @ y_stack
     a_mat = zx.T @ w_mat @ zx
-    a_inv = _safe_inverse(a_mat, param_names, "GMM normal matrix")
+    _require_full_rank(a_mat, param_names, "GMM normal matrix")
+    a_inv = np.linalg.inv(a_mat)
     theta = a_inv @ (zx.T @ (w_mat @ zy))
 
     u = y_stack - x_stack @ theta
@@ -249,11 +248,8 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         omega += np.outer(s_i, s_i)
     cov = a_inv @ (zx.T @ w_mat @ omega @ w_mat @ zx) @ a_inv
 
-    u_diff, u_level = u[:n_d], u[n_d:]
-    if include_level:
-        sigma2 = (float(u_diff @ u_diff) / 2.0 + float(u_level @ u_level)) / (n_d + n_l)
-    else:
-        sigma2 = float(u_diff @ u_diff) / (2.0 * n_d)
+    u_diff = u[:n_d]  # u[n_d:] is the level block, empty in difference-only mode
+    sigma2 = (float(u_diff @ u_diff) / 2.0 + float(u[n_d:] @ u[n_d:])) / (n_d + n_l)
 
     # Sargan: u'Z W Z'u / sigma2 ~ chi2(n_inst - k); NaN marker when just identified
     df = n_inst - k
@@ -344,20 +340,10 @@ def _entity_bounds(diff_entity: np.ndarray, level_entity: np.ndarray) -> np.ndar
     return np.column_stack([d0, d1, l0, l1])
 
 
-def _safe_inverse(mat: np.ndarray, names: Sequence[str], what: str) -> np.ndarray:
-    """Invert, or raise naming the columns that make `mat` singular."""
-    try:
-        cond = np.linalg.cond(mat)
-    except np.linalg.LinAlgError:
-        cond = math.inf
-    if not math.isfinite(cond) or cond > 1e12:
-        _, r, perm = sla.qr(mat, mode="economic", pivoting=True)
-        r = np.abs(np.diag(r))
-        tol = (r[0] if r.size else 0.0) * len(names) * 1e-12
-        rank = int((r > tol).sum())
-        bad = sorted(str(names[i]) for i in perm[rank:])
-        raise ValueError(f"singular {what}; deficient columns: {bad}")
-    return np.linalg.inv(mat)
+def _require_full_rank(mat: np.ndarray, names: Sequence[str], what: str) -> None:
+    """Rank decision on a symmetric `mat`, free of the units of the data: rows
+    scaled by the powers of two nearest 1/sqrt(diag), columns by full_rank_qr."""
+    full_rank_qr(np.ldexp(mat, -(np.frexp(np.diag(mat))[1] // 2)[:, None]), names, what)
 
 
 def _ar_test(w, lagged, diff_bounds, scores, design_diff, a_inv, zx, w_mat, cov) -> ArResult:

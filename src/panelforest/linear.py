@@ -5,6 +5,10 @@ numerically equal to entity-dummy LSDV for the slopes; random effects use
 Swamy-Arora feasible GLS.  Listwise deletion over the model's variables
 defines the estimation sample.  Covariances start classical and can be
 swapped for the entity-clustered (Arellano) sandwich.
+
+Every rank decision and solve goes through `full_rank_qr`: one pivoted QR
+with the columns scaled exactly by powers of two and one rank tolerance, so
+a change of units by 2^k changes no t, p or Hausman statistic.
 """
 
 from __future__ import annotations
@@ -109,23 +113,6 @@ class LinearFit:
         return math.sqrt(max(self.covariance[i, i], 0.0))
 
 
-def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
-    if X.shape[0] < X.shape[1]:
-        raise ValueError(f"{X.shape[0]} observations cannot identify {X.shape[1]} parameters")
-    _, r_diag, perm = sla.qr(X, mode="economic", pivoting=True)[0:3]
-    r = np.abs(np.diag(r_diag))
-    tol = r[0] * max(X.shape) * np.finfo(float).eps if r.size and r[0] > 0 else 0.0
-    rank = int((r > tol).sum())
-    if rank < X.shape[1]:
-        bad = sorted(names[i] for i in perm[rank:])
-        raise ValueError(f"design matrix is rank deficient; collinear columns: {bad}")
-
-
-def _ols(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return beta, y - X @ beta
-
-
 def _build_design(spec: ModelSpec, ds: PanelDataset) -> tuple:
     names = [spec.dependent, *spec.slopes]
     mask = ds.complete_rows(names)
@@ -174,36 +161,30 @@ def fit(spec: ModelSpec, ds: PanelDataset) -> LinearFit:
         y_t = y - _entity_means(y, groups)
         X_t = X - _entity_means(X, groups)
         names_t = list(col_names)
-        df_resid = n - n_entities - len(names_t)
     elif spec.effects == "pooled":
-        X_t = np.column_stack([np.ones(n), X])
-        names_t = ["const", *col_names]
-        y_t = y
-        df_resid = n - len(names_t)
+        y_t, X_t, names_t = y, np.column_stack([np.ones(n), X]), ["const", *col_names]
     else:
         y_t, X_t, names_t = _random_effects_transform(y, X, col_names, groups)
-        df_resid = n - len(names_t)
-
+    # the within transformation uses one degree of freedom per entity
+    df_resid = n - len(names_t) - (n_entities if spec.effects == "fixed" else 0)
     if df_resid <= 0:
         raise ValueError(
             f"insufficient observations: n={n}, entities={n_entities}, "
             f"parameters={len(names_t)} leave df_residual={df_resid}")
-    _check_rank(X_t, names_t)
-
-    beta, resid = _ols(X_t, y_t)
-    sigma2 = float(resid @ resid) / df_resid
-    xtx_inv = np.linalg.inv(X_t.T @ X_t)
-    cov = sigma2 * xtx_inv
+    q, t = full_rank_qr(X_t, names_t)
+    qy = q.T @ y_t
+    resid = y_t - q @ qy
+    rss = float(resid @ resid)
+    cov = rss / df_resid * (t @ t.T)
 
     k_slopes = len(names_t) - (1 if "const" in names_t else 0)
-    rss = float(resid @ resid)
     tss = float(np.sum((y_t - np.mean(y_t)) ** 2))
     metrics = _metrics_from(rss, tss, n, k_slopes)
 
     return LinearFit(
         spec=spec,
         coef_names=tuple(names_t),
-        coefficients={name: float(b) for name, b in zip(names_t, beta)},
+        coefficients={name: float(b) for name, b in zip(names_t, t @ qy)},
         covariance=cov,
         cov_method="classical",
         n_obs=n,
@@ -231,17 +212,17 @@ def _random_effects_transform(y, X, col_names, inverse):
     if df_within <= 0:
         raise ValueError(f"too few observations for random effects: n={n}, "
                          f"entities={big_n}, slopes={k}")
-    _, resid_w = _ols(x_w, y_w)
+    q_w = _pivoted_qr(x_w)[0]
+    resid_w = y_w - q_w @ (q_w.T @ y_w)
     sigma2_e = float(resid_w @ resid_w) / df_within
 
     # between step for the entity-effect variance
     y_bar = np.bincount(inverse, weights=y) / t_i
     x_bar = np.column_stack([np.ones(big_n)] +
                             [np.bincount(inverse, weights=X[:, j]) / t_i for j in range(k)])
-    beta_b, *_ = np.linalg.lstsq(x_bar, y_bar, rcond=None)
-    resid_b = y_bar - x_bar @ beta_b
-    rank_b = np.linalg.matrix_rank(x_bar)
-    df_between = big_n - rank_b
+    q_b = _pivoted_qr(x_bar)[0]  # rank deficient with time dummies on a balanced panel
+    resid_b = y_bar - q_b @ (q_b.T @ y_bar)
+    df_between = big_n - q_b.shape[1]
     if df_between <= 0:
         raise ValueError(f"too few entities ({big_n}) for the between step")
     sigma2_b = float(resid_b @ resid_b) / df_between
@@ -251,8 +232,7 @@ def _random_effects_transform(y, X, col_names, inverse):
     theta_row = theta[inverse]
     y_t = y - theta_row * _entity_means(y, inverse)
     x_t = X - theta_row[:, None] * _entity_means(X, inverse)
-    const = 1.0 - theta_row
-    return y_t, np.column_stack([const, x_t]), ["const", *col_names]
+    return y_t, np.column_stack([1.0 - theta_row, x_t]), ["const", *col_names]
 
 
 def _metrics_from(rss: float, tss: float, n: int, k: int) -> FitMetrics:
@@ -283,16 +263,12 @@ def robust_covariance(fit_: LinearFit, ds: PanelDataset | None = None,
         raise ValueError("dataset does not match the one this fit was estimated on")
     if fit_.n_entities < 2:
         raise ValueError("clustering is undefined with a single entity")
-    X, resid = fit_.design, fit_.residuals
-    n, k = X.shape
-    xtx_inv = np.linalg.inv(X.T @ X)
-    meat = np.zeros((k, k))
+    # with X t = q, the sandwich is t (sum_i q_i' u_i u_i' q_i) t'
+    q, t = full_rank_qr(fit_.design, fit_.coef_names)
+    n, k = q.shape
     # fit rows keep the dataset's (entity, year) order: clusters are contiguous
-    starts = segment_starts(fit_.row_entity)
-    for a, b in zip(starts[:-1], starts[1:]):
-        xu = X[a:b].T @ resid[a:b]
-        meat += np.outer(xu, xu)
-    cov = xtx_inv @ meat @ xtx_inv
+    qu = np.add.reduceat(q * fit_.residuals[:, None], segment_starts(fit_.row_entity)[:-1])
+    cov = t @ (qu.T @ qu) @ t.T
     if small_sample:
         g = fit_.n_entities
         cov = cov * (g / (g - 1)) * ((n - 1) / (n - k))
@@ -357,6 +333,35 @@ def wald_joint(fit_, subset: Sequence[str]) -> WaldResult:
     return WaldResult(w, len(subset), float(special.chdtrc(len(subset), np.maximum(w, 0.0))))
 
 
+# a column is deficient when its pivoted |R_jj| is at most RANK_RTOL * |R_11|,
+# every column first divided by the power of two just above its norm (exact)
+RANK_RTOL = 1e-12
+
+
+def _pivoted_qr(a: np.ndarray) -> tuple:
+    """Equilibrated pivoted QR of `a`: (q, r) cut to the numerical rank, the
+    pivot order and the column scales."""
+    scale = np.ldexp(1.0, -np.frexp(np.linalg.norm(a, axis=0))[1])
+    q, r, perm = sla.qr(a * scale, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.count_nonzero(diag > RANK_RTOL * diag[0]))
+    return q[:, :rank], r[:rank], perm, scale
+
+
+def full_rank_qr(a: np.ndarray, names: Sequence[str], what: str = "design matrix") -> tuple:
+    """Orthonormal basis q of the columns of `a` and the matrix t with
+    a @ t = q: least squares gives beta = t @ q'y and (a'a)^-1 = t @ t'.
+    Rescaling a column by a power of two rescales its row of t exactly.
+    Raises naming the collinear columns unless `a` has full column rank."""
+    q, r, perm, scale = _pivoted_qr(a)
+    if len(r) < a.shape[1]:
+        bad = sorted(str(names[i]) for i in perm[len(r):])
+        raise ValueError(f"{what} is rank deficient; collinear columns: {bad}")
+    t = np.empty_like(r)
+    t[perm] = np.linalg.inv(r)
+    return q, t * scale[:, None]
+
+
 @dataclass(frozen=True)
 class HausmanResult:
     statistic: float
@@ -385,11 +390,15 @@ def hausman(fe: LinearFit, re: LinearFit) -> HausmanResult:
         raise ValueError("no common time-varying slopes to compare")
     i_fe = [fe.coef_names.index(n) for n in common]
     i_re = [re.coef_names.index(n) for n in common]
-    diff = fe.beta[i_fe] - re.beta[i_re]
-    v = fe.covariance[np.ix_(i_fe, i_fe)] - re.covariance[np.ix_(i_re, i_re)]
+    # standardized by the FE standard errors, so that eigvalsh and pinv see
+    # the same matrix whatever the units of the slopes
+    se = np.sqrt(np.diag(fe.covariance)[i_fe])
+    se[se == 0.0] = 1.0
+    diff = (fe.beta[i_fe] - re.beta[i_re]) / se
+    v = ((fe.covariance[np.ix_(i_fe, i_fe)] - re.covariance[np.ix_(i_re, i_re)])
+         / np.outer(se, se))
     eig = np.linalg.eigvalsh(v)
-    scale = max(1.0, float(np.abs(eig).max()))
-    nonpsd = bool(eig.min() < -1e-10 * scale)
+    nonpsd = bool(eig.min() < -1e-10 * max(1.0, float(np.abs(eig).max())))
     h = max(0.0, float(diff @ np.linalg.pinv(v) @ diff))
     df = len(common)
     p = float(special.chdtrc(df, h))

@@ -357,6 +357,14 @@ class TestConfigAtLoad:
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_mtry_above_static_features_checked_before_any_write(self, tmp_path, capsys):
+        cfg = fast_demo_config(3, tmp_path / "run")
+        cfg["forest"]["mtry"] = 9  # the static forest has 4 features, the dynamic 5
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["compare", "-c", str(tmp_path / "c.json")]) == 2
+        assert "forest.mtry must be in [1, 4]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("path, value, problem", MALFORMED,
                              ids=[f"{path}={value!r}" for path, value, _ in MALFORMED])
     def test_malformed_named_before_any_data(self, path, value, problem, tmp_path, capsys):

@@ -73,11 +73,14 @@ class TestFit:
         assert fit.coefficients["x"] == pytest.approx(0.3, abs=1e-6)
         assert fit.coefficients["const"] == pytest.approx(0.0, abs=1e-6)
 
-    def test_collinear_instruments_named(self):
+    @pytest.mark.parametrize("scale", [1.0, 2.0**30, 2.0**-30], ids=["1", "2^30", "2^-30"])
+    def test_collinear_instruments_named(self, scale):
         # the same noiseless panel under the default lag range must fail
-        # loudly, listing the dependent instrument columns
-        with pytest.raises(ValueError, match="diff:y"):
-            fit_system_gmm(SPEC, exact_panel())
+        # loudly, listing the dependent instrument columns, in any units of x
+        ds = exact_panel()
+        with pytest.raises(ValueError, match="diff:y") as err:
+            fit_system_gmm(SPEC, ds.with_column("x", ds.column("x") * scale))
+        assert "collinear columns: ['diff:y(t-2)', 'diff:y(t-3)']" in str(err.value)
 
     def test_recovery_within_3se(self):
         fit = fit_system_gmm(SPEC, dynamic_panel(0))

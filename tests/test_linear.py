@@ -99,12 +99,23 @@ class TestFit:
         assert "year_2000" not in f.coef_names
         assert {"year_2001", "year_2002", "year_2003", "year_2004"} <= set(f.coef_names)
 
-    def test_rank_deficiency_names_columns(self):
+    def test_random_effects_with_time_dummies_on_balanced_panel(self):
+        # balanced: every entity's year-dummy means equal 1/6, so the between
+        # regression's year columns are collinear with its constant
+        ds = fe_panel(12, n_ent=30, n_per=6, betas=(0.5, 0.0))
+        f = fit(ModelSpec("y", ("x1",), include_time_dummies=True, effects="random"), ds)
+        assert f.coef_names == ("const", "x1", *(f"year_{t}" for t in range(2001, 2006)))
+        assert np.all(np.isfinite(f.covariance))
+        assert f.coefficients["x1"] == pytest.approx(0.5, abs=0.05)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**30, 2.0**-30], ids=["1", "2^30", "2^-30"])
+    def test_rank_deficiency_names_columns(self, scale):
+        # equilibration must not hide a copy that differs only in its units
         ds = fe_panel(8, n_ent=10, n_per=5)
-        ds = ds.with_column("x1_copy", ds.column("x1"))
+        ds = ds.with_column("x1_copy", ds.column("x1") * scale)
         with pytest.raises(ValueError, match="collinear") as err:
             fit(ModelSpec("y", ("x1", "x1_copy", "x2")), ds)
-        assert "x1" in str(err.value)
+        assert "collinear columns: ['x1']" in str(err.value)
 
     def test_insufficient_observations_reports_counts(self):
         ds = fe_panel(9, n_ent=2, n_per=2)
