@@ -337,9 +337,10 @@ class Runner:
             if lagdep not in self.prepared.columns:
                 problems.append(f"dynamic RF needs {lagdep!r}; add {dep!r} to "
                                 "preprocessing.lag_vars")
-            if (mtry := self.cfg.forest.mtry) is not None and mtry > len(static.slopes):
-                problems.append(f"forest.mtry must be in [1, {len(static.slopes)}], the "
-                                f"static forest's feature count, got {mtry}")
+            try:
+                self.cfg.forest.resolve_mtry(len(static.slopes))
+            except ValueError as err:
+                problems.append(f"forest.{err}")
         if problems:
             raise ConfigError(problems)
 

@@ -160,7 +160,10 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         return np.where(lag_idx[k] >= 0, ds.column(name)[lag_idx[k]], np.nan)
 
     def observed(names, k):
-        return np.all([~np.isnan(at(name, k)) for name in names], axis=0)
+        ok = np.ones(ds.n_rows, dtype=bool)
+        for name in names:
+            ok &= ~np.isnan(at(name, k))
+        return ok
 
     # a level row needs y(t), y(t-1) and x(t); a diff row also y(t-2), x(t-1)
     dep_two = observed([dep], 0) & observed([dep], 1)
@@ -213,7 +216,8 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         raise ValueError(f"under-identified: {n_inst} instruments for {k} parameters "
                          f"(instruments: {list(z_names)})")
 
-    bounds = _entity_bounds(ds.entity[d_idx], ds.entity[l_idx])
+    diff_entity, level_entity = ds.entity[d_idx], ds.entity[l_idx]
+    bounds = _entity_bounds(diff_entity, level_entity)
     entity_rows = [np.concatenate([np.arange(a, b), np.arange(c, d)])
                    for a, b, c, d in bounds]
     n_entities = len(entity_rows)
@@ -234,7 +238,8 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
 
     _require_full_rank(s_zhz, z_names, "moment matrix Z'HZ")
     w_mat = np.linalg.inv(s_zhz)
-    zx, zy = z.T @ x_stack, z.T @ y_stack
+    zx = z.T @ x_stack
+    zy = z.T @ y_stack
     a_mat = zx.T @ w_mat @ zx
     _require_full_rank(a_mat, param_names, "GMM normal matrix")
     a_inv = np.linalg.inv(a_mat)

@@ -8,7 +8,9 @@ swapped for the entity-clustered (Arellano) sandwich.
 
 Every rank decision and solve goes through `full_rank_qr`: one pivoted QR
 with the columns scaled exactly by powers of two and one rank tolerance, so
-a change of units by 2^k changes no t, p or Hausman statistic.
+a change of units by 2^k changes no t, p or Hausman statistic.  The scales
+come from the design before the within or quasi-demeaning transform, so a
+column the transform wipes out is found however its rounding noise looks.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ class LinearFit:
     "classical" or "arellano_cluster".  row_entity is the entity of each
     residual row.  The transformed design matrix is retained so
     cluster-robust covariances and specification tests can be computed
-    without refitting.
+    without refitting; design_scale holds the power-of-two column scales
+    of the untransformed design that its rank decision uses.
     """
 
     spec: ModelSpec
@@ -102,6 +105,7 @@ class LinearFit:
     row_entity: np.ndarray
     metrics: FitMetrics
     design: np.ndarray
+    design_scale: np.ndarray
     fingerprint: str
 
     @property
@@ -157,21 +161,26 @@ def fit(spec: ModelSpec, ds: PanelDataset) -> LinearFit:
     groups = segment_ids(entity)  # fit rows keep the dataset's sorted order
     n_entities = int(groups[-1]) + 1
 
+    # scales of the constant and the slopes before any transform
+    scale = _unit_scales(np.r_[math.sqrt(n), np.linalg.norm(X, axis=0)])
     if spec.effects == "fixed":
         y_t = y - _entity_means(y, groups)
         X_t = X - _entity_means(X, groups)
         names_t = list(col_names)
+        scale = scale[1:]
     elif spec.effects == "pooled":
-        y_t, X_t, names_t = y, np.column_stack([np.ones(n), X]), ["const", *col_names]
+        X_t = np.column_stack([np.ones(n), X])
+        names_t = ["const", *col_names]
+        y_t = y
     else:
-        y_t, X_t, names_t = _random_effects_transform(y, X, col_names, groups)
+        y_t, X_t, names_t = _random_effects_transform(y, X, col_names, groups, scale)
     # the within transformation uses one degree of freedom per entity
     df_resid = n - len(names_t) - (n_entities if spec.effects == "fixed" else 0)
     if df_resid <= 0:
         raise ValueError(
             f"insufficient observations: n={n}, entities={n_entities}, "
             f"parameters={len(names_t)} leave df_residual={df_resid}")
-    q, t = full_rank_qr(X_t, names_t)
+    q, t = full_rank_qr(X_t, names_t, scale=scale)
     qy = q.T @ y_t
     resid = y_t - q @ qy
     rss = float(resid @ resid)
@@ -194,33 +203,24 @@ def fit(spec: ModelSpec, ds: PanelDataset) -> LinearFit:
         row_entity=entity,
         metrics=metrics,
         design=X_t,
+        design_scale=scale,
         fingerprint=ds.fingerprint(),
     )
 
 
-def _random_effects_transform(y, X, col_names, inverse):
+def _random_effects_transform(y, X, col_names, inverse, scale):
     """Swamy-Arora quasi-demeaning; returns transformed (y, X, names).
-    `inverse` numbers the entity of each row."""
+    `inverse` numbers the entity of each row; `scale` holds the column
+    scales of the untransformed (const, X)."""
     t_i = np.bincount(inverse).astype(np.float64)
-    n, big_n = len(y), len(t_i)
-
-    # within step for the idiosyncratic variance
-    y_w = y - _entity_means(y, inverse)
-    x_w = X - _entity_means(X, inverse)
-    k = X.shape[1]
-    df_within = n - big_n - k
-    if df_within <= 0:
-        raise ValueError(f"too few observations for random effects: n={n}, "
-                         f"entities={big_n}, slopes={k}")
-    q_w = _pivoted_qr(x_w)[0]
-    resid_w = y_w - q_w @ (q_w.T @ y_w)
-    sigma2_e = float(resid_w @ resid_w) / df_within
+    big_n = len(t_i)
+    sigma2_e = _within_variance(y, X, inverse)
 
     # between step for the entity-effect variance
     y_bar = np.bincount(inverse, weights=y) / t_i
     x_bar = np.column_stack([np.ones(big_n)] +
-                            [np.bincount(inverse, weights=X[:, j]) / t_i for j in range(k)])
-    q_b = _pivoted_qr(x_bar)[0]  # rank deficient with time dummies on a balanced panel
+                            [np.bincount(inverse, weights=column) / t_i for column in X.T])
+    q_b = _pivoted_qr(x_bar, scale)[0]  # rank deficient with time dummies on a balanced panel
     resid_b = y_bar - q_b @ (q_b.T @ y_bar)
     df_between = big_n - q_b.shape[1]
     if df_between <= 0:
@@ -232,7 +232,24 @@ def _random_effects_transform(y, X, col_names, inverse):
     theta_row = theta[inverse]
     y_t = y - theta_row * _entity_means(y, inverse)
     x_t = X - theta_row[:, None] * _entity_means(X, inverse)
-    return y_t, np.column_stack([1.0 - theta_row, x_t]), ["const", *col_names]
+    const = 1.0 - theta_row
+    return y_t, np.column_stack([const, x_t]), ["const", *col_names]
+
+
+def _within_variance(y, X, inverse):
+    """Idiosyncratic variance from the within regression.  Its degrees of
+    freedom count the slopes the within transform leaves identified, so a
+    time-invariant regressor drops out of it as from the FE fit."""
+    n, big_n = len(y), int(inverse[-1]) + 1
+    y_w = y - _entity_means(y, inverse)
+    scale = _unit_scales(np.linalg.norm(X, axis=0))  # of X before demeaning
+    q_w = _pivoted_qr(X - _entity_means(X, inverse), scale)[0]
+    df_within = n - big_n - q_w.shape[1]
+    if df_within <= 0:
+        raise ValueError(f"too few observations for random effects: n={n}, "
+                         f"entities={big_n}, slopes={q_w.shape[1]}")
+    resid_w = y_w - q_w @ (q_w.T @ y_w)
+    return float(resid_w @ resid_w) / df_within
 
 
 def _metrics_from(rss: float, tss: float, n: int, k: int) -> FitMetrics:
@@ -264,7 +281,7 @@ def robust_covariance(fit_: LinearFit, ds: PanelDataset | None = None,
     if fit_.n_entities < 2:
         raise ValueError("clustering is undefined with a single entity")
     # with X t = q, the sandwich is t (sum_i q_i' u_i u_i' q_i) t'
-    q, t = full_rank_qr(fit_.design, fit_.coef_names)
+    q, t = full_rank_qr(fit_.design, fit_.coef_names, scale=fit_.design_scale)
     n, k = q.shape
     # fit rows keep the dataset's (entity, year) order: clusters are contiguous
     qu = np.add.reduceat(q * fit_.residuals[:, None], segment_starts(fit_.row_entity)[:-1])
@@ -333,27 +350,37 @@ def wald_joint(fit_, subset: Sequence[str]) -> WaldResult:
     return WaldResult(w, len(subset), float(special.chdtrc(len(subset), np.maximum(w, 0.0))))
 
 
-# a column is deficient when its pivoted |R_jj| is at most RANK_RTOL * |R_11|,
-# every column first divided by the power of two just above its norm (exact)
+# Every column is divided by a power of two (exact) that brings the norm of
+# its untransformed version into [1/2, 1); a column whose pivoted |R_jj| is
+# then at most RANK_RTOL is collinear with the columns pivoted before it, or
+# was wiped out by the transform.
 RANK_RTOL = 1e-12
 
 
-def _pivoted_qr(a: np.ndarray) -> tuple:
-    """Equilibrated pivoted QR of `a`: (q, r) cut to the numerical rank, the
-    pivot order and the column scales."""
-    scale = np.ldexp(1.0, -np.frexp(np.linalg.norm(a, axis=0))[1])
+def _unit_scales(norms) -> np.ndarray:
+    """The reciprocals of the powers of two just above `norms`."""
+    return np.ldexp(1.0, -np.frexp(norms)[1])
+
+
+def _pivoted_qr(a: np.ndarray, scale: np.ndarray) -> tuple:
+    """Pivoted QR of `a * scale`: (q, r) cut to the numerical rank, and the
+    pivot order."""
     q, r, perm = sla.qr(a * scale, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.count_nonzero(diag > RANK_RTOL * diag[0]))
-    return q[:, :rank], r[:rank], perm, scale
+    rank = int(np.count_nonzero(np.abs(np.diag(r)) > RANK_RTOL))
+    return q[:, :rank], r[:rank], perm
 
 
-def full_rank_qr(a: np.ndarray, names: Sequence[str], what: str = "design matrix") -> tuple:
+def full_rank_qr(a: np.ndarray, names: Sequence[str], what: str = "design matrix",
+                 scale: np.ndarray | None = None) -> tuple:
     """Orthonormal basis q of the columns of `a` and the matrix t with
     a @ t = q: least squares gives beta = t @ q'y and (a'a)^-1 = t @ t'.
+    `scale` holds the column scales, by default those of `a` itself; when
+    `a` is a transformed design, pass the scales of the untransformed one.
     Rescaling a column by a power of two rescales its row of t exactly.
     Raises naming the collinear columns unless `a` has full column rank."""
-    q, r, perm, scale = _pivoted_qr(a)
+    if scale is None:
+        scale = _unit_scales(np.linalg.norm(a, axis=0))
+    q, r, perm = _pivoted_qr(a, scale)
     if len(r) < a.shape[1]:
         bad = sorted(str(names[i]) for i in perm[len(r):])
         raise ValueError(f"{what} is rank deficient; collinear columns: {bad}")
@@ -398,7 +425,8 @@ def hausman(fe: LinearFit, re: LinearFit) -> HausmanResult:
     v = ((fe.covariance[np.ix_(i_fe, i_fe)] - re.covariance[np.ix_(i_re, i_re)])
          / np.outer(se, se))
     eig = np.linalg.eigvalsh(v)
-    nonpsd = bool(eig.min() < -1e-10 * max(1.0, float(np.abs(eig).max())))
+    scale = max(1.0, float(np.abs(eig).max()))
+    nonpsd = bool(eig.min() < -1e-10 * scale)
     h = max(0.0, float(diff @ np.linalg.pinv(v) @ diff))
     df = len(common)
     p = float(special.chdtrc(df, h))

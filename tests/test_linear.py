@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from panelforest._common import segment_ids
 from panelforest.dataset import from_records
 from panelforest.linear import (
     ModelSpec,
+    _within_variance,
     fit,
     hausman,
     robust_covariance,
@@ -116,6 +119,30 @@ class TestFit:
         with pytest.raises(ValueError, match="collinear") as err:
             fit(ModelSpec("y", ("x1", "x1_copy", "x2")), ds)
         assert "collinear columns: ['x1']" in str(err.value)
+
+    @staticmethod
+    def with_time_invariant(ds, n_per=3):
+        # the entity mean of a float that every row repeats can be off by
+        # rounding (0.1 + 0.1 + 0.1 = 0.30000000000000004): the within
+        # transform then leaves noise, not zeros
+        values = np.arange(1, 11) * 0.1
+        assert any(sum([v] * n_per) / n_per != v for v in values)
+        return ds.with_column("z", np.repeat(values, n_per))
+
+    @pytest.mark.parametrize("slopes", [("x1", "z", "x2"), ("z",)], ids=["x1,z,x2", "z"])
+    def test_time_invariant_float_regressor_named(self, slopes):
+        ds = self.with_time_invariant(fe_panel(8, n_ent=10, n_per=3))
+        with pytest.raises(ValueError, match=r"collinear columns: \['z'\]"):
+            fit(ModelSpec("y", slopes), ds)
+
+    def test_random_effects_within_variance_ignores_time_invariant_regressor(self):
+        ds = self.with_time_invariant(fe_panel(8, n_ent=10, n_per=3))
+        y, groups = ds.column("y"), segment_ids(ds.entity)
+        with_z = _within_variance(y, np.column_stack([ds.column("x1"), ds.column("z")]), groups)
+        without = _within_variance(y, ds.column("x1")[:, None], groups)
+        assert with_z == pytest.approx(without, rel=1e-12)
+        f = fit(ModelSpec("y", ("x1", "z"), effects="random"), ds)
+        assert f.coef_names == ("const", "x1", "z")
 
     def test_insufficient_observations_reports_counts(self):
         ds = fe_panel(9, n_ent=2, n_per=2)
@@ -309,6 +336,20 @@ class TestHausman:
                               "x2": fe.coefficients["x2"]})
         h = hausman(fe, re_same)
         assert h.statistic == 0.0 and h.p == 1.0
+
+    @pytest.mark.parametrize("variance", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("excess, nonpsd", [(1e-6, True), (1e-12, False)])
+    def test_nonpsd_flag_relative_to_fe_variances(self, excess, nonpsd, variance):
+        # V_RE exceeds V_FE by `excess` of the FE variances; the flag reads the
+        # difference standardized by the FE standard errors, whatever the units
+        ds = fe_panel(52)
+        fe = fit(SPEC2_FE, ds)
+        re = fit(ModelSpec("y", ("x1", "x2"), effects="random"), ds)
+        v_fe = variance * np.array([[1.0, 0.3], [0.3, 2.0]])
+        v_re = re.covariance.copy()
+        v_re[1:, 1:] = (1.0 + excess) * v_fe
+        h = hausman(replace(fe, covariance=v_fe), replace(re, covariance=v_re))
+        assert h.nonpsd is nonpsd
 
     def test_requires_matching_specs(self):
         ds = fe_panel(51)
