@@ -59,6 +59,7 @@ from .vimp import (
     permutation_importance,
     rfvimptest,
     rfvimptest_all,
+    rfvimptest_many,
     significance_codes,
 )
 

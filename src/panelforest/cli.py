@@ -31,7 +31,7 @@ from . import vimp as vimp_mod
 from ._common import fmt4, write_csv
 from ._rng import derive_seed
 from .forest import ForestConfig, fit_forest, forest_metrics, oob_score
-from .vimp import SeqTestConfig, permutation_importance, rfvimptest_all
+from .vimp import SeqTestConfig, permutation_importance, rfvimptest_many
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
@@ -438,17 +438,16 @@ class Runner:
                 for (gname, setting), res in self.rf_results.items()]
 
     def step_importance(self) -> None:
-        self.decisions = {}
-        for (gname, setting), res in self.rf_results.items():
-            features = res["features"]
-            decisions = rfvimptest_all(
-                res["X"], res["y"], features, self.cfg.seq_test,
-                master_seed=derive_seed(self.cfg.seed, "seqtest", gname, setting),
-                workers=self.cfg.workers, feature_names=features,
-                forest_config=self.cfg.forest)
-            self.decisions[(gname, setting)] = decisions
+        """Every sequential test of every (group, setting) on one pool."""
+        designs = [(res["X"], res["y"], res["features"],
+                    derive_seed(self.cfg.seed, "seqtest", gname, setting))
+                   for (gname, setting), res in self.rf_results.items()]
+        self.decisions = dict(zip(self.rf_results, rfvimptest_many(
+            designs, self.cfg.seq_test, workers=self.cfg.workers,
+            forest_config=self.cfg.forest)))
+        for (gname, setting), decisions in self.decisions.items():
             stars = vimp_mod.significance_codes(decisions)
-            imp = res["importance"]
+            imp = self.rf_results[(gname, setting)]["importance"]
             write_csv(self.out / "tables" / f"importance_decisions_{gname}_{setting}.csv",
                       ["variable", "importance", "std", "p_estimate",
                        "decision", "m_used", "stopping_reason", "stars"],

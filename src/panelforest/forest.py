@@ -397,13 +397,18 @@ def _feature_names(X: np.ndarray, names: Sequence[str] | None) -> tuple[str, ...
     return tuple(names) if names is not None else tuple(f"x{i}" for i in range(np.shape(X)[1]))
 
 
-def _pairs(forest: Forest, X: np.ndarray, oob: bool) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(forest: Forest, X: np.ndarray, oob: bool,
+           copies: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Row and leaf of each (tree, row) pair that scores X (with `oob`, the
-    out-of-bag ones), tree-major: sums over them add as a tree-by-tree loop."""
-    if oob and len(X) != forest.n_rows:
+    out-of-bag ones), tree-major: sums over them add as a tree-by-tree loop.
+    X may stack `copies` data sets, each scored only by its own run of
+    len(forest.roots) // copies consecutive trees (forests grown together)."""
+    n = len(X) // copies
+    if oob and n != forest.n_rows:
         raise ValueError("OOB scoring requires the training rows")
-    scores = forest.in_bag_counts == 0 if oob else np.ones((len(forest.roots), len(X)), bool)
-    tree, rows = np.divmod(np.flatnonzero(scores), len(X))
+    scores = forest.in_bag_counts == 0 if oob else np.ones((len(forest.roots), n), bool)
+    tree, rows = np.divmod(np.flatnonzero(scores), n)
+    rows += tree // (len(forest.roots) // copies) * n
     return rows, _leaves(forest.nodes, forest.roots, forest.roots[tree], X, rows)
 
 

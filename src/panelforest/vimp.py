@@ -4,35 +4,44 @@ Two layers:
 
 * :func:`permutation_importance` -- shuffle-and-rescore importance, with
   repeats; a shuffle reroutes only the pairs below the column's first split.
-* :func:`rfvimptest` / :func:`rfvimptest_all` -- significance testing of a
-  variable's permutation importance.  The observed importance is compared
-  against importances recomputed on data where that column was permuted
-  (forest refit per permutation); sequential stopping rules (sprt, sapt,
-  pval, certain, complete) cut the permutation budget while controlling
-  error rates.  The permutation p-value always uses the add-one estimator
-  (d + 1) / (m + 1), so it is strictly positive.
+* :func:`rfvimptest` / :func:`rfvimptest_all` / :func:`rfvimptest_many` --
+  significance testing of a variable's permutation importance.  The
+  observed importance is compared against importances recomputed on data
+  where that column was permuted (forest refit per permutation); sequential
+  stopping rules (sprt, sapt, pval, certain, complete) cut the permutation
+  budget while controlling error rates.  The permutation p-value always
+  uses the add-one estimator (d + 1) / (m + 1), so it is strictly positive.
+
+A test's null forests grow in blocks: the forests of a block are fit to
+stacked copies of the data, each with its own permutation, in one `_grow`
+call, and scored in one routing pass.  A block holds as many forests as
+fit in one of `fit_forest`'s groups of bootstrap draws.  Every test of a
+call runs on one process pool: the first block of each test is queued up
+front, and each returned block is fed to its test's stopping rule in
+permutation order, which queues the next block while the test is open.
 
 Every random draw comes from a stream keyed by (seed, variable, role,
-index), so results are identical for any worker count or evaluation order.
-Errors propagate: a test that fails raises its own exception to the caller.
+index), so results are identical for any worker count, block size or
+evaluation order.  Errors propagate: a test that fails raises its own
+exception to the caller.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import special
 
 from ._common import star_code
 from ._rng import derive_seed, stream
-from .forest import (Forest, ForestConfig, _check_columns, _feature_names, _first_splits,
-                     _leaves, _pairs, fit_forest, r2_score)
+from .forest import (_ENTRIES_PER_GROUP, Forest, ForestConfig, _check_columns, _feature_names,
+                     _first_splits, _grow, _leaves, _pairs, fit_forest, r2_score)
 
 __all__ = [
     "PermImportanceResult",
@@ -41,6 +50,7 @@ __all__ = [
     "permutation_importance",
     "rfvimptest",
     "rfvimptest_all",
+    "rfvimptest_many",
     "run_sequential",
     "significance_codes",
 ]
@@ -63,26 +73,33 @@ class PermImportanceResult:
         return sorted(self.means, key=lambda n: self.means[n], reverse=True)
 
 
-def _scorer(forest: Forest, X: np.ndarray, y: np.ndarray,
-            eval_set: str) -> tuple[float, Callable[[int, Iterable], np.ndarray]]:
-    """R-squared on (X, y), and a function giving it minus the score with
-    column `col` shuffled, once per stream.  A shuffle reroutes only pairs
-    below a split on `col`; sums keep `predict`'s and `oob_predictions`' order."""
-    rows, base = _pairs(forest, X, eval_set == "oob")
-    counts = np.bincount(rows, minlength=len(X))
-    seen = np.flatnonzero(counts)
+def _scorer(forest: Forest, X: np.ndarray, y: np.ndarray, eval_set: str,
+            copies: int = 1) -> tuple[np.ndarray, Callable[[int, Iterable], np.ndarray]]:
+    """R-squared on (X, y) per data set, and a function giving it minus the
+    score with column `col` shuffled, as a (copies, shuffles) array.
 
-    def score(leaf: np.ndarray) -> float:
+    X may stack `copies` data sets, each scored by its own forest: a run of
+    len(forest.roots) // copies trees (see `_pairs`); y holds the target of
+    one set.  Each shuffle gives one generator per set.  A shuffle reroutes
+    only pairs below a split on `col`; every forest's sums keep `predict`'s
+    and `oob_predictions`' order."""
+    rows, base = _pairs(forest, X, eval_set == "oob", copies)
+    counts = np.bincount(rows, minlength=len(X)).reshape(copies, -1)
+    seen = [np.flatnonzero(c) for c in counts]
+
+    def score(leaf: np.ndarray) -> np.ndarray:
         totals = np.bincount(rows, weights=forest.nodes.value[leaf], minlength=len(X))
-        return r2_score(y[seen], totals[seen] / counts[seen])
+        return np.array([r2_score(y[s], t[s] / c[s])
+                         for s, t, c in zip(seen, totals.reshape(copies, -1), counts)])
 
     baseline, first = score(base), _first_splits(forest)
 
-    def drops(col: int, streams: Iterable) -> np.ndarray:
+    def drops(col: int, shuffles: Iterable[Sequence[np.random.Generator]]) -> np.ndarray:
         start = np.where(first[base, col] >= 0, first[base, col], base)  # else keep the leaf
-        return np.array([baseline - score(_leaves(forest.nodes, forest.roots, start,
-                                                  _null_permutation(X, col, rng), rows))
-                         for rng in streams])
+        return np.column_stack([baseline - score(_leaves(forest.nodes, forest.roots, start,
+                                                         _null_permutation(X, col, rngs),
+                                                         rows))
+                                for rngs in shuffles])
 
     return baseline, drops
 
@@ -105,12 +122,12 @@ def permutation_importance(forest: Forest, X: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     baseline, shuffle_drops = _scorer(forest, X, y, eval_set)
     names = forest.feature_names
-    drops = np.array([shuffle_drops(j, (stream(seed, name, "shuffle", r)
-                                        for r in range(n_repeats)))
+    drops = np.array([shuffle_drops(j, ([stream(seed, name, "shuffle", r)]
+                                        for r in range(n_repeats)))[0]
                       for j, name in enumerate(names)])
     means = {name: float(np.mean(drops[j])) for j, name in enumerate(names)}
     stds = {name: float(np.std(drops[j])) for j, name in enumerate(names)}
-    return PermImportanceResult(means, stds, n_repeats, f"r2_{eval_set}", baseline)
+    return PermImportanceResult(means, stds, n_repeats, f"r2_{eval_set}", float(baseline[0]))
 
 
 @dataclass(frozen=True)
@@ -213,6 +230,19 @@ def run_sequential(cfg: SeqTestConfig,
     j = 1, 2, ... until the method stops.  Returns
     (decision, p_estimate, m, d, stopping_reason).
     """
+    walk = _walk(cfg)
+    try:
+        m = next(walk)
+        while True:
+            m = walk.send(exceedance_fn(m))
+    except StopIteration as done:
+        return done.value
+
+
+def _walk(cfg: SeqTestConfig) -> Generator[int, bool, tuple[str, float, int, int, str]]:
+    """`run_sequential` as a generator: it yields the index of the
+    permutation whose exceedance it needs next, is sent that exceedance,
+    and returns the result, so a caller can feed it as importances arrive."""
     mmax, alpha = cfg.mmax, cfg.alpha
 
     def p_est(d: int, m: int) -> float:
@@ -226,7 +256,7 @@ def run_sequential(cfg: SeqTestConfig,
     d = 0
     llr = 0.0
     for m in range(1, mmax + 1):
-        exceeded = bool(exceedance_fn(m))
+        exceeded = bool((yield m))
         d += exceeded
 
         if cfg.method == "certain":
@@ -267,15 +297,138 @@ def _variable_vimp(X: np.ndarray, y: np.ndarray, col: int,
     forest = fit_forest(X, y, replace(fcfg, n_trees=cfg.ntree,
                                       seed=derive_seed(seed, *path, "fit")))
     _, shuffle_drops = _scorer(forest, X, y, cfg.eval_set)
-    return float(np.mean(shuffle_drops(col, (stream(seed, *path, "vimp", r)
-                                             for r in range(cfg.nperm)))))
+    return float(np.mean(shuffle_drops(col, ([stream(seed, *path, "vimp", r)]
+                                             for r in range(cfg.nperm)))[0]))
 
 
-def _null_permutation(X: np.ndarray, col: int, rng: np.random.Generator) -> np.ndarray:
-    """Copy of X with column `col` shuffled."""
+def _null_permutation(X: np.ndarray, col: int,
+                      rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Copy of X, which stacks len(rngs) data sets, with column `col` of
+    set b shuffled by rngs[b]."""
+    n = len(X) // len(rngs)
     Xp = X.copy()
-    Xp[:, col] = Xp[rng.permutation(len(X)), col]
+    Xp[:, col] = X[np.concatenate([b * n + rng.permutation(n) for b, rng in enumerate(rngs)]),
+                   col]
     return Xp
+
+
+@dataclass(frozen=True)
+class _Test:
+    """One variable's sequential test: everything a worker needs to grow
+    and score a block of its forests."""
+
+    X: np.ndarray
+    y: np.ndarray
+    col: int
+    variable: str
+    cfg: SeqTestConfig
+    fcfg: ForestConfig
+    seed: int
+
+    def block(self, have: int) -> tuple[int, int]:
+        """Forests have, ..., stop - 1 of the next block.  Forest 0 is the
+        observed one and forest j the null forest of permutation j; a block
+        holds as many null forests as fit in one of `fit_forest`'s groups of
+        bootstrap draws, and none past mmax."""
+        nulls = max(1, (_ENTRIES_PER_GROUP // len(self.X)) // self.cfg.ntree)
+        return have, min(have + nulls + (have == 0), self.cfg.mmax + 1)
+
+
+def _tests(X, y, names: Sequence[str], variables: Sequence[str], cfg: SeqTestConfig,
+           seed: int, forest_config: ForestConfig | None) -> list[_Test]:
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    fcfg = forest_config or ForestConfig()
+    return [_Test(X, y, list(names).index(v), v, cfg, fcfg, seed) for v in variables]
+
+
+def _grow_nulls(test: _Test, perms: range) -> tuple[Forest, np.ndarray]:
+    """The null forests of permutations `perms`, grown in one `_grow` call,
+    and the data they were grown on: the copies of X, one per permutation,
+    stacked.  Each forest's bootstrap rows lie in its own copy, and tree i
+    of permutation j's forest draws from the stream (fit seed of j, i) as in
+    `fit_forest`, so every forest is bit-identical to its own fit."""
+    X, y, n, k, ntree = test.X, test.y, len(test.X), len(perms), test.cfg.ntree
+    paths = [(test.variable, "perm", j) for j in perms]
+    Xs = np.concatenate([_null_permutation(X, test.col, [stream(test.seed, *path)])
+                         for path in paths])
+    rngs = [stream(derive_seed(test.seed, *path, "fit"), i)
+            for path in paths for i in range(ntree)]
+    in_bag = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
+    diagonal = np.zeros((k, ntree, k, n), dtype=in_bag.dtype)
+    diagonal[np.arange(k), :, np.arange(k)] = in_bag.reshape(k, ntree, n)
+    fcfg = test.fcfg
+    nodes, roots = _grow(Xs, np.tile(y, k), diagonal.reshape(k * ntree, k * n),
+                         fcfg.resolve_mtry(X.shape[1]), fcfg.min_leaf, fcfg.max_depth, rngs)
+    return Forest(nodes, roots, in_bag, _feature_names(X, None), fcfg, n), Xs
+
+
+def _block_vimps(test: _Test, start: int, stop: int) -> list[float]:
+    """Importances of forests start, ..., stop - 1 of a test (see
+    `_Test.block`).  The observed forest is fit alone; the null forests
+    grow in one `_grow` call and are scored in one routing pass."""
+    vimps = [_variable_vimp(test.X, test.y, test.col, test.cfg, test.fcfg, test.seed,
+                            test.variable, "observed")] if start == 0 else []
+    perms = range(max(start, 1), stop)
+    if perms:
+        forest, Xs = _grow_nulls(test, perms)
+        _, shuffle_drops = _scorer(forest, Xs, test.y, test.cfg.eval_set, len(perms))
+        shuffles = ([stream(test.seed, test.variable, "perm", j, "vimp", r) for j in perms]
+                    for r in range(test.cfg.nperm))
+        vimps += [float(np.mean(drops)) for drops in shuffle_drops(test.col, shuffles)]
+    return vimps
+
+
+def _run_tests(tests: Sequence[_Test], workers: int) -> list[SeqTestDecision]:
+    """Decide every test, one block of forests at a time per test: inline
+    for one worker, else on one fork-started pool of min(workers, tests)
+    processes, with the first block of every test queued up front.
+
+    Each returned block is fed to its test's `_walk` in permutation order,
+    and the test's next block is queued while the walk asks for more.  A
+    decision thus depends only on its test's own streams, not on the worker
+    count, the block size or the order in which blocks return."""
+    walks = [_walk(test.cfg) for test in tests]
+    wants = [next(walk) for walk in walks]  # the permutation each walk needs next
+    vimps: list[list[float]] = [[] for _ in tests]  # observed, permutation 1, 2, ...
+    decisions: list[SeqTestDecision] = [None] * len(tests)
+
+    def receive(i: int, values: list[float]) -> tuple[int, int] | None:
+        """Feed a block of test i to its walk; the next block, or None once
+        the test has stopped."""
+        got = vimps[i]
+        got += values
+        try:
+            while wants[i] < len(got):
+                wants[i] = walks[i].send(got[wants[i]] >= got[0])
+        except StopIteration as done:
+            decisions[i] = SeqTestDecision(tests[i].variable, *done.value, got[0])
+            return None
+        return tests[i].block(len(got))
+
+    if workers == 1 or len(tests) <= 1:
+        for i, test in enumerate(tests):
+            block = test.block(0)
+            while block:
+                block = receive(i, _block_vimps(test, *block))
+        return decisions
+    # fork: the workers start with the package imported, where spawn would
+    # import numpy, scipy and panelforest again in each of them
+    pool = ProcessPoolExecutor(min(workers, len(tests)),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        running = {pool.submit(_block_vimps, test, *test.block(0)): i
+                   for i, test in enumerate(tests)}
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i = running.pop(future)
+                block = receive(i, future.result())
+                if block:
+                    running[pool.submit(_block_vimps, tests[i], *block)] = i
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return decisions
 
 
 def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
@@ -287,37 +440,26 @@ def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
     For each permutation j the variable's column is shuffled, a fresh
     forest is fit to the shuffled data, and the variable's importance is
     recomputed the same way; an exceedance is a permuted importance >= the
-    observed one.
+    observed one.  The null forests are grown a block at a time, so up to
+    one block's worth of them past the stopping point is computed and
+    unused; the result does not depend on the block size.
     cfg.method decides when to stop.  Every forest of the test takes mtry,
     min_leaf and max_depth from forest_config; its size is cfg.ntree and
     its seed derives from `seed`, so forest_config's n_trees and seed are
     not used.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     names = _feature_names(X, feature_names)
     if variable not in names:
         raise KeyError(f"variable {variable!r} not among features {list(names)}")
-    col = names.index(variable)
-    fcfg = forest_config or ForestConfig()
-
-    observed = _variable_vimp(X, y, col, cfg, fcfg, seed, variable, "observed")
-
-    def exceedance(j: int) -> bool:
-        X_null = _null_permutation(X, col, stream(seed, variable, "perm", j))
-        vimp_j = _variable_vimp(X_null, y, col, cfg, fcfg, seed, variable, "perm", j)
-        return vimp_j >= observed
-
-    decision, p, m, d, reason = run_sequential(cfg, exceedance)
-    return SeqTestDecision(variable, decision, p, m, d, reason, observed)
+    return _run_tests(_tests(X, y, names, [variable], cfg, seed, forest_config), 1)[0]
 
 
 def rfvimptest_all(X: np.ndarray, y: np.ndarray, variables: Sequence[str],
                    cfg: SeqTestConfig, master_seed: int = 0, workers: int = 1,
                    feature_names: Sequence[str] | None = None,
                    forest_config: ForestConfig | None = None) -> dict[str, SeqTestDecision]:
-    """:func:`rfvimptest` mapped over `variables`, optionally in parallel;
-    the decisions come back in the order of `variables`.
+    """:func:`rfvimptest` for each of `variables`, all on one pool of
+    `workers` processes; the decisions come back in the order of `variables`.
 
     Each variable's streams are derived from (master_seed, variable name),
     so the decision map is identical for any `workers` count and any
@@ -330,13 +472,23 @@ def rfvimptest_all(X: np.ndarray, y: np.ndarray, variables: Sequence[str],
     unknown = [v for v in variables if v not in names]
     if unknown:
         raise KeyError(f"variables {unknown} not among features {list(names)}")
-    test = partial(rfvimptest, np.ascontiguousarray(X, dtype=np.float64),
-                   np.asarray(y, dtype=np.float64), cfg=cfg, seed=master_seed,
-                   feature_names=names, forest_config=forest_config)
-    if workers == 1 or len(variables) <= 1:
-        return dict(zip(variables, map(test, variables)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return dict(zip(variables, pool.map(test, variables)))
+    tests = _tests(X, y, names, variables, cfg, master_seed, forest_config)
+    return dict(zip(variables, _run_tests(tests, workers)))
+
+
+def rfvimptest_many(designs: Sequence[tuple[np.ndarray, np.ndarray, Sequence[str], int]],
+                    cfg: SeqTestConfig, workers: int = 1,
+                    forest_config: ForestConfig | None = None
+                    ) -> list[dict[str, SeqTestDecision]]:
+    """:func:`rfvimptest_all` of every feature of each design (X, y,
+    feature names, master seed), with every test of every design on one
+    pool; one decision map per design, in the order of `designs`."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    per_design = [_tests(X, y, names, names, cfg, seed, forest_config)
+                  for X, y, names, seed in designs]
+    decisions = iter(_run_tests([test for tests in per_design for test in tests], workers))
+    return [{test.variable: next(decisions) for test in tests} for tests in per_design]
 
 
 def significance_codes(decisions: Mapping[str, SeqTestDecision | float]) -> dict[str, str]:

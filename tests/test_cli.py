@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from panelforest.cli import ConfigError, RunConfig, load_config, main
+from panelforest import vimp
+from panelforest.cli import ConfigError, RunConfig, Runner, load_config, main
 from panelforest.demo import demo_config, make_demo_panel
 
 TOY_CSV = """Code,Year,GDP,Invest
@@ -179,6 +180,19 @@ class TestPipeline:
                 continue
             assert (run1 / rel).read_bytes() == (run2 / rel).read_bytes(), rel
 
+    def test_all_demo_free_of_workers_and_block_size(self, tmp_path, monkeypatch, capsys):
+        hashes = {}
+        # blocks of 9 null forests (the derived size) and of 1
+        for entries in (vimp._ENTRIES_PER_GROUP, 1):
+            monkeypatch.setattr(vimp, "_ENTRIES_PER_GROUP", entries)
+            for workers in (1, 2):
+                out = tmp_path / f"run-{entries}-{workers}"
+                Runner(RunConfig.from_mapping(
+                    dict(fast_demo_config(11, out), workers=workers))).run("all")
+                provenance = json.loads((out / "provenance.json").read_text())
+                hashes[entries, workers] = provenance["content_hash"]
+        assert len(set(hashes.values())) == 1, hashes
+
     def test_all_demo_artifact_layout(self, tmp_path):
         cfg = fast_demo_config(12, tmp_path / "run")
         p = tmp_path / "c.json"
@@ -250,7 +264,6 @@ class TestArtifacts:
         assert set(artifact_tree(tmp_path / "run")) == ARTIFACTS[sub]
 
     def test_one_runner_matches_separate_runs(self, tmp_path, capsys):
-        from panelforest.cli import Runner
         steps = ("describe", "fit-linear", "fit-gmm")
         runner = Runner(RunConfig.from_mapping(fast_demo_config(15, tmp_path / "one")))
         for sub in steps:

@@ -1,7 +1,10 @@
 import json
+import multiprocessing
 import os
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelforest import vimp
-from panelforest._rng import stream
-from panelforest.forest import ForestConfig, fit_forest, oob_predictions, predict, r2_score
+from panelforest._rng import derive_seed, stream
+from panelforest.forest import (_NODE_DTYPES, ForestConfig, fit_forest, oob_predictions,
+                                predict, r2_score)
 from panelforest.vimp import (
     SeqTestConfig,
     permutation_importance,
@@ -141,6 +145,60 @@ class TestScoringOracle:
         assert bits(*imp.stds.values()) == bits(*stds.values())
         assert bits(imp.baseline_score) == bits(baseline)
         assert imp.means[f.feature_names[-1]] == 0.0 or constant_y
+
+
+class TestBlockGrowth:
+    """Null forests grown together in one `_grow` call on stacked copies of
+    the data equal their own `fit_forest` fits bit for bit, node table and
+    importance (NaN included, as on a constant target)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), eval_set=st.sampled_from(["train", "oob"]),
+           ties=st.booleans(), constant_y=st.booleans())
+    def test_block_equals_separate_fits(self, seed, eval_set, ties, constant_y):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(10, 70)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, p))
+        if ties:
+            X = np.round(X, 1)
+        y = np.full(n, 2.0) if constant_y else np.sin(2 * X[:, 0]) + rng.normal(size=n)
+        fcfg = ForestConfig(mtry=int(rng.integers(1, p + 1)), min_leaf=int(rng.integers(1, 6)),
+                            max_depth=[None, 1, 3][int(rng.integers(3))])
+        cfg = SeqTestConfig(method="complete", mmax=30, ntree=int(rng.integers(1, 8)),
+                            nperm=int(rng.integers(1, 4)), eval_set=eval_set)
+        col, test_seed = int(rng.integers(p)), int(rng.integers(1000))
+        variable = f"x{col}"
+        test = vimp._Test(X, y, col, variable, cfg, fcfg, test_seed)
+        start, k, ntree = int(rng.integers(1, 10)), int(rng.integers(1, 9)), cfg.ntree
+        perms = range(start, start + k)
+
+        forest, _ = vimp._grow_nulls(test, perms)
+        ends = np.append(forest.roots, forest.nodes.n_nodes)
+        nulls = []
+        for b, j in enumerate(perms):
+            X_null = X.copy()
+            X_null[:, col] = X[stream(test_seed, variable, "perm", j).permutation(n), col]
+            nulls.append(X_null)
+            own = fit_forest(X_null, y, replace(fcfg, n_trees=ntree, seed=derive_seed(
+                test_seed, variable, "perm", j, "fit")))
+            lo, hi = ends[b * ntree], ends[(b + 1) * ntree]
+            for name in _NODE_DTYPES:
+                assert getattr(forest.nodes, name)[lo:hi].tobytes() \
+                    == getattr(own.nodes, name).tobytes(), name
+            assert np.array_equal(forest.roots[b * ntree:(b + 1) * ntree] - lo, own.roots)
+            assert np.array_equal(forest.in_bag_counts[b * ntree:(b + 1) * ntree],
+                                  own.in_bag_counts)
+
+        try:
+            expected = [vimp._variable_vimp(X_null, y, col, cfg, fcfg, test_seed,
+                                            variable, "perm", j)
+                        for X_null, j in zip(nulls, perms)]
+        except ValueError as err:  # too few out-of-bag rows to score
+            with pytest.raises(ValueError) as got:
+                vimp._block_vimps(test, start, start + k)
+            assert str(got.value) == str(err)
+            return
+        assert bits(*vimp._block_vimps(test, start, start + k)) == bits(*expected)
 
 
 class TestStoppingRules:
@@ -351,7 +409,8 @@ class TestRfvimptestAll:
         def no_forest(*args, **kwargs):
             raise AssertionError("a forest was fit")
 
-        monkeypatch.setattr(vimp, "fit_forest", no_forest)
+        monkeypatch.setattr(vimp, "fit_forest", no_forest)  # the observed forest
+        monkeypatch.setattr(vimp, "_grow_nulls", no_forest)  # every null forest
         X, y = signal_data(18)
         cfg = SeqTestConfig(method="sprt", mmax=15, ntree=5, nperm=1)
         with pytest.raises(KeyError, match="ghost"):
@@ -360,19 +419,60 @@ class TestRfvimptestAll:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_in_one_test_reaches_the_caller(self, workers, monkeypatch):
-        variable_vimp = vimp._variable_vimp
+        grow_nulls = vimp._grow_nulls
 
-        def failing(X, y, col, cfg, fcfg, seed, variable, *path):
-            if variable == "x1":
-                raise InjectedError(f"{variable} failed")
-            return variable_vimp(X, y, col, cfg, fcfg, seed, variable, *path)
+        def failing(test, perms):
+            if test.variable == "x1":
+                raise InjectedError(f"{test.variable} failed")
+            return grow_nulls(test, perms)
 
-        monkeypatch.setattr(vimp, "_variable_vimp", failing)
+        monkeypatch.setattr(vimp, "_grow_nulls", failing)
         X, y = signal_data(18)
         cfg = SeqTestConfig(method="complete", mmax=10, ntree=5, nperm=1)
         with pytest.raises(InjectedError, match="x1 failed"):
             rfvimptest_all(X, y, ["x0", "x1"], cfg, master_seed=12, workers=workers,
                            forest_config=FAST_FOREST)
+
+    def test_decisions_free_of_workers_and_block_size(self, monkeypatch):
+        X, y = signal_data(22, n=80)
+        cfg = SeqTestConfig(method="sprt", mmax=25, ntree=6, nperm=2)
+        runs = {}
+        # blocks of 17 null forests (the derived size), of 3, and of 1
+        for entries in (vimp._ENTRIES_PER_GROUP, 3 * 80 * 6, 1):
+            monkeypatch.setattr(vimp, "_ENTRIES_PER_GROUP", entries)
+            for workers in (1, 2):
+                runs[entries, workers] = rfvimptest_all(X, y, ["x0", "x1"], cfg,
+                                                        master_seed=16, workers=workers,
+                                                        forest_config=FAST_FOREST)
+        first = runs[vimp._ENTRIES_PER_GROUP, 1]
+        assert [key for key, run in runs.items() if run != first] == []
+
+    def test_pool_sized_by_the_tests(self, monkeypatch):
+        sizes = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(vimp, "ProcessPoolExecutor", Recording)
+        X, y = signal_data(23)
+        cfg = SeqTestConfig(method="complete", mmax=10, ntree=5, nperm=1)
+        rfvimptest_all(X, y, ["x0", "x1"], cfg, master_seed=17, workers=8,
+                       forest_config=FAST_FOREST)
+        assert sizes == [2]
+
+    def test_no_worker_outlives_a_failed_run(self, monkeypatch):
+        def failing(test, perms):
+            raise InjectedError(f"{test.variable} failed")
+
+        monkeypatch.setattr(vimp, "_grow_nulls", failing)
+        X, y = signal_data(24)
+        cfg = SeqTestConfig(method="complete", mmax=10, ntree=5, nperm=1)
+        with pytest.raises(InjectedError):
+            rfvimptest_all(X, y, ["x0", "x1"], cfg, master_seed=18, workers=2,
+                           forest_config=FAST_FOREST)
+        assert multiprocessing.active_children() == []
 
     def test_result_order_follows_input(self):
         X, y = signal_data(19)
