@@ -448,12 +448,14 @@ class Runner:
         for (gname, setting), decisions in self.decisions.items():
             stars = vimp_mod.significance_codes(decisions)
             imp = self.rf_results[(gname, setting)]["importance"]
+            # importance and std are fit-rf's, as in the figure; observed_vimp
+            # is the statistic of the test, from its own ntree-tree forest
             write_csv(self.out / "tables" / f"importance_decisions_{gname}_{setting}.csv",
-                      ["variable", "importance", "std", "p_estimate",
+                      ["variable", "importance", "std", "observed_vimp", "p_estimate",
                        "decision", "m_used", "stopping_reason", "stars"],
-                      ([name, fmt4(dec.observed_vimp), fmt4(imp.stds.get(name)),
-                        fmt4(dec.p_estimate), dec.decision, dec.m, dec.stopping_reason,
-                        stars[name]] for name, dec in decisions.items()))
+                      ([name, fmt4(imp.means[name]), fmt4(imp.stds[name]),
+                        fmt4(dec.observed_vimp), fmt4(dec.p_estimate), dec.decision, dec.m,
+                        dec.stopping_reason, stars[name]] for name, dec in decisions.items()))
             rpt.emit_importance_figure(
                 decisions, imp, self.out / "figures" / f"importance_{gname}_{setting}.svg")
             n_sig = sum(d.decision == "significant" for d in decisions.values())

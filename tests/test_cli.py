@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from panelforest import vimp
+from panelforest._common import fmt4
 from panelforest.cli import ConfigError, RunConfig, Runner, load_config, main
 from panelforest.demo import demo_config, make_demo_panel
 
@@ -192,6 +194,21 @@ class TestPipeline:
                 provenance = json.loads((out / "provenance.json").read_text())
                 hashes[entries, workers] = provenance["content_hash"]
         assert len(set(hashes.values())) == 1, hashes
+
+    def test_decision_table_reads_fit_rf_importance(self, tmp_path, capsys):
+        runner = Runner(RunConfig.from_mapping(fast_demo_config(17, tmp_path / "run")))
+        runner.run("importance")
+        for (group, setting), res in runner.rf_results.items():
+            imp, decisions = res["importance"], runner.decisions[group, setting]
+            path = tmp_path / "run" / "tables" / f"importance_decisions_{group}_{setting}.csv"
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [r["variable"] for r in rows] == list(decisions)
+            for r in rows:
+                name = r["variable"]
+                assert (r["importance"], r["std"], r["observed_vimp"]) == (
+                    fmt4(imp.means[name]), fmt4(imp.stds[name]),
+                    fmt4(decisions[name].observed_vimp))
 
     def test_all_demo_artifact_layout(self, tmp_path):
         cfg = fast_demo_config(12, tmp_path / "run")
