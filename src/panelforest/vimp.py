@@ -336,6 +336,7 @@ class _Test:
 
 def _tests(X, y, names: Sequence[str], variables: Sequence[str], cfg: SeqTestConfig,
            seed: int, forest_config: ForestConfig | None) -> list[_Test]:
+    """One test per variable of the design (X, y) with feature `names`."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     fcfg = forest_config or ForestConfig()
@@ -440,9 +441,9 @@ def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
     For each permutation j the variable's column is shuffled, a fresh
     forest is fit to the shuffled data, and the variable's importance is
     recomputed the same way; an exceedance is a permuted importance >= the
-    observed one.  The null forests are grown a block at a time, so up to
-    one block's worth of them past the stopping point is computed and
-    unused; the result does not depend on the block size.
+    observed one.  The null forests are grown a block at a time, so fewer
+    than one block of them past the stopping point is grown and unused;
+    the result does not depend on the block size.
     cfg.method decides when to stop.  Every forest of the test takes mtry,
     min_leaf and max_depth from forest_config; its size is cfg.ntree and
     its seed derives from `seed`, so forest_config's n_trees and seed are
