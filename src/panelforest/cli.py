@@ -337,6 +337,8 @@ class Runner:
             if lagdep not in self.prepared.columns:
                 problems.append(f"dynamic RF needs {lagdep!r}; add {dep!r} to "
                                 "preprocessing.lag_vars")
+            if lagdep in static.slopes:  # the dynamic forest would hold it twice
+                problems.append(f"dynamic RF adds {lagdep!r} itself; drop it from models.static")
             try:
                 self.cfg.forest.resolve_mtry(len(static.slopes))
             except ValueError as err:

@@ -116,7 +116,7 @@ class Tree:
         return self.value[_leaves(self, [0], np.zeros(n, dtype=np.intp), X, np.arange(n))]
 
 
-# `fit_forest` grows trees in groups of at most about this many bootstrap
+# `_grow_forests` grows trees in runs of at most about this many bootstrap
 # draws: it bounds the working memory to a few MiB and changes no tree
 _ENTRIES_PER_GROUP = 8192
 _LEVELS_PER_PASS = 3  # `_leaves` drops the finished pairs every this many levels
@@ -362,6 +362,14 @@ def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     yields single-leaf trees, which is valid (downstream R-squared is an
     undefined marker).
     """
+    X, y, names = _check_design(X, y, cfg, feature_names)
+    return _grow_forests(X, y, [cfg.seed], cfg.n_trees, cfg, names)
+
+
+def _check_design(X, y, cfg: ForestConfig,
+                  names: Sequence[str] | None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """X and y as float arrays and the feature names, once the design is
+    checked for what a forest of `cfg` needs."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
@@ -375,22 +383,42 @@ def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
         raise ValueError("X and y must not contain infinite values")
     if n < 2 * cfg.min_leaf:
         raise ValueError(f"need at least {2 * cfg.min_leaf} rows, got {n}")
-    mtry = cfg.resolve_mtry(p)
-    feature_names = _feature_names(X, feature_names)
-    if len(feature_names) != p:
+    cfg.resolve_mtry(p)
+    names = _feature_names(X, names)
+    if len(names) != p:
         raise ValueError("feature_names length must match X columns")
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate feature names: {duplicates}")
+    return X, y, names
 
-    rngs = [stream(cfg.seed, i) for i in range(cfg.n_trees)]
-    in_bag = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n)
-                       for rng in rngs])
-    step = max(1, _ENTRIES_PER_GROUP // n)
-    groups = [_grow(X, y, in_bag[i:i + step], mtry, cfg.min_leaf, cfg.max_depth,
-                    rngs[i:i + step]) for i in range(0, cfg.n_trees, step)]
+
+def _grow_forests(X: np.ndarray, y: np.ndarray, seeds: Sequence[int], n_trees: int,
+                  cfg: ForestConfig, names: tuple[str, ...]) -> Forest:
+    """One Forest of len(seeds) forests of n_trees trees, forest after
+    forest: forest b grows on copy b of the data X stacks (y is one copy's
+    target), its tree i drawing from the stream (seeds[b], i).  Trees grow
+    in runs of at most about _ENTRIES_PER_GROUP bootstrap draws, each on
+    the copies it uses, and no tree depends on the runs."""
+    n = len(y)
+    rngs = [stream(seed, i) for seed in seeds for i in range(n_trees)]
+    in_bag = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
+    mtry, step = cfg.resolve_mtry(X.shape[1]), max(1, _ENTRIES_PER_GROUP // n)
+    groups = []
+    for i in range(0, len(rngs), step):
+        copy = np.arange(i, min(i + step, len(rngs))) // n_trees
+        first, copies = copy[0], copy[-1] - copy[0] + 1
+        # each tree's draws lie in its own copy: a block-diagonal in-bag matrix
+        wide = np.zeros((len(copy), copies, n), dtype=in_bag.dtype)
+        wide[np.arange(len(copy)), copy - first] = in_bag[i:i + step]
+        groups.append(_grow(X[first * n:(first + copies) * n], np.tile(y, copies),
+                            wide.reshape(len(copy), copies * n), mtry, cfg.min_leaf,
+                            cfg.max_depth, rngs[i:i + step]))
     offsets = np.cumsum([0] + [nodes.n_nodes for nodes, _ in groups[:-1]])
     roots = np.concatenate([r + o for (_, r), o in zip(groups, offsets)])
     nodes = Tree(**{name: np.concatenate([getattr(g, name) for g, _ in groups])
-                    for name in _NODE_DTYPES}, n_features=p)
-    return Forest(nodes, roots, in_bag, feature_names, cfg, n)
+                    for name in _NODE_DTYPES}, n_features=X.shape[1])
+    return Forest(nodes, roots, in_bag, names, cfg, n)
 
 
 def _feature_names(X: np.ndarray, names: Sequence[str] | None) -> tuple[str, ...]:

@@ -12,13 +12,14 @@ Two layers:
   budget while controlling error rates.  The permutation p-value always
   uses the add-one estimator (d + 1) / (m + 1), so it is strictly positive.
 
-A test's null forests grow in blocks: the forests of a block are fit to
-stacked copies of the data, each with its own permutation, in one `_grow`
-call, and scored in one routing pass.  A block holds as many forests as
-fit in one of `fit_forest`'s groups of bootstrap draws.  Every test of a
-call runs on one process pool: the first block of each test is queued up
-front, and each returned block is fed to its test's stopping rule in
-permutation order, which queues the next block while the test is open.
+Each design is checked once, before any forest.  A test's forests, the
+observed one on the data as given and then one null forest per
+permutation, grow in blocks on stacked copies of the data through
+`fit_forest`'s grower, one run of bootstrap draws per block, and are
+scored in one routing pass.  Every test of a call runs on one process
+pool: the first block of each test is queued up front, and each returned
+block is fed to its test's stopping rule in permutation order, which
+queues the next block while the test is open.
 
 Every random draw comes from a stream keyed by (seed, variable, role,
 index), so results are identical for any worker count, block size or
@@ -32,7 +33,7 @@ import math
 import multiprocessing
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,8 +41,8 @@ from scipy import special
 
 from ._common import star_code
 from ._rng import derive_seed, stream
-from .forest import (_ENTRIES_PER_GROUP, Forest, ForestConfig, _check_columns, _feature_names,
-                     _first_splits, _grow, _leaves, _pairs, fit_forest, r2_score)
+from .forest import (_ENTRIES_PER_GROUP, Forest, ForestConfig, _check_columns, _check_design,
+                     _feature_names, _first_splits, _grow_forests, _leaves, _pairs, r2_score)
 
 __all__ = [
     "PermImportanceResult",
@@ -291,16 +292,6 @@ def _walk(cfg: SeqTestConfig) -> Generator[int, bool, tuple[str, float, int, int
     return "significant" if p <= alpha else "not_significant", p, mmax, d, reason
 
 
-def _variable_vimp(X: np.ndarray, y: np.ndarray, col: int,
-                   cfg: SeqTestConfig, fcfg: ForestConfig, seed: int, *path) -> float:
-    """Importance of one column: forest fit plus nperm shuffle repeats."""
-    forest = fit_forest(X, y, replace(fcfg, n_trees=cfg.ntree,
-                                      seed=derive_seed(seed, *path, "fit")))
-    _, shuffle_drops = _scorer(forest, X, y, cfg.eval_set)
-    return float(np.mean(shuffle_drops(col, ([stream(seed, *path, "vimp", r)]
-                                             for r in range(cfg.nperm)))[0]))
-
-
 def _null_permutation(X: np.ndarray, col: int,
                       rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Copy of X, which stacks len(rngs) data sets, with column `col` of
@@ -328,67 +319,55 @@ class _Test:
     def block(self, have: int) -> tuple[int, int]:
         """Forests have, ..., stop - 1 of the next block.  Forest 0 is the
         observed one and forest j the null forest of permutation j; a block
-        holds as many null forests as fit in one of `fit_forest`'s groups of
+        holds as many forests as fit in one run of `_grow_forests`'
         bootstrap draws, and none past mmax."""
-        nulls = max(1, (_ENTRIES_PER_GROUP // len(self.X)) // self.cfg.ntree)
-        return have, min(have + nulls + (have == 0), self.cfg.mmax + 1)
+        size = max(1, (_ENTRIES_PER_GROUP // len(self.X)) // self.cfg.ntree)
+        return have, min(have + size, self.cfg.mmax + 1)
 
 
-def _tests(X, y, names: Sequence[str], variables: Sequence[str], cfg: SeqTestConfig,
+def _tests(X, y, names: Sequence[str] | None, variables: Sequence[str], cfg: SeqTestConfig,
            seed: int, forest_config: ForestConfig | None) -> list[_Test]:
-    """One test per variable of the design (X, y) with feature `names`."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """One test per variable of the design (X, y) with feature `names`;
+    the design and the variables are checked here, before any forest."""
     fcfg = forest_config or ForestConfig()
-    return [_Test(X, y, list(names).index(v), v, cfg, fcfg, seed) for v in variables]
-
-
-def _grow_nulls(test: _Test, perms: range) -> tuple[Forest, np.ndarray]:
-    """The null forests of permutations `perms`, grown in one `_grow` call,
-    and the data they were grown on: the copies of X, one per permutation,
-    stacked.  Each forest's bootstrap rows lie in its own copy, and tree i
-    of permutation j's forest draws from the stream (fit seed of j, i) as in
-    `fit_forest`, so every forest is bit-identical to its own fit."""
-    X, y, n, k, ntree = test.X, test.y, len(test.X), len(perms), test.cfg.ntree
-    paths = [(test.variable, "perm", j) for j in perms]
-    Xs = np.concatenate([_null_permutation(X, test.col, [stream(test.seed, *path)])
-                         for path in paths])
-    rngs = [stream(derive_seed(test.seed, *path, "fit"), i)
-            for path in paths for i in range(ntree)]
-    in_bag = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
-    diagonal = np.zeros((k, ntree, k, n), dtype=in_bag.dtype)
-    diagonal[np.arange(k), :, np.arange(k)] = in_bag.reshape(k, ntree, n)
-    fcfg = test.fcfg
-    nodes, roots = _grow(Xs, np.tile(y, k), diagonal.reshape(k * ntree, k * n),
-                         fcfg.resolve_mtry(X.shape[1]), fcfg.min_leaf, fcfg.max_depth, rngs)
-    return Forest(nodes, roots, in_bag, _feature_names(X, None), fcfg, n), Xs
+    X, y, names = _check_design(X, y, fcfg, names)
+    unknown = [v for v in variables if v not in names]
+    if unknown:
+        raise KeyError(f"variables {unknown} not among features {list(names)}")
+    return [_Test(X, y, names.index(v), v, cfg, fcfg, seed) for v in variables]
 
 
 def _block_vimps(test: _Test, start: int, stop: int) -> list[float]:
     """Importances of forests start, ..., stop - 1 of a test (see
-    `_Test.block`).  The observed forest is fit alone; the null forests
-    grow in one `_grow` call and are scored in one routing pass."""
-    vimps = [_variable_vimp(test.X, test.y, test.col, test.cfg, test.fcfg, test.seed,
-                            test.variable, "observed")] if start == 0 else []
-    perms = range(max(start, 1), stop)
-    if perms:
-        forest, Xs = _grow_nulls(test, perms)
-        _, shuffle_drops = _scorer(forest, Xs, test.y, test.cfg.eval_set, len(perms))
-        shuffles = ([stream(test.seed, test.variable, "perm", j, "vimp", r) for j in perms]
-                    for r in range(test.cfg.nperm))
-        vimps += [float(np.mean(drops)) for drops in shuffle_drops(test.col, shuffles)]
-    return vimps
+    `_Test.block`), grown together on stacked copies of the data and
+    scored in one routing pass."""
+    paths = [(test.variable, "perm", j) if j else (test.variable, "observed")
+             for j in range(start, stop)]
+    Xs = np.concatenate([test.X if path[-1] == "observed" else
+                         _null_permutation(test.X, test.col, [stream(test.seed, *path)])
+                         for path in paths])
+    forest = _grow_forests(Xs, test.y, [derive_seed(test.seed, *path, "fit") for path in paths],
+                           test.cfg.ntree, test.fcfg, _feature_names(test.X, None))
+    _, shuffle_drops = _scorer(forest, Xs, test.y, test.cfg.eval_set, len(paths))
+    shuffles = ([stream(test.seed, *path, "vimp", r) for path in paths]
+                for r in range(test.cfg.nperm))
+    return [float(np.mean(drops)) for drops in shuffle_drops(test.col, shuffles)]
 
 
-def _run_tests(tests: Sequence[_Test], workers: int) -> list[SeqTestDecision]:
-    """Decide every test, one block of forests at a time per test: inline
-    for one worker, else on one fork-started pool of min(workers, tests)
-    processes, with the first block of every test queued up front.
+def _run_tests(designs: Sequence[Sequence[_Test]],
+               workers: int) -> list[dict[str, SeqTestDecision]]:
+    """Decide every test of every design, one block of forests at a time
+    per test: inline for one worker, else on one fork-started pool of
+    min(workers, tests) processes, with the first block of every test
+    queued up front; one decision map per design.
 
     Each returned block is fed to its test's `_walk` in permutation order,
     and the test's next block is queued while the walk asks for more.  A
     decision thus depends only on its test's own streams, not on the worker
     count, the block size or the order in which blocks return."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    tests = [test for design in designs for test in design]
     walks = [_walk(test.cfg) for test in tests]
     wants = [next(walk) for walk in walks]  # the permutation each walk needs next
     vimps: list[list[float]] = [[] for _ in tests]  # observed, permutation 1, 2, ...
@@ -412,24 +391,25 @@ def _run_tests(tests: Sequence[_Test], workers: int) -> list[SeqTestDecision]:
             block = test.block(0)
             while block:
                 block = receive(i, _block_vimps(test, *block))
-        return decisions
-    # fork: the workers start with the package imported, where spawn would
-    # import numpy, scipy and panelforest again in each of them
-    pool = ProcessPoolExecutor(min(workers, len(tests)),
-                               mp_context=multiprocessing.get_context("fork"))
-    try:
-        running = {pool.submit(_block_vimps, test, *test.block(0)): i
-                   for i, test in enumerate(tests)}
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                i = running.pop(future)
-                block = receive(i, future.result())
-                if block:
-                    running[pool.submit(_block_vimps, tests[i], *block)] = i
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return decisions
+    else:
+        # fork: the workers start with the package imported, where spawn
+        # would import numpy, scipy and panelforest again in each of them
+        pool = ProcessPoolExecutor(min(workers, len(tests)),
+                                   mp_context=multiprocessing.get_context("fork"))
+        try:
+            running = {pool.submit(_block_vimps, test, *test.block(0)): i
+                       for i, test in enumerate(tests)}
+            while running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    i = running.pop(future)
+                    block = receive(i, future.result())
+                    if block:
+                        running[pool.submit(_block_vimps, tests[i], *block)] = i
+        finally:
+            pool.shutdown(cancel_futures=True)
+    found = iter(decisions)
+    return [{test.variable: next(found) for test in design} for design in designs]
 
 
 def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
@@ -449,10 +429,8 @@ def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
     its seed derives from `seed`, so forest_config's n_trees and seed are
     not used.
     """
-    names = _feature_names(X, feature_names)
-    if variable not in names:
-        raise KeyError(f"variable {variable!r} not among features {list(names)}")
-    return _run_tests(_tests(X, y, names, [variable], cfg, seed, forest_config), 1)[0]
+    return _run_tests([_tests(X, y, feature_names, [variable], cfg, seed, forest_config)],
+                      1)[0][variable]
 
 
 def rfvimptest_all(X: np.ndarray, y: np.ndarray, variables: Sequence[str],
@@ -464,17 +442,12 @@ def rfvimptest_all(X: np.ndarray, y: np.ndarray, variables: Sequence[str],
 
     Each variable's streams are derived from (master_seed, variable name),
     so the decision map is identical for any `workers` count and any
-    scheduling order.  Unknown variables raise one KeyError before any
-    forest is grown; a test that fails raises its own exception.
+    scheduling order.  A design `fit_forest` would reject raises its
+    ValueError, and unknown variables one KeyError, before any forest is
+    grown or any pool started; a test that fails raises its own exception.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    names = _feature_names(X, feature_names)
-    unknown = [v for v in variables if v not in names]
-    if unknown:
-        raise KeyError(f"variables {unknown} not among features {list(names)}")
-    tests = _tests(X, y, names, variables, cfg, master_seed, forest_config)
-    return dict(zip(variables, _run_tests(tests, workers)))
+    return _run_tests([_tests(X, y, feature_names, variables, cfg, master_seed,
+                              forest_config)], workers)[0]
 
 
 def rfvimptest_many(designs: Sequence[tuple[np.ndarray, np.ndarray, Sequence[str], int]],
@@ -484,12 +457,8 @@ def rfvimptest_many(designs: Sequence[tuple[np.ndarray, np.ndarray, Sequence[str
     """:func:`rfvimptest_all` of every feature of each design (X, y,
     feature names, master seed), with every test of every design on one
     pool; one decision map per design, in the order of `designs`."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    per_design = [_tests(X, y, names, names, cfg, seed, forest_config)
-                  for X, y, names, seed in designs]
-    decisions = iter(_run_tests([test for tests in per_design for test in tests], workers))
-    return [{test.variable: next(decisions) for test in tests} for tests in per_design]
+    return _run_tests([_tests(X, y, names, names, cfg, seed, forest_config)
+                       for X, y, names, seed in designs], workers)
 
 
 def significance_codes(decisions: Mapping[str, SeqTestDecision | float]) -> dict[str, str]:

@@ -372,12 +372,16 @@ class TestConfigAtLoad:
         assert main(["fit-rf", "-c", str(tmp_path / "c.json")]) == 2
         assert "models.static" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["no-static", "no-dynamic", "no-lagged-dependent"])
+    @pytest.mark.parametrize("case", ["no-static", "no-dynamic", "no-lagged-dependent",
+                                      "lagged-dependent-as-static-slope"])
     def test_stage_needs_checked_before_any_write(self, case, tmp_path, capsys):
         cfg = fast_demo_config(3, tmp_path / "run")
         if case == "no-lagged-dependent":  # the dynamic forest's first feature
             cfg["preprocessing"]["lag_vars"].remove("LN_Investment_Ratio")
             problem = "dynamic RF needs 'LN_Investment_Ratio(t-1)'"
+        elif case == "lagged-dependent-as-static-slope":  # held twice by the dynamic forest
+            cfg["models"]["static"]["regressors"].append("LN_Investment_Ratio(t-1)")
+            problem = "dynamic RF adds 'LN_Investment_Ratio(t-1)' itself"
         else:
             model = case.removeprefix("no-")
             del cfg["models"][model]

@@ -107,6 +107,12 @@ class TestFitForest:
         with pytest.raises(ValueError, match="missing"):
             fit_forest(X, np.ones(10), ForestConfig(n_trees=2, min_leaf=1))
 
+    def test_duplicate_feature_names_rejected(self):
+        # two columns named "a" would merge into one importance entry
+        X = np.arange(24.0).reshape(12, 2)
+        with pytest.raises(ValueError, match=r"duplicate feature names: \['a'\]"):
+            fit_forest(X, X[:, 1], ForestConfig(n_trees=2, min_leaf=1), ["a", "a"])
+
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="at least"):
             fit_forest(np.ones((4, 1)), np.ones(4), ForestConfig(n_trees=1, min_leaf=5))

@@ -5,12 +5,14 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panelforest import forest as forest_mod
 from panelforest import vimp
 from panelforest._rng import derive_seed, stream
 from panelforest.forest import (_NODE_DTYPES, ForestConfig, fit_forest, oob_predictions,
@@ -20,6 +22,7 @@ from panelforest.vimp import (
     permutation_importance,
     rfvimptest,
     rfvimptest_all,
+    rfvimptest_many,
     run_sequential,
     significance_codes,
 )
@@ -148,9 +151,10 @@ class TestScoringOracle:
 
 
 class TestBlockGrowth:
-    """Null forests grown together in one `_grow` call on stacked copies of
-    the data equal their own `fit_forest` fits bit for bit, node table and
-    importance (NaN included, as on a constant target)."""
+    """A block of a test's forests, from the observed one (forest 0) on,
+    grown together on stacked copies of the data, equals the forests' own
+    `fit_forest` fits bit for bit, node table and importance (NaN included,
+    as on a constant target), also where a run of trees spans forests."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), eval_set=st.sampled_from(["train", "oob"]),
@@ -169,36 +173,49 @@ class TestBlockGrowth:
         col, test_seed = int(rng.integers(p)), int(rng.integers(1000))
         variable = f"x{col}"
         test = vimp._Test(X, y, col, variable, cfg, fcfg, test_seed)
-        start, k, ntree = int(rng.integers(1, 10)), int(rng.integers(1, 9)), cfg.ntree
-        perms = range(start, start + k)
+        start, k, ntree = int(rng.integers(0, 10)), int(rng.integers(2, 9)), cfg.ntree
+        # runs of more than one forest's trees, ending anywhere in a forest
+        runs = mock.patch.object(forest_mod, "_ENTRIES_PER_GROUP",
+                                 int(rng.integers(ntree + 1, k * ntree + 1)) * n
+                                 + int(rng.integers(n)))
 
-        forest, _ = vimp._grow_nulls(test, perms)
+        paths = [(variable, "perm", j) if j else (variable, "observed")
+                 for j in range(start, start + k)]
+        data, own = [], []
+        for path in paths:
+            X_j = X.copy()
+            if path[-1] != "observed":
+                X_j[:, col] = X[stream(test_seed, *path).permutation(n), col]
+            data.append(X_j)
+            own.append(fit_forest(X_j, y, replace(fcfg, n_trees=ntree,
+                                                  seed=derive_seed(test_seed, *path, "fit"))))
+        with runs:
+            forest = forest_mod._grow_forests(
+                np.concatenate(data), y, [derive_seed(test_seed, *path, "fit") for path in paths],
+                ntree, fcfg, own[0].feature_names)
         ends = np.append(forest.roots, forest.nodes.n_nodes)
-        nulls = []
-        for b, j in enumerate(perms):
-            X_null = X.copy()
-            X_null[:, col] = X[stream(test_seed, variable, "perm", j).permutation(n), col]
-            nulls.append(X_null)
-            own = fit_forest(X_null, y, replace(fcfg, n_trees=ntree, seed=derive_seed(
-                test_seed, variable, "perm", j, "fit")))
+        for b, fit in enumerate(own):
             lo, hi = ends[b * ntree], ends[(b + 1) * ntree]
             for name in _NODE_DTYPES:
                 assert getattr(forest.nodes, name)[lo:hi].tobytes() \
-                    == getattr(own.nodes, name).tobytes(), name
-            assert np.array_equal(forest.roots[b * ntree:(b + 1) * ntree] - lo, own.roots)
+                    == getattr(fit.nodes, name).tobytes(), name
+            assert np.array_equal(forest.roots[b * ntree:(b + 1) * ntree] - lo, fit.roots)
             assert np.array_equal(forest.in_bag_counts[b * ntree:(b + 1) * ntree],
-                                  own.in_bag_counts)
+                                  fit.in_bag_counts)
 
         try:
-            expected = [vimp._variable_vimp(X_null, y, col, cfg, fcfg, test_seed,
-                                            variable, "perm", j)
-                        for X_null, j in zip(nulls, perms)]
+            expected = []
+            for fit, X_j, path in zip(own, data, paths):
+                _, shuffle_drops = vimp._scorer(fit, X_j, y, eval_set)
+                shuffles = ([stream(test_seed, *path, "vimp", r)] for r in range(cfg.nperm))
+                expected.append(float(np.mean(shuffle_drops(col, shuffles)[0])))
         except ValueError as err:  # too few out-of-bag rows to score
-            with pytest.raises(ValueError) as got:
+            with runs, pytest.raises(ValueError) as got:
                 vimp._block_vimps(test, start, start + k)
             assert str(got.value) == str(err)
             return
-        assert bits(*vimp._block_vimps(test, start, start + k)) == bits(*expected)
+        with runs:
+            assert bits(*vimp._block_vimps(test, start, start + k)) == bits(*expected)
 
 
 class TestStoppingRules:
@@ -409,8 +426,7 @@ class TestRfvimptestAll:
         def no_forest(*args, **kwargs):
             raise AssertionError("a forest was fit")
 
-        monkeypatch.setattr(vimp, "fit_forest", no_forest)  # the observed forest
-        monkeypatch.setattr(vimp, "_grow_nulls", no_forest)  # every null forest
+        monkeypatch.setattr(vimp, "_grow_forests", no_forest)  # every forest of a test
         X, y = signal_data(18)
         cfg = SeqTestConfig(method="sprt", mmax=15, ntree=5, nperm=1)
         with pytest.raises(KeyError, match="ghost"):
@@ -419,14 +435,15 @@ class TestRfvimptestAll:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_in_one_test_reaches_the_caller(self, workers, monkeypatch):
-        grow_nulls = vimp._grow_nulls
+        grow_forests = vimp._grow_forests
+        x1_observed = derive_seed(12, "x1", "observed", "fit")  # in x1's first block
 
-        def failing(test, perms):
-            if test.variable == "x1":
-                raise InjectedError(f"{test.variable} failed")
-            return grow_nulls(test, perms)
+        def failing(X, y, seeds, *args):
+            if x1_observed in seeds:
+                raise InjectedError("x1 failed")
+            return grow_forests(X, y, seeds, *args)
 
-        monkeypatch.setattr(vimp, "_grow_nulls", failing)
+        monkeypatch.setattr(vimp, "_grow_forests", failing)
         X, y = signal_data(18)
         cfg = SeqTestConfig(method="complete", mmax=10, ntree=5, nperm=1)
         with pytest.raises(InjectedError, match="x1 failed"):
@@ -463,10 +480,10 @@ class TestRfvimptestAll:
         assert sizes == [2]
 
     def test_no_worker_outlives_a_failed_run(self, monkeypatch):
-        def failing(test, perms):
-            raise InjectedError(f"{test.variable} failed")
+        def failing(*args):
+            raise InjectedError("a forest failed")
 
-        monkeypatch.setattr(vimp, "_grow_nulls", failing)
+        monkeypatch.setattr(vimp, "_grow_forests", failing)
         X, y = signal_data(24)
         cfg = SeqTestConfig(method="complete", mmax=10, ntree=5, nperm=1)
         with pytest.raises(InjectedError):
@@ -497,6 +514,80 @@ class TestRfvimptestAll:
         t_parallel = time.perf_counter() - t0
         assert serial == parallel
         assert t_parallel < 0.6 * t_serial
+
+
+def three_columns(seed, n=60):
+    """Signal in column 2 only, which two feature names leave untested."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    return X, X[:, 2] + 0.5 * rng.normal(size=n)
+
+
+class TestDesignChecks:
+    """Every entry point checks each design as `fit_forest` does, before
+    any pool starts or any forest grows."""
+
+    CFG = SeqTestConfig(method="complete", mmax=10, ntree=5, nperm=1)
+
+    @staticmethod
+    def run(entry, X, y, names, workers=1):
+        if entry == "rfvimptest":
+            return rfvimptest(X, y, names[0], TestDesignChecks.CFG, seed=1,
+                              feature_names=names, forest_config=FAST_FOREST)
+        if entry == "rfvimptest_all":
+            return rfvimptest_all(X, y, names, TestDesignChecks.CFG, master_seed=1,
+                                  workers=workers, feature_names=names,
+                                  forest_config=FAST_FOREST)
+        good_X, good_y = signal_data(26)  # checked too, and nothing runs for it
+        return rfvimptest_many([(good_X, good_y, ["x0", "x1"], 2), (X, y, names, 1)],
+                               TestDesignChecks.CFG, workers=workers,
+                               forest_config=FAST_FOREST)
+
+    @pytest.mark.parametrize("entry", ["rfvimptest", "rfvimptest_all", "rfvimptest_many"])
+    @pytest.mark.parametrize("names, problem", [
+        (["x0", "x1"], "feature_names length must match X columns"),
+        (["x0", "x1", "x2", "x3"], "feature_names length must match X columns"),
+        (["a", "b", "a"], r"duplicate feature names: \['a'\]"),  # would merge two tests
+    ], ids=["too-few", "too-many", "duplicate"])
+    def test_names_checked(self, entry, names, problem):
+        X, y = three_columns(27)
+        with pytest.raises(ValueError, match=problem):
+            self.run(entry, X, y, names)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("entry", ["rfvimptest_all", "rfvimptest_many"])
+    @pytest.mark.parametrize("bad, problem", [
+        ("nan", "must not contain missing values"),
+        ("inf", "must not contain infinite values"),
+        ("short_y", "X has 60 rows but y has 59"),
+        ("few_rows", "need at least 10 rows, got 9"),
+    ])
+    def test_bad_design_fails_before_any_pool_or_forest(self, bad, problem, entry, workers,
+                                                        monkeypatch):
+        sizes = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        def no_forest(*args):
+            raise AssertionError("a forest was grown")
+
+        monkeypatch.setattr(vimp, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(vimp, "_grow_forests", no_forest)
+        X, y = signal_data(29)
+        if bad == "nan":
+            X[3, 1] = np.nan
+        elif bad == "inf":
+            y[5] = -np.inf
+        elif bad == "short_y":
+            y = y[:-1]
+        else:
+            X, y = X[:9], y[:9]
+        with pytest.raises(ValueError, match=problem):
+            self.run(entry, X, y, ["x0", "x1"], workers)
+        assert sizes == []
 
 
 class TestSignificanceCodes:
