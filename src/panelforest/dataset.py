@@ -197,7 +197,8 @@ def load_csv(path) -> PanelDataset:
     Raises
     ------
     SchemaError
-        Missing entity/year column.
+        Missing entity/year column, repeated column name, or a row too
+        short to hold its entity and year.
     IntegrityError
         Duplicate (entity, year) rows, or infinite cells (the message names
         the entity, year and variable of each).
@@ -213,10 +214,13 @@ def load_csv(path) -> PanelDataset:
             raise SchemaError(f"{path}: missing entity column 'Code'")
         if "Year" not in header:
             raise SchemaError(f"{path}: missing year column 'Year'")
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise SchemaError(f"{path}: repeated column names {repeated}")
 
         e_idx, y_idx = header.index("Code"), header.index("Year")
-        value_names = [h for i, h in enumerate(header) if i not in (e_idx, y_idx)]
-        value_pos = [header.index(name) for name in value_names]
+        value_pos = [i for i in range(len(header)) if i not in (e_idx, y_idx)]
+        value_names = [header[i] for i in value_pos]
         entities, years = [], []
         raw_cols: dict[str, list[float]] = {name: [] for name in value_names}
         bad_cells: dict[str, int] = {}
@@ -224,6 +228,8 @@ def load_csv(path) -> PanelDataset:
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
+            if len(row) <= max(e_idx, y_idx):
+                raise SchemaError(f"{path}:{lineno}: row too short for its Code and Year")
             entities.append(row[e_idx].strip())
             try:
                 years.append(int(float(row[y_idx])))

@@ -21,15 +21,14 @@ A forest stores all its trees in one node table, tree after tree, with the
 offset of each tree's root; child links are tree-local.  One function,
 `_leaves`, routes (tree, row) pairs for predict, OOB scoring and
 `Tree.predict`, and a shuffle reroutes a pair only from its leaf's
-`_first_splits` entry; MDI and save/load work on whole node columns.
+`_first_splits` entry; MDI works on whole node columns.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,8 +48,6 @@ __all__ = [
     "mdi_importance",
     "forest_metrics",
     "ForestMetrics",
-    "save_forest",
-    "load_forest",
 ]
 
 
@@ -122,9 +119,8 @@ _ENTRIES_PER_GROUP = 8192
 _LEVELS_PER_PASS = 3  # `_leaves` drops the finished pairs every this many levels
 
 # node-table columns in Tree field order
-_NODE_DTYPES = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
-                "right": np.intp, "value": np.float64, "n_samples": np.intp,
-                "sse_decrease": np.float64}
+_NODE_COLUMNS = ("feature", "threshold", "left", "right", "value", "n_samples",
+                 "sse_decrease")
 
 
 def _leaves(nodes: Tree, roots: Sequence[int], node: np.ndarray, X: np.ndarray,
@@ -156,19 +152,19 @@ def _leaves(nodes: Tree, roots: Sequence[int], node: np.ndarray, X: np.ndarray,
 @dataclass(frozen=True)
 class Forest:
     """Fitted ensemble: one node table in which tree i starts at roots[i],
-    plus per-tree bootstrap bookkeeping for OOB scoring."""
+    plus per-tree bootstrap bookkeeping for OOB scoring.  It has no file
+    form; `fit_forest` on the same inputs rebuilds it bit for bit."""
 
     nodes: Tree
     roots: np.ndarray  # (n_trees,) table offset of each tree's root
     in_bag_counts: np.ndarray  # (n_trees, n_rows) bootstrap multiplicities
     feature_names: tuple[str, ...]
-    config: ForestConfig
     n_rows: int
 
     @property
     def trees(self) -> tuple[Tree, ...]:
         """Per-tree views of the node table (no copies)."""
-        parts = [np.split(getattr(self.nodes, name), self.roots[1:]) for name in _NODE_DTYPES]
+        parts = [np.split(getattr(self.nodes, name), self.roots[1:]) for name in _NODE_COLUMNS]
         return tuple(Tree(*columns, self.nodes.n_features) for columns in zip(*parts))
 
 
@@ -371,12 +367,10 @@ def _check_design(X, y, cfg: ForestConfig,
     """X and y as float arrays and the feature names, once the design is
     checked for what a forest of `cfg` needs."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
     n, p = X.shape
-    if len(y) != n:
-        raise ValueError(f"X has {n} rows but y has {len(y)}")
+    y = _check_target(X, y)
     if np.isnan(X).any() or np.isnan(y).any():
         raise ValueError("X and y must not contain missing values")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
@@ -391,6 +385,14 @@ def _check_design(X, y, cfg: ForestConfig,
     if duplicates:
         raise ValueError(f"duplicate feature names: {duplicates}")
     return X, y, names
+
+
+def _check_target(X: np.ndarray, y) -> np.ndarray:
+    """y as a float array, once it has one entry per row of X."""
+    y = np.asarray(y, dtype=np.float64)
+    if len(y) != len(X):
+        raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
+    return y
 
 
 def _grow_forests(X: np.ndarray, y: np.ndarray, seeds: Sequence[int], n_trees: int,
@@ -417,8 +419,8 @@ def _grow_forests(X: np.ndarray, y: np.ndarray, seeds: Sequence[int], n_trees: i
     offsets = np.cumsum([0] + [nodes.n_nodes for nodes, _ in groups[:-1]])
     roots = np.concatenate([r + o for (_, r), o in zip(groups, offsets)])
     nodes = Tree(**{name: np.concatenate([getattr(g, name) for g, _ in groups])
-                    for name in _NODE_DTYPES}, n_features=X.shape[1])
-    return Forest(nodes, roots, in_bag, names, cfg, n)
+                    for name in _NODE_COLUMNS}, n_features=X.shape[1])
+    return Forest(nodes, roots, in_bag, names, n)
 
 
 def _feature_names(X: np.ndarray, names: Sequence[str] | None) -> tuple[str, ...]:
@@ -510,7 +512,7 @@ def oob_predictions(forest: Forest, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def oob_score(forest: Forest, X: np.ndarray, y: np.ndarray) -> OobScore:
     """Out-of-bag R-squared and MSE over covered rows."""
-    y = np.asarray(y, dtype=np.float64)
+    y = _check_target(X, y)
     preds, covered = oob_predictions(forest, X)
     if not covered.any():
         raise ValueError("no row is out-of-bag for any tree; increase n_trees")
@@ -569,54 +571,3 @@ def forest_metrics(forest: Forest, X: np.ndarray, y: np.ndarray) -> ForestMetric
     adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
     pseudo_f = (r2 / k) / ((1.0 - r2) / (n - k - 1)) if r2 < 1.0 else math.inf
     return ForestMetrics(r2, adj, mse, pseudo_f, n, k)
-
-
-FOREST_FORMAT_VERSION = 1
-
-
-def save_forest(forest: Forest, path) -> None:
-    """Serialize a fitted forest for reproducibility audits.
-
-    Structured-text format: a JSON document with a versioned header
-    (config incl. seed, feature names) followed by per-tree node arrays
-    and the in-bag multiplicities.
-    """
-    nodes = forest.nodes
-    columns = {name: getattr(nodes, name) for name in _NODE_DTYPES}
-    # JSON has no NaN: leaf thresholds are written as null
-    columns["threshold"] = np.where(np.isnan(nodes.threshold), None, nodes.threshold)
-    per_tree = [[part.tolist() for part in np.split(column, forest.roots[1:])]
-                for column in columns.values()]
-    doc = {
-        "format_version": FOREST_FORMAT_VERSION,
-        "config": asdict(forest.config),
-        "feature_names": list(forest.feature_names),
-        "n_rows": forest.n_rows,
-        "in_bag_counts": forest.in_bag_counts.tolist(),
-        "trees": [dict(zip(columns, parts)) for parts in zip(*per_tree)],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-
-
-def load_forest(path) -> Forest:
-    """Load a forest written by :func:`save_forest`."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
-    if version != FOREST_FORMAT_VERSION:
-        raise ValueError(f"unsupported forest format version {version!r}")
-    trees = doc["trees"]
-    # a float column turns the null leaf thresholds back into NaN
-    nodes = Tree(**{name: np.asarray([v for t in trees for v in t[name]], dtype=dtype)
-                    for name, dtype in _NODE_DTYPES.items()},
-                 n_features=len(doc["feature_names"]))
-    if not np.array_equal(nodes.right[nodes.feature >= 0], nodes.left[nodes.feature >= 0] + 1):
-        raise ValueError("every right child must follow its left child")  # `_leaves` needs it
-    roots = np.cumsum([0] + [len(t["feature"]) for t in trees[:-1]], dtype=np.intp)
-    config = doc["config"]
-    # older files record the bootstrap fraction; every sample now draws n rows
-    if config.pop("bootstrap_fraction", 1.0) != 1.0:
-        raise ValueError("a bootstrap_fraction other than 1.0 is not supported")
-    return Forest(nodes, roots, np.asarray(doc["in_bag_counts"], dtype=np.intp),
-                  tuple(doc["feature_names"]), ForestConfig(**config), int(doc["n_rows"]))

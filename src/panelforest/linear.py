@@ -266,18 +266,15 @@ def _metrics_from(rss: float, tss: float, n: int, k: int) -> FitMetrics:
     return FitMetrics(r2, adj, f, float(special.fdtrc(k, n - k - 1, np.maximum(f, 0.0))))
 
 
-def robust_covariance(fit_: LinearFit, ds: PanelDataset | None = None,
-                      small_sample: bool = True) -> LinearFit:
+def robust_covariance(fit_: LinearFit, small_sample: bool = True) -> LinearFit:
     """Replace the covariance with the entity-clustered sandwich.
 
     (X'X)^-1 (sum_i X_i' u_i u_i' X_i) (X'X)^-1, clustered on entities,
     scaled by G/(G-1) * (n-1)/(n-k) when small_sample is set.  With all
     singleton clusters and small_sample=False this is exactly the HC0
-    heteroskedasticity-robust covariance.  `ds`, when given, must be the
-    dataset the fit came from.
+    heteroskedasticity-robust covariance.  It reads only the fit: its
+    design, residuals and entity of each row.
     """
-    if ds is not None and ds.fingerprint() != fit_.fingerprint:
-        raise ValueError("dataset does not match the one this fit was estimated on")
     if fit_.n_entities < 2:
         raise ValueError("clustering is undefined with a single entity")
     # with X t = q, the sandwich is t (sum_i q_i' u_i u_i' q_i) t'

@@ -42,7 +42,8 @@ from scipy import special
 from ._common import star_code
 from ._rng import derive_seed, stream
 from .forest import (_ENTRIES_PER_GROUP, Forest, ForestConfig, _check_columns, _check_design,
-                     _feature_names, _first_splits, _grow_forests, _leaves, _pairs, r2_score)
+                     _check_target, _feature_names, _first_splits, _grow_forests, _leaves,
+                     _pairs, r2_score)
 
 __all__ = [
     "PermImportanceResult",
@@ -120,7 +121,7 @@ def permutation_importance(forest: Forest, X: np.ndarray, y: np.ndarray,
     if eval_set not in ("train", "oob"):
         raise ValueError(f"unknown eval_set {eval_set!r}")
     X = _check_columns(forest.nodes, X)
-    y = np.asarray(y, dtype=np.float64)
+    y = _check_target(X, y)
     baseline, shuffle_drops = _scorer(forest, X, y, eval_set)
     names = forest.feature_names
     drops = np.array([shuffle_drops(j, ([stream(seed, name, "shuffle", r)]
@@ -140,7 +141,7 @@ class SeqTestConfig:
     with error rates alpha/beta.  ntree is the size of each refitted null
     forest and nperm the number of shuffle repeats averaged into every
     importance evaluation.  sapt_bounds overrides the symmetric sapt
-    boundaries (lower, upper); the default is
+    boundaries (lower, upper), with method sapt only; the default is
     (ln(beta/(1-alpha)), -ln(beta/(1-alpha))).
     """
 
@@ -183,6 +184,8 @@ class SeqTestConfig:
                                        and bounds[0] < 0 < bounds[1]):
             problems.append("sapt_bounds must be a pair (lower, upper) with "
                             f"lower < 0 < upper, got {bounds!r}")
+        elif bounds is not None and self.method != "sapt":
+            problems.append(f"sapt_bounds applies only to method 'sapt', not {self.method!r}")
         if problems:
             raise ValueError("; ".join(problems))
         if self.method in ("sprt", "sapt"):

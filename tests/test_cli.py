@@ -335,6 +335,7 @@ class TestConfigAtLoad:
         ("seq_test", {"p1": 0.5}, "p1"),
         ("seq_test", {"eval_set": "test"}, "eval_set"),
         ("seq_test", {"permute_within_groups": True}, "permute_within_groups"),
+        ("seq_test", {"sapt_bounds": [-0.1, 0.1]}, "sapt_bounds applies only to method 'sapt'"),
     ])
     def test_rejected(self, section, value, token, tmp_path, capsys):
         cfg = {"seed": 1, "input": str(tmp_path / "missing.csv"),

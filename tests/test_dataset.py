@@ -45,6 +45,16 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="Year"):
             load_csv(p)
 
+    def test_repeated_column_name_rejected(self, tmp_csv):
+        p = tmp_csv("Code,Year,x,x\nA,2000,1,2\nA,2001,3,4\n")
+        with pytest.raises(SchemaError, match=r"repeated column names \['x'\]"):
+            load_csv(p)
+
+    def test_row_without_year_cell_names_its_line(self, tmp_csv):
+        p = tmp_csv("Code,Year,x\nA,2000,1\nA\n")
+        with pytest.raises(SchemaError, match=r":3: row too short for its Code and Year"):
+            load_csv(p)
+
     def test_unparseable_cells_become_missing_with_count(self, tmp_csv):
         p = tmp_csv("Code,Year,x,w\nUSA,2000,oops,1\nUSA,2001,2.0,\n")
         with pytest.warns(UserWarning, match="unparseable"):

@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 from panelforest.forest import (
     Forest,
     ForestConfig,
+    Tree,
     _leaves,
     fit_forest,
     forest_metrics,
-    load_forest,
     mdi_importance,
     oob_predictions,
     oob_score,
     predict,
     r2_score,
-    save_forest,
 )
 
 
@@ -366,31 +365,21 @@ class TestForestMetrics:
         assert math.isnan(m.adj_r2) and math.isnan(m.pseudo_f)
 
 
-class TestSerialization:
-    def test_round_trip_preserves_everything(self, tmp_path):
-        rng = np.random.default_rng(15)
-        X = rng.normal(size=(60, 3))
-        y = X[:, 0] + 0.2 * rng.normal(size=60)
-        f = fit_forest(X, y, ForestConfig(n_trees=8, seed=21), ["a", "b", "c"])
-        path = tmp_path / "forest.json"
-        save_forest(f, path)
-        g = load_forest(path)
-        assert g.feature_names == f.feature_names
-        assert g.config == f.config
-        np.testing.assert_array_equal(g.in_bag_counts, f.in_bag_counts)
-        pts = rng.normal(size=(20, 3))
-        np.testing.assert_array_equal(predict(g, pts), predict(f, pts))
-        assert oob_score(g, X, y) == oob_score(f, X, y)
-        assert mdi_importance(g) == mdi_importance(f)
-
-    def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "forest.json"
-        path.write_text('{"format_version": 99}')
-        with pytest.raises(ValueError, match="version"):
-            load_forest(path)
-
-
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_forest() -> Forest:
+    """The Forest of forest_v1.json: its trees' node columns joined into one
+    table, null (leaf) thresholds as NaN.  The file's config, target range
+    and bootstrap fraction do not enter the forest."""
+    doc = json.loads((GOLDEN / "forest_v1.json").read_text())
+    trees = doc["trees"]
+    columns = {name: np.array([v for t in trees for v in t[name]]) for name in trees[0]}
+    columns["threshold"] = columns["threshold"].astype(float)  # None -> NaN
+    roots = np.cumsum([0] + [len(t["feature"]) for t in trees[:-1]])
+    names = tuple(doc["feature_names"])
+    return Forest(Tree(**columns, n_features=len(names)), roots,
+                  np.array(doc["in_bag_counts"]), names, doc["n_rows"])
 
 
 class TestTreeOrderSums:
@@ -431,11 +420,11 @@ class TestTreeOrderSums:
 
 
 class TestGoldenForestFile:
-    """forest_v1.json is a format-1 file written when each tree was stored
-    as its own arrays; forest_v1_expected.json holds what it predicted then."""
+    """forest_v1.json holds a forest written when each tree was stored as
+    its own arrays; forest_v1_expected.json holds what it predicted then."""
 
     def test_loads_and_predicts_exactly(self):
-        f = load_forest(GOLDEN / "forest_v1.json")
+        f = golden_forest()
         expected = json.loads((GOLDEN / "forest_v1_expected.json").read_text())
         X, grid = np.array(expected["X"]), np.array(expected["grid"])
         assert np.array_equal(predict(f, grid), expected["predict_grid"])
@@ -443,32 +432,6 @@ class TestGoldenForestFile:
         oob, _ = oob_predictions(f, X)
         assert np.array_equal(oob, np.array(expected["oob"], dtype=float), equal_nan=True)
         assert mdi_importance(f) == expected["mdi"]
-
-    def test_save_writes_the_same_document(self, tmp_path):
-        save_forest(load_forest(GOLDEN / "forest_v1.json"), tmp_path / "again.json")
-        old, new = (json.loads(path.read_text())
-                    for path in (GOLDEN / "forest_v1.json", tmp_path / "again.json"))
-        for doc in (old, new):  # target range keys: optional, ignored on load
-            doc.pop("y_min", None)
-            doc.pop("y_max", None)
-        assert old["config"].pop("bootstrap_fraction") == 1.0  # no longer written
-        assert new == old
-
-    def test_other_bootstrap_fraction_rejected(self, tmp_path):
-        doc = json.loads((GOLDEN / "forest_v1.json").read_text())
-        doc["config"]["bootstrap_fraction"] = 0.8
-        (tmp_path / "f.json").write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="bootstrap_fraction"):
-            load_forest(tmp_path / "f.json")
-
-    def test_right_child_apart_from_left_rejected(self, tmp_path):
-        doc = json.loads((GOLDEN / "forest_v1.json").read_text())
-        tree = doc["trees"][0]
-        inner = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
-        tree["right"][inner] = tree["left"][inner]
-        (tmp_path / "f.json").write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="right child must follow its left child"):
-            load_forest(tmp_path / "f.json")
 
 
 class TestOobColumns:
@@ -682,7 +645,7 @@ class TestLeaves:
         assert np.array_equal(_leaves(f.nodes, f.roots, f.roots[tree], Q, rows), f.roots[tree])
 
     def test_golden_forest(self):
-        f = load_forest(GOLDEN / "forest_v1.json")
+        f = golden_forest()
         grid = np.array(json.loads((GOLDEN / "forest_v1_expected.json").read_text())["grid"])
         grid[::3, 0] = np.nan
         grid[1::4, -1] = np.inf

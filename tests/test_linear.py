@@ -220,13 +220,6 @@ class TestRobustCovariance:
         assert fr.cov_method == "arellano_cluster"
         assert fr.coefficients == f.coefficients
 
-    def test_dataset_fingerprint_checked(self):
-        ds = fe_panel(23)
-        f = fit(SPEC2_FE, ds)
-        other = fe_panel(24)
-        with pytest.raises(ValueError, match="does not match"):
-            robust_covariance(f, other)
-
 
 class TestTTests:
     def test_zero_estimate(self):

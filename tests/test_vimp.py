@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from panelforest import forest as forest_mod
 from panelforest import vimp
 from panelforest._rng import derive_seed, stream
-from panelforest.forest import (_NODE_DTYPES, ForestConfig, fit_forest, oob_predictions,
-                                predict, r2_score)
+from panelforest.forest import (_NODE_COLUMNS, ForestConfig, fit_forest, oob_predictions,
+                                oob_score, predict, r2_score)
 from panelforest.vimp import (
     SeqTestConfig,
     permutation_importance,
@@ -81,6 +81,17 @@ class TestPermutationImportance:
             permutation_importance(f, X, y, eval_set="test")
         with pytest.raises(ValueError):
             permutation_importance(f, X[:, :1], y)
+
+    @pytest.mark.parametrize("extra", [7, -7])
+    def test_target_of_another_length_rejected(self, extra):
+        X, y = signal_data(9)
+        f = fit_forest(X, y, ForestConfig(n_trees=5, seed=1))
+        y = np.resize(y, len(y) + extra)
+        for eval_set in ("train", "oob"):
+            with pytest.raises(ValueError, match=f"X has 60 rows but y has {60 + extra}"):
+                permutation_importance(f, X, y, eval_set=eval_set)
+        with pytest.raises(ValueError, match=f"X has 60 rows but y has {60 + extra}"):
+            oob_score(f, X, y)
 
     def test_oob_needs_the_training_rows(self):
         X, y = signal_data(9)
@@ -196,7 +207,7 @@ class TestBlockGrowth:
         ends = np.append(forest.roots, forest.nodes.n_nodes)
         for b, fit in enumerate(own):
             lo, hi = ends[b * ntree], ends[(b + 1) * ntree]
-            for name in _NODE_DTYPES:
+            for name in _NODE_COLUMNS:
                 assert getattr(forest.nodes, name)[lo:hi].tobytes() \
                     == getattr(fit.nodes, name).tobytes(), name
             assert np.array_equal(forest.roots[b * ntree:(b + 1) * ntree] - lo, fit.roots)
@@ -335,6 +346,8 @@ class TestStoppingRules:
             SeqTestConfig(mmax=0)
         with pytest.warns(UserWarning, match="below the supported minimum"):
             SeqTestConfig(mmax=5)
+        with pytest.raises(ValueError, match="sapt_bounds applies only to method 'sapt'"):
+            SeqTestConfig(method="sprt", mmax=200, sapt_bounds=(-0.1, 0.1))
 
     @pytest.mark.parametrize("method, shortest", [("sprt", 132), ("sapt", 75)])
     def test_unreachable_significance_warns(self, method, shortest):
