@@ -597,6 +597,37 @@ def walk(nodes, roots, start, x):
     return at
 
 
+def check_node_layout(f: Forest):
+    """The layout `_leaves` steps through: a leaf links to -1 on both sides;
+    an inner node's right child is its left child + 1, both inside its own
+    tree and after it."""
+    nodes = f.nodes
+    ends = np.append(f.roots[1:], nodes.n_nodes)
+    for root, end in zip(f.roots, ends):
+        feature = nodes.feature[root:end]
+        left, right = nodes.left[root:end], nodes.right[root:end]
+        inner = feature >= 0
+        assert np.all(left[~inner] == -1) and np.all(right[~inner] == -1)
+        assert np.array_equal(right[inner], left[inner] + 1)
+        assert np.all(left[inner] > np.flatnonzero(inner))
+        assert np.all(right[inner] < end - root)
+
+
+class TestNodeLayout:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_grown_forest(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(10, 60)), int(rng.integers(1, 4))
+        X = np.round(rng.normal(size=(n, p)), 1)
+        cfg = ForestConfig(n_trees=int(rng.integers(1, 6)), min_leaf=int(rng.integers(1, 4)),
+                           max_depth=[None, 2][seed % 2], seed=seed)
+        check_node_layout(fit_forest(X, X[:, 0] + rng.normal(size=n), cfg))
+
+    def test_golden_forest(self):
+        check_node_layout(golden_forest())
+
+
 class TestLeaves:
     """The vectorised router against a scalar walk of each (start, row) pair."""
 
