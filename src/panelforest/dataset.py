@@ -197,8 +197,8 @@ def load_csv(path) -> PanelDataset:
     Raises
     ------
     SchemaError
-        Missing entity/year column, repeated column name, or a row too
-        short to hold its entity and year.
+        Missing entity/year column, repeated column name, a row too short
+        to hold its entity and year, or a non-blank cell past the header.
     IntegrityError
         Duplicate (entity, year) rows, or infinite cells (the message names
         the entity, year and variable of each).
@@ -230,6 +230,8 @@ def load_csv(path) -> PanelDataset:
                 continue
             if len(row) <= max(e_idx, y_idx):
                 raise SchemaError(f"{path}:{lineno}: row too short for its Code and Year")
+            if any(c.strip() for c in row[len(header):]):
+                raise SchemaError(f"{path}:{lineno}: cell past the header's {len(header)} columns")
             entities.append(row[e_idx].strip())
             try:
                 years.append(int(float(row[y_idx])))

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import special
 
-from ._common import segment_starts
+from ._common import segment_ids, segment_starts
 from .dataset import PanelDataset
 from .linear import TIME_DUMMY_PREFIX, WaldResult, full_rank_qr, wald_joint
 
@@ -216,11 +216,13 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         raise ValueError(f"under-identified: {n_inst} instruments for {k} parameters "
                          f"(instruments: {list(z_names)})")
 
-    diff_entity, level_entity = ds.entity[d_idx], ds.entity[l_idx]
-    bounds = _entity_bounds(diff_entity, level_entity)
-    entity_rows = [np.concatenate([np.arange(a, b), np.arange(c, d)])
-                   for a, b, c, d in bounds]
-    n_entities = len(entity_rows)
+    # cluster of every stacked row: its entity, numbered 0, 1, ... over the
+    # entities that have rows, so an entity's diff and level rows share one
+    _, group, sizes = np.unique(segment_ids(ds.entity)[np.concatenate([d_idx, l_idx])],
+                                return_inverse=True, return_counts=True)
+    n_entities = len(sizes)
+    # each entity's stacked rows: its diff rows, then its level rows
+    entity_rows = np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1])
 
     year_all = np.concatenate([d_year, l_year])
 
@@ -246,11 +248,9 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
     theta = a_inv @ (zx.T @ (w_mat @ zy))
 
     u = y_stack - x_stack @ theta
-    # clustered one-step sandwich
-    scores = np.array([z[rows].T @ u[rows] for rows in entity_rows])
-    omega = np.zeros((n_inst, n_inst))
-    for s_i in scores:
-        omega += np.outer(s_i, s_i)
+    # clustered one-step sandwich: row g of scores is entity g's Z_g'u_g
+    scores = np.column_stack([np.bincount(group, weights=col * u) for col in z.T])
+    omega = scores.T @ scores
     cov = a_inv @ (zx.T @ w_mat @ omega @ w_mat @ zx) @ a_inv
 
     u_diff = u[:n_d]  # u[n_d:] is the level block, empty in difference-only mode
@@ -268,7 +268,7 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
     # diff position of each dataset row; the extra last slot maps a missing lag (-1) to -1
     diff_pos = np.full(ds.n_rows + 1, -1)
     diff_pos[d_idx] = np.arange(n_d)
-    ar = {m: _ar_test(u_diff, diff_pos[lag_idx[m][d_idx]], bounds[:, :2], scores,
+    ar = {m: _ar_test(u_diff, diff_pos[lag_idx[m][d_idx]], group[:n_d], scores,
                       x_stack[:n_d], a_inv, zx, w_mat, cov)
           for m in (1, 2)}
 
@@ -333,41 +333,27 @@ def _build_instruments(spec, at, d_idx, l_idx, d_year, l_year, inst_vars, includ
     return cols, names
 
 
-def _entity_bounds(diff_entity: np.ndarray, level_entity: np.ndarray) -> np.ndarray:
-    """Stacked-row bounds (diff start, diff end, level start, level end) of
-    each entity, in code order: its rows of the sorted diff block, then its
-    rows of the sorted level block."""
-    heads = [block[segment_starts(block)[:-1]] for block in (diff_entity, level_entity)]
-    codes = np.unique(np.concatenate(heads))
-    n_d = len(diff_entity)
-    d0, d1 = (np.searchsorted(diff_entity, codes, side=s) for s in ("left", "right"))
-    l0, l1 = (n_d + np.searchsorted(level_entity, codes, side=s) for s in ("left", "right"))
-    return np.column_stack([d0, d1, l0, l1])
-
-
 def _require_full_rank(mat: np.ndarray, names: Sequence[str], what: str) -> None:
     """Rank decision on a symmetric `mat`, free of the units of the data: rows
     scaled by the powers of two nearest 1/sqrt(diag), columns by full_rank_qr."""
     full_rank_qr(np.ldexp(mat, -(np.frexp(np.diag(mat))[1] // 2)[:, None]), names, what)
 
 
-def _ar_test(w, lagged, diff_bounds, scores, design_diff, a_inv, zx, w_mat, cov) -> ArResult:
+def _ar_test(w, lagged, diff_group, scores, design_diff, a_inv, zx, w_mat, cov) -> ArResult:
     """Arellano-Bond test: standardized covariance of the differenced
     residuals w with their order-m partners at positions `lagged` (-1: none),
-    accounting for estimation error in the coefficients (diff_bounds and
-    scores: each entity's diff rows and Z_g'u_g).  Two-sided normal p; NaN
-    marker when no pairs overlap."""
+    accounting for estimation error in the coefficients (diff_group: the
+    entity of each diff row; scores: row g holds entity g's Z_g'u_g).  Two-sided
+    normal p; NaN marker when no pairs overlap."""
     if not (lagged >= 0).any():
         return ArResult(math.nan, math.nan)
     w_lag = np.where(lagged >= 0, w[lagged], 0.0)
 
     q = float(w_lag @ w)
-    term1 = 0.0
-    m_vec = np.zeros(zx.shape[0])
-    for (a, b), s_i in zip(diff_bounds, scores):
-        a_i = float(w_lag[a:b] @ w[a:b])
-        term1 += a_i * a_i
-        m_vec += s_i * a_i
+    # a_g: entity g's sum of w_lag * w
+    a = np.bincount(diff_group, weights=w_lag * w, minlength=len(scores))
+    term1 = float(a @ a)
+    m_vec = scores.T @ a
 
     c = design_diff.T @ w_lag
     term2 = -2.0 * float(c @ a_inv @ (zx.T @ (w_mat @ m_vec)))

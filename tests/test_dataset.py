@@ -55,6 +55,15 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match=r":3: row too short for its Code and Year"):
             load_csv(p)
 
+    def test_cell_past_the_header_names_its_line(self, tmp_csv):
+        p = tmp_csv("Code,Year,x\nA,2000,1,9\nA,2001,3\n")
+        with pytest.raises(SchemaError, match=r"data\.csv:2: cell past the header's 3 columns"):
+            load_csv(p)
+
+    def test_blank_cells_past_the_header_accepted(self, tmp_csv):
+        ds = load_csv(tmp_csv("Code,Year,x\nA,2000,1,\nA,2001,3, ,\n"))
+        assert list(ds.column("x")) == [1.0, 3.0]
+
     def test_unparseable_cells_become_missing_with_count(self, tmp_csv):
         p = tmp_csv("Code,Year,x,w\nUSA,2000,oops,1\nUSA,2001,2.0,\n")
         with pytest.warns(UserWarning, match="unparseable"):

@@ -180,47 +180,126 @@ def gappy_panel(seed=0, n_ent=10):
     return from_records(ents, yrs, {"y": ys, "x": xs})
 
 
+def level_only_entity_added(ds):
+    """`ds` plus entity A over 2000-2001: one level row and no diff row."""
+    return from_records(["A", "A", *ds.entity.tolist()], [2000, 2001, *ds.year.tolist()],
+                        {"y": [0.4, -0.2, *ds.column("y")], "x": [1.1, 0.3, *ds.column("x")]})
+
+
+def hand_stacking(ds):
+    """SPEC's stacked rows, built cell by cell: get(e, t, j) reads y (j=0) or
+    x (j=1), None where absent; the diff and level rows as (entity, year);
+    and the instrument matrix over the diff rows, then the level rows."""
+    cell = {(e, int(t)): (y, x) for e, t, y, x in
+            zip(ds.entity, ds.year, ds.column("y"), ds.column("x"))}
+
+    def get(e, t, j):
+        v = cell.get((e, t), (math.nan, math.nan))[j]
+        return None if math.isnan(v) else v
+
+    diff_rows, level_rows = [], []
+    for e, t in sorted(cell):
+        if None in (get(e, t, 0), get(e, t - 1, 0), get(e, t, 1)):
+            continue
+        level_rows.append((e, t))
+        if None not in (get(e, t - 2, 0), get(e, t - 1, 1)):
+            diff_rows.append((e, t))
+
+    def lag_or_zero(e, t, j):
+        v = get(e, t, j)
+        return 0.0 if v is None else v
+
+    def change_or_zero(e, t, j):
+        a, b = get(e, t - 1, j), get(e, t - 2, j)
+        return 0.0 if a is None or b is None else a - b
+
+    z = []
+    for e, t in diff_rows:
+        z.append([lag_or_zero(e, t - lag, j) for j in (0, 1) for lag in (2, 3, 4)]
+                 + [0.0, 0.0, 0.0])
+    for e, t in level_rows:
+        z.append([0.0] * 6 + [change_or_zero(e, t, 0), change_or_zero(e, t, 1), 1.0])
+    return get, diff_rows, level_rows, np.array(z)
+
+
 class TestGapsAndMissingCells:
     def test_rows_and_instruments_match_hand_stacking(self):
         ds = gappy_panel()
         fit = fit_system_gmm(SPEC, ds)
-        cell = {(e, int(t)): (y, x) for e, t, y, x in
-                zip(ds.entity, ds.year, ds.column("y"), ds.column("x"))}
-
-        def get(e, t, j):
-            v = cell.get((e, t), (math.nan, math.nan))[j]
-            return None if math.isnan(v) else v
-
-        diff_rows, level_rows = [], []
-        for e, t in sorted(cell):
-            if None in (get(e, t, 0), get(e, t - 1, 0), get(e, t, 1)):
-                continue
-            level_rows.append((e, t))
-            if None not in (get(e, t - 2, 0), get(e, t - 1, 1)):
-                diff_rows.append((e, t))
+        _, diff_rows, level_rows, oracle = hand_stacking(ds)
         # E00: 5 level / 3 diff rows; E01: 6 / 4; eight full entities: 7 / 6
         assert (len(diff_rows), len(level_rows)) == (55, 67)
         assert (fit.n_obs_diff, fit.n_obs_level) == (55, 67)
-
-        def lag_or_zero(e, t, j):
-            v = get(e, t, j)
-            return 0.0 if v is None else v
-
-        def change_or_zero(e, t, j):
-            a, b = get(e, t - 1, j), get(e, t - 2, j)
-            return 0.0 if a is None or b is None else a - b
-
-        oracle = []
-        for e, t in diff_rows:
-            oracle.append([lag_or_zero(e, t - lag, j) for j in (0, 1) for lag in (2, 3, 4)]
-                          + [0.0, 0.0, 0.0])
-        for e, t in level_rows:
-            oracle.append([0.0] * 6 + [change_or_zero(e, t, 0), change_or_zero(e, t, 1), 1.0])
         assert fit.instrument_names == (
             "diff:y(t-2)", "diff:y(t-3)", "diff:y(t-4)",
             "diff:x(t-2)", "diff:x(t-3)", "diff:x(t-4)",
             "level:D.y(t-1)", "level:D.x(t-1)", "iv:const")
-        np.testing.assert_array_equal(fit.z_matrix, np.array(oracle))
+        np.testing.assert_array_equal(fit.z_matrix, oracle)
+
+    def test_sandwich_and_ar_tests_match_hand_formulas(self):
+        # one-step System GMM with an entity-clustered sandwich and the
+        # Arellano-Bond AR(m) statistic, entity by entity (Arellano & Bond
+        # 1991; Roodman 2009).  Entity A sorts first and has a level row but
+        # no diff row, so a cluster index that skips it in the diff block
+        # pairs every other entity's diff rows with a neighbour's level rows.
+        ds = level_only_entity_added(gappy_panel())
+        fit = fit_system_gmm(SPEC, ds)
+        get, diff_rows, level_rows, z = hand_stacking(ds)
+        rows, n_d = diff_rows + level_rows, len(diff_rows)
+        assert ("A", 2001) in level_rows and not any(e == "A" for e, _ in diff_rows)
+
+        def y(e, t):
+            return get(e, t, 0)
+
+        def x(e, t):
+            return get(e, t, 1)
+
+        design = np.array([[y(e, t - 1) - y(e, t - 2), x(e, t) - x(e, t - 1), 0.0]
+                           for e, t in diff_rows]
+                          + [[y(e, t - 1), x(e, t), 1.0] for e, t in level_rows])
+        outcome = np.array([y(e, t) - y(e, t - 1) for e, t in diff_rows]
+                           + [y(e, t) for e, t in level_rows])
+        members = {}
+        for i, (e, _) in enumerate(rows):
+            members.setdefault(e, []).append(i)
+        assert fit.n_entities == len(members) == 11
+
+        zhz = np.zeros((z.shape[1], z.shape[1]))
+        for idx in members.values():
+            h = np.eye(len(idx))
+            for a, i in enumerate(idx):
+                for b, j in enumerate(idx):
+                    if i < n_d and j < n_d:
+                        gap = abs(rows[i][1] - rows[j][1])
+                        h[a, b] = 2.0 if gap == 0 else -1.0 if gap == 1 else 0.0
+            zhz += z[idx].T @ h @ z[idx]
+        w = np.linalg.inv(zhz)
+        zx, zy = z.T @ design, z.T @ outcome
+        a_inv = np.linalg.inv(zx.T @ w @ zx)
+        theta = a_inv @ zx.T @ w @ zy
+        u = outcome - design @ theta
+        score = {e: z[idx].T @ u[idx] for e, idx in members.items()}
+        omega = sum(np.outer(s, s) for s in score.values())
+        cov = a_inv @ zx.T @ w @ omega @ w @ zx @ a_inv
+        np.testing.assert_allclose(list(fit.coefficients.values()), theta, rtol=1e-9)
+        np.testing.assert_allclose(fit.covariance, cov, rtol=1e-9)
+
+        g = z.T @ u
+        sigma2 = (u[:n_d] @ u[:n_d] / 2 + u[n_d:] @ u[n_d:]) / len(rows)
+        assert fit.sargan.statistic == pytest.approx(g @ w @ g / sigma2, rel=1e-9)
+
+        resid = dict(zip(diff_rows, u[:n_d]))
+        for m in (1, 2):
+            pairs = [(e, t) for e, t in diff_rows if (e, t - m) in resid]
+            q = sum(resid[e, t] * resid[e, t - m] for e, t in pairs)
+            a = {e: sum(resid[f, t] * resid[f, t - m] for f, t in pairs if f == e)
+                 for e in members}
+            c = design[:n_d].T @ np.array([resid.get((e, t - m), 0.0) for e, t in diff_rows])
+            m_vec = sum(a[e] * score[e] for e in members)
+            var = (sum(v * v for v in a.values()) - 2 * c @ a_inv @ zx.T @ w @ m_vec
+                   + c @ cov @ c)
+            assert var > 0
+            assert fit.ar_tests[m].z == pytest.approx(q / math.sqrt(var), rel=1e-9)
 
 
 class TestSargan:

@@ -6,6 +6,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +83,26 @@ def test_power_of_two_units_change_no_statistic(group, column, k):
         if key.endswith(".coef"):
             want = expected_coefficients(want, column, factor)
         assert_close(scaled[key], want)
+
+
+@pytest.mark.parametrize("column", COLUMNS)
+@pytest.mark.parametrize("group", ["north", "south"])
+def test_power_of_two_units_leave_static_statistics_bit_equal(group, column):
+    # the static fits solve through an equilibrated QR, so rescaling by 2^k
+    # moves no bit; GMM keeps the RTOL bound above
+    ds = panels()[group]
+    base = {key: want for key, want in unscaled(group).items() if not key.startswith("gmm.")}
+    for k in (-40, -13, -1, 3, 17, 40):
+        factor = 2.0 ** k
+        scaled = statistics(ds.with_column(column, ds.column(column) * factor))
+        for key, want in base.items():
+            if key.endswith(".coef"):
+                want = expected_coefficients(want, column, factor)
+            got = scaled[key]
+            if isinstance(want, dict):
+                assert list(got) == list(want)
+                got, want = list(got.values()), list(want.values())
+            np.testing.assert_array_equal(got, want, err_msg=f"{key} at 2^{k}")
 
 
 def test_growth_in_millionths_fits():
