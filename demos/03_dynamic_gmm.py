@@ -19,7 +19,7 @@ from panelforest.demo import make_demo_panel
 
 # %%
 # The dependent's first lag enters automatically; regressors are the
-# contemporaneous columns you pass. Instruments default to collapsed
+# contemporaneous columns you pass. Instruments are collapsed
 # lagged levels (lags 2..4) to keep the instrument count below the
 # entity count.
 

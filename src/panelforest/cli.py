@@ -387,10 +387,8 @@ class Runner:
             haus = lin.hausman(fe, re)
             fe, re = lin.robust_covariance(fe), lin.robust_covariance(re)
             main, alt = (re, fe) if spec.effects == "random" else (fe, re)
-            self.linear_blocks.append(
-                rpt.from_linear(main, gname, "static", fingerprint=self.fingerprint))
-            alt_blocks.append(rpt.from_linear(alt, gname, "static",
-                                              fingerprint=self.fingerprint))
+            self.linear_blocks.append(rpt.from_linear(main, gname, fingerprint=self.fingerprint))
+            alt_blocks.append(rpt.from_linear(alt, gname, fingerprint=self.fingerprint))
             hausman_rows.append([gname, fmt4(haus.statistic), haus.df, fmt4(haus.p),
                                  haus.preferred, haus.nonpsd])
             print(f"fit-linear[{gname}]: n={main.n_obs} R2={main.metrics.r_squared:.4f}")

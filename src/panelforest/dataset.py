@@ -186,24 +186,27 @@ def from_records(entity: Sequence[str], year: Sequence[int],
 
 
 def load_csv(path) -> PanelDataset:
-    """Load a UTF-8 CSV with a header row into a PanelDataset.
+    """Load a UTF-8 CSV with a header row into a PanelDataset; a leading
+    byte-order mark is dropped.
 
-    The file must contain the entity column `Code` and the year column
-    `Year`; every other column is parsed as numeric.  Empty cells and
-    unparseable numeric cells become missing (the latter are counted per
-    column in ``parse_warnings``).  An infinite cell ("inf", "-Infinity",
-    or a literal that overflows) is rejected.
+    The file must contain the entity column `Code`, never blank, and the
+    integer year column `Year` ("2000.0" is accepted); every other column
+    is parsed as numeric.  Empty cells and unparseable numeric cells
+    become missing (the latter are counted per column in
+    ``parse_warnings``).  An infinite cell ("inf", "-Infinity", or a
+    literal that overflows) is rejected.
 
     Raises
     ------
     SchemaError
         Missing entity/year column, repeated column name, a row too short
-        to hold its entity and year, or a non-blank cell past the header.
+        to hold its entity and year, a blank entity, a year that is not a
+        64-bit integer, or a non-blank cell past the header.
     IntegrityError
         Duplicate (entity, year) rows, or infinite cells (the message names
         the entity, year and variable of each).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -232,11 +235,16 @@ def load_csv(path) -> PanelDataset:
                 raise SchemaError(f"{path}:{lineno}: row too short for its Code and Year")
             if any(c.strip() for c in row[len(header):]):
                 raise SchemaError(f"{path}:{lineno}: cell past the header's {len(header)} columns")
-            entities.append(row[e_idx].strip())
+            if not row[e_idx].strip():
+                raise SchemaError(f"{path}:{lineno}: blank Code")
             try:
-                years.append(int(float(row[y_idx])))
+                year = float(row[y_idx])
             except ValueError:
-                raise SchemaError(f"{path}:{lineno}: non-integer year {row[y_idx]!r}") from None
+                year = math.nan
+            if not (year.is_integer() and abs(year) < 2**63):
+                raise SchemaError(f"{path}:{lineno}: year {row[y_idx]!r} is not a 64-bit integer")
+            entities.append(row[e_idx].strip())
+            years.append(int(year))
             for name, col_pos in zip(value_names, value_pos):
                 cell = row[col_pos].strip() if col_pos < len(row) else ""
                 if not cell:

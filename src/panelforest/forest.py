@@ -281,15 +281,11 @@ def _grow(X: np.ndarray, y: np.ndarray, in_bag: np.ndarray, mtry: int,
                                       < np.maximum.reduceat(yv, starts))
         # candidate features: per node, the mtry smallest of p uniform keys
         # drawn from its tree's stream, in ascending feature order
-        if mtry < p:
-            per_tree = np.bincount(node_tree, minlength=n_trees)
-            keys = np.concatenate([rngs[t].random((c, p))
-                                   for t, c in enumerate(per_tree) if c])
-            cand = np.sort(np.argpartition(keys, mtry - 1, axis=1)[:, :mtry], axis=1).T
-            feat = np.repeat(cand, counts, axis=1)
-            sel = order.ravel()[feat * n_act + np.arange(n_act)]
-        else:
-            cand, feat, sel = np.broadcast_to(rows, (p, K)), rows, order
+        per_tree = np.bincount(node_tree, minlength=n_trees)
+        keys = np.concatenate([rngs[t].random((c, p)) for t, c in enumerate(per_tree) if c])
+        cand = np.sort(np.argpartition(keys, mtry - 1, axis=1)[:, :mtry], axis=1).T
+        feat = np.repeat(cand, counts, axis=1)
+        sel = order.ravel()[feat * n_act + np.arange(n_act)]
         best, f_node, thr_node, total = _best_splits(sel, feat, cand, node, counts, x_flat,
                                                      w_e, wyq_e, W, min_leaf)
         split = live & (best > -np.inf)
@@ -528,12 +524,10 @@ def mdi_importance(forest: Forest) -> dict[str, float]:
     warning as the degenerate-case marker).
     """
     nodes = forest.nodes
-    n_boot = np.repeat(forest.in_bag_counts.sum(axis=1),
-                       np.diff(forest.roots, append=nodes.n_nodes))
     internal = nodes.feature >= 0
     totals = np.zeros(len(forest.feature_names))
-    np.add.at(totals, nodes.feature[internal],
-              nodes.sse_decrease[internal] / n_boot[internal])
+    # every bootstrap sample draws n_rows rows
+    np.add.at(totals, nodes.feature[internal], nodes.sse_decrease[internal] / forest.n_rows)
     totals /= len(forest.roots)
     norm = totals.sum()
     if norm <= 0.0:

@@ -4,9 +4,9 @@ The estimator stacks first-differenced equations (instrumented by lagged
 levels, lags >= 2) on top of level equations (instrumented by lag-1 first
 differences), weighting with the standard one-step H matrix: tridiagonal
 (2 on the diagonal, -1 on the first off-diagonal) for the differenced
-block, identity for the level block.  Instruments are collapsed by default
-(one column per lag distance) to curb proliferation when the entity and
-period counts are similar.
+block, identity for the level block.  Instruments are collapsed (one
+column per lag distance) to curb proliferation when the entity and period
+counts are similar.
 
 Diagnostics are computed inside the fit and stored on it, as xtabond2
 reports them: Sargan over-identification test under the one-step weight,
@@ -48,23 +48,21 @@ class GmmSpec:
     instrument_lags gives the level-lag range used to instrument the
     differenced equations, either one (min, max) pair for every
     instrumented variable or a per-variable mapping; min must be >= 2.
-    collapse=False expands instruments per period (GMM-style) instead of
-    one column per lag distance.
+    Instruments are collapsed: one column per (variable, lag distance).
     """
 
     dependent: str
     regressors: tuple[str, ...]
     instrument_lags: tuple[int, int] | Mapping[str, tuple[int, int]] = (2, 4)
     include_time_dummies: bool = False
-    collapse: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "regressors", tuple(self.regressors))
         if self.dependent in self.regressors:
             raise ValueError(f"dependent {self.dependent!r} also appears as a regressor")
-        for switch in ("include_time_dummies", "collapse"):
-            if not isinstance(getattr(self, switch), bool):
-                raise ValueError(f"{switch} must be a bool, got {getattr(self, switch)!r}")
+        if not isinstance(self.include_time_dummies, bool):
+            raise ValueError("include_time_dummies must be a bool, "
+                             f"got {self.include_time_dummies!r}")
         lag_items = (self.instrument_lags.items() if isinstance(self.instrument_lags, Mapping)
                      else [("*", self.instrument_lags)])
         for var, lags in lag_items:
@@ -204,8 +202,7 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
     y_stack = stacked(dep, 0)
     x_stack = np.column_stack([stacked(dep, 1), *(stacked(r, 0) for r in regs), *shared])
 
-    z_cols, z_names = _build_instruments(spec, at, d_idx, l_idx, d_year, l_year,
-                                         inst_vars, include_level)
+    z_cols, z_names = _build_instruments(spec, at, d_idx, l_idx, inst_vars, include_level)
     z = np.column_stack(z_cols + shared)
     z_names = z_names + shared_names
     nonzero = np.any(z != 0.0, axis=0)
@@ -294,7 +291,7 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
     return replace(fit, wald=wald_joint(fit, [n for n in param_names if n != "const"]))
 
 
-def _build_instruments(spec, at, d_idx, l_idx, d_year, l_year, inst_vars, include_level):
+def _build_instruments(spec, at, d_idx, l_idx, inst_vars, include_level):
     """Lagged-level columns for the diff block and lagged-difference columns
     for the level block, over the stacked rows.
 
@@ -310,26 +307,13 @@ def _build_instruments(spec, at, d_idx, l_idx, d_year, l_year, inst_vars, includ
 
     for v in inst_vars:
         lo, hi = spec.lags_for(v)
-        history = {}
         for lag in range(lo, hi + 1):
             level = at(v, lag)[d_idx]
-            history[lag] = np.where(np.isnan(level), 0.0, level)
-        if spec.collapse:
-            for lag, col in history.items():
-                add(f"diff:{v}(t-{lag})", col, zeros_l)
-        else:
-            for t0 in np.unique(d_year).tolist():
-                for lag, col in history.items():
-                    add(f"diff:{v}(t-{lag})@{t0}", np.where(d_year == t0, col, 0.0), zeros_l)
+            add(f"diff:{v}(t-{lag})", np.where(np.isnan(level), 0.0, level), zeros_l)
     if include_level:
         for v in inst_vars:
             a, b = at(v, 1)[l_idx], at(v, 2)[l_idx]
-            change = np.where(np.isnan(a) | np.isnan(b), 0.0, a - b)
-            if spec.collapse:
-                add(f"level:D.{v}(t-1)", zeros_d, change)
-            else:
-                for t0 in np.unique(l_year).tolist():
-                    add(f"level:D.{v}(t-1)@{t0}", zeros_d, np.where(l_year == t0, change, 0.0))
+            add(f"level:D.{v}(t-1)", zeros_d, np.where(np.isnan(a) | np.isnan(b), 0.0, a - b))
     return cols, names
 
 

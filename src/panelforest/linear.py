@@ -230,8 +230,8 @@ def _random_effects_transform(y, X, col_names, inverse, scale):
 
     theta = 1.0 - np.sqrt(sigma2_e / (sigma2_e + t_i * sigma2_eta))
     theta_row = theta[inverse]
-    y_t = y - theta_row * _entity_means(y, inverse)
-    x_t = X - theta_row[:, None] * _entity_means(X, inverse)
+    y_t = y - theta_row * y_bar[inverse]
+    x_t = X - theta_row[:, None] * x_bar[inverse, 1:]
     const = 1.0 - theta_row
     return y_t, np.column_stack([const, x_t]), ["const", *col_names]
 

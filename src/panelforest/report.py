@@ -76,9 +76,9 @@ class ModelBlock:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
 
 
-def from_linear(fit: LinearFit, group: str, setting: str,
-                fingerprint: str | None = None) -> ModelBlock:
-    """Adapt a linear fit (coefficients, robust/classical SEs, stars).
+def from_linear(fit: LinearFit, group: str, fingerprint: str | None = None) -> ModelBlock:
+    """Adapt a linear fit (coefficients, robust/classical SEs, stars),
+    always as a block of the static setting.
 
     `fingerprint` overrides the fit's own when the fit was estimated on a
     group subset of a shared source dataset.
@@ -90,7 +90,7 @@ def from_linear(fit: LinearFit, group: str, setting: str,
     metrics = {"r2": m.r_squared, "adj_r2": m.adj_r_squared,
                "f_stat": m.f_statistic, "n_obs": fit.n_obs}
     footer = {"covariance": fit.cov_method, "entities": str(fit.n_entities)}
-    return ModelBlock(group, setting, "linear", cells, metrics, footer,
+    return ModelBlock(group, "static", "linear", cells, metrics, footer,
                       fingerprint if fingerprint is not None else fit.fingerprint)
 
 

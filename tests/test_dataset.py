@@ -64,6 +64,25 @@ class TestLoadCsv:
         ds = load_csv(tmp_csv("Code,Year,x\nA,2000,1,\nA,2001,3, ,\n"))
         assert list(ds.column("x")) == [1.0, 3.0]
 
+    def test_blank_code_names_its_line(self, tmp_csv):
+        p = tmp_csv("Code,Year,x\nA,2000,1\n,2001,2\n ,2002,3\n")
+        with pytest.raises(SchemaError, match=r"data\.csv:3: blank Code"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("year", ["2001.6", "inf", "1e30"])
+    def test_year_not_an_integer_names_its_line(self, tmp_csv, year):
+        p = tmp_csv(f"Code,Year,x\nA,2000,1\nA,{year},2\n")
+        with pytest.raises(SchemaError, match=f":3: year '{year}' is not a 64-bit integer"):
+            load_csv(p)
+
+    def test_integral_float_year_accepted(self, tmp_csv):
+        assert load_csv(tmp_csv("Code,Year,x\nA,2000.0,1\nA,2001,2\n")).years == [2000, 2001]
+
+    def test_byte_order_mark_dropped(self, tmp_csv):
+        ds = load_csv(tmp_csv("\ufeffCode,Year,x\nA,2000,1\nB,2000,2\n"))
+        assert ds.entities == ["A", "B"]
+        assert list(ds.column("x")) == [1.0, 2.0]
+
     def test_unparseable_cells_become_missing_with_count(self, tmp_csv):
         p = tmp_csv("Code,Year,x,w\nUSA,2000,oops,1\nUSA,2001,2.0,\n")
         with pytest.warns(UserWarning, match="unparseable"):

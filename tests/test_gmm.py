@@ -56,7 +56,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="pair of integers"):
             GmmSpec("y", ("x",), instrument_lags=(2,))
 
-    @pytest.mark.parametrize("switch", ["include_time_dummies", "collapse"])
+    @pytest.mark.parametrize("switch", ["include_time_dummies"])
     def test_switches_must_be_bool(self, switch):
         with pytest.raises(ValueError, match=f"{switch} must be a bool"):
             GmmSpec("y", ("x",), **{switch: "no"})
@@ -103,15 +103,9 @@ class TestFit:
         assert fit.instrument_count == fit.z_matrix.shape[1]
         assert fit.instrument_count == len(fit.instrument_names)
         assert fit.sargan.df == fit.instrument_count - fit.parameter_count
-        # collapsed default: 3 lags x 2 vars + 2 level diffs + const = 9
+        # collapsed: 3 lags x 2 vars + 2 level diffs + const = 9
         assert fit.instrument_count == 9
         assert fit.parameter_count == 3
-
-    def test_full_expansion_grows_instruments(self):
-        spec_full = GmmSpec("y", ("x",), collapse=False)
-        a = fit_system_gmm(SPEC, dynamic_panel(2, n_ent=60))
-        b = fit_system_gmm(spec_full, dynamic_panel(2, n_ent=60))
-        assert b.instrument_count > a.instrument_count
 
     def test_scaling_regressor_invariance(self):
         ds = dynamic_panel(3, n_ent=100)

@@ -111,6 +111,39 @@ class TestFit:
         assert np.all(np.isfinite(f.covariance))
         assert f.coefficients["x1"] == pytest.approx(0.5, abs=0.05)
 
+    def test_random_effects_match_swamy_arora_by_hand(self):
+        # unbalanced: entities keep 4 to 8 years, and E000 skips 2003
+        ds = fe_panel(31, n_ent=20, n_per=8, sigma=0.5)
+        ent, yr = ds.entity, ds.year
+        keep = (yr < 2004 + segment_ids(ent) % 5) & ~((ent == "E000") & (yr == 2003))
+        ds = from_records(list(ent[keep]), list(yr[keep]),
+                          {c: ds.column(c)[keep] for c in ("y", "x1", "x2")})
+        y, X = ds.column("y"), np.column_stack([ds.column("x1"), ds.column("x2")])
+        g = segment_ids(ds.entity)
+        t_i = np.bincount(g).astype(np.float64)
+        n, big_n, k = len(y), len(t_i), X.shape[1]
+        y_bar = np.bincount(g, weights=y) / t_i
+        x_bar = np.column_stack([np.bincount(g, weights=c) / t_i for c in X.T])
+
+        def ols(a, b):
+            coef = np.linalg.lstsq(a, b, rcond=None)[0]
+            resid = b - a @ coef
+            return coef, float(resid @ resid)
+
+        sigma2_e = ols(X - x_bar[g], y - y_bar[g])[1] / (n - big_n - k)
+        sigma2_b = ols(np.column_stack([np.ones(big_n), x_bar]), y_bar)[1] / (big_n - k - 1)
+        sigma2_eta = max(0.0, sigma2_b - sigma2_e * np.mean(1.0 / t_i))
+        theta = (1.0 - np.sqrt(sigma2_e / (sigma2_e + t_i * sigma2_eta)))[g]
+        design = np.column_stack([1.0 - theta, X - theta[:, None] * x_bar[g]])
+        beta, rss = ols(design, y - theta * y_bar[g])
+        cov = rss / (n - k - 1) * np.linalg.inv(design.T @ design)
+
+        f = fit(ModelSpec("y", ("x1", "x2"), effects="random"), ds)
+        assert sigma2_eta > 0.0
+        assert f.coef_names == ("const", "x1", "x2")
+        np.testing.assert_allclose(f.beta, beta, rtol=1e-10)
+        np.testing.assert_allclose(f.covariance, cov, rtol=1e-10)
+
     @pytest.mark.parametrize("scale", [1.0, 2.0**30, 2.0**-30], ids=["1", "2^30", "2^-30"])
     def test_rank_deficiency_names_columns(self, scale):
         # equilibration must not hide a copy that differs only in its units

@@ -28,7 +28,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def linear_block(seed=0, group="g7", fingerprint=None):
     f = robust_covariance(fit(ModelSpec("y", ("x1", "x2"), effects="fixed"),
                               fe_panel(seed, n_ent=20, n_per=8)))
-    return from_linear(f, group, "static", fingerprint=fingerprint)
+    return from_linear(f, group, fingerprint=fingerprint)
 
 
 def forest_block(seed=0, group="g7", fingerprint=None, decisions=None):
