@@ -16,10 +16,9 @@ Each design is checked once, before any forest.  A test's forests, the
 observed one on the data as given and then one null forest per
 permutation, grow in blocks on stacked copies of the data through
 `fit_forest`'s grower, one run of bootstrap draws per block, and are
-scored in one routing pass.  Every test of a call runs on one process
-pool: the first block of each test is queued up front, and each returned
-block is fed to its test's stopping rule in permutation order, which
-queues the next block while the test is open.
+scored in one routing pass; the next block grows only when the test's
+stopping rule asks for a permutation past the importances held.  Every
+test of a call runs whole, as one task, on one process pool.
 
 Every random draw comes from a stream keyed by (seed, variable, role,
 index), so results are identical for any worker count, block size or
@@ -32,9 +31,9 @@ from __future__ import annotations
 import math
 import multiprocessing
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import special
@@ -234,19 +233,6 @@ def run_sequential(cfg: SeqTestConfig,
     j = 1, 2, ... until the method stops.  Returns
     (decision, p_estimate, m, d, stopping_reason).
     """
-    walk = _walk(cfg)
-    try:
-        m = next(walk)
-        while True:
-            m = walk.send(exceedance_fn(m))
-    except StopIteration as done:
-        return done.value
-
-
-def _walk(cfg: SeqTestConfig) -> Generator[int, bool, tuple[str, float, int, int, str]]:
-    """`run_sequential` as a generator: it yields the index of the
-    permutation whose exceedance it needs next, is sent that exceedance,
-    and returns the result, so a caller can feed it as importances arrive."""
     mmax, alpha = cfg.mmax, cfg.alpha
 
     def p_est(d: int, m: int) -> float:
@@ -260,7 +246,7 @@ def _walk(cfg: SeqTestConfig) -> Generator[int, bool, tuple[str, float, int, int
     d = 0
     llr = 0.0
     for m in range(1, mmax + 1):
-        exceeded = bool((yield m))
+        exceeded = bool(exceedance_fn(m))
         d += exceeded
 
         if cfg.method == "certain":
@@ -308,8 +294,8 @@ def _null_permutation(X: np.ndarray, col: int,
 
 @dataclass(frozen=True)
 class _Test:
-    """One variable's sequential test: everything a worker needs to grow
-    and score a block of its forests."""
+    """One variable's sequential test: everything a worker needs to run it
+    to its decision, one block of its forests at a time."""
 
     X: np.ndarray
     y: np.ndarray
@@ -357,58 +343,42 @@ def _block_vimps(test: _Test, start: int, stop: int) -> list[float]:
     return [float(np.mean(drops)) for drops in shuffle_drops(test.col, shuffles)]
 
 
+def _decide(test: _Test) -> SeqTestDecision:
+    """Run one test to its decision.  The stopping rule asks for
+    permutation j = 1, 2, ...; the test's next block of forests grows only
+    when j is past the importances already held, so fewer than one block
+    of forests goes unused.  An exceedance is a permuted importance not
+    less than the observed one, so a NaN importance (as on a constant
+    target) counts as one."""
+    vimps: list[float] = []  # observed, permutation 1, 2, ...
+
+    def exceeds(j: int) -> bool:
+        while j >= len(vimps):
+            vimps.extend(_block_vimps(test, *test.block(len(vimps))))
+        return not (vimps[j] < vimps[0])
+
+    return SeqTestDecision(test.variable, *run_sequential(test.cfg, exceeds), vimps[0])
+
+
 def _run_tests(designs: Sequence[Sequence[_Test]],
                workers: int) -> list[dict[str, SeqTestDecision]]:
-    """Decide every test of every design, one block of forests at a time
-    per test: inline for one worker, else on one fork-started pool of
-    min(workers, tests) processes, with the first block of every test
-    queued up front; one decision map per design.
-
-    Each returned block is fed to its test's `_walk` in permutation order,
-    and the test's next block is queued while the walk asks for more.  A
-    decision thus depends only on its test's own streams, not on the worker
-    count, the block size or the order in which blocks return."""
+    """Decide every test of every design, each whole in one task: inline
+    for one worker, else on one fork-started pool of min(workers, tests)
+    processes; one decision map per design.  A decision depends only on
+    its test's own streams, not on the worker count, the block size or the
+    order in which tests finish."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     tests = [test for design in designs for test in design]
-    walks = [_walk(test.cfg) for test in tests]
-    wants = [next(walk) for walk in walks]  # the permutation each walk needs next
-    vimps: list[list[float]] = [[] for _ in tests]  # observed, permutation 1, 2, ...
-    decisions: list[SeqTestDecision] = [None] * len(tests)
-
-    def receive(i: int, values: list[float]) -> tuple[int, int] | None:
-        """Feed a block of test i to its walk; the next block, or None once
-        the test has stopped."""
-        got = vimps[i]
-        got += values
-        try:
-            while wants[i] < len(got):
-                wants[i] = walks[i].send(got[wants[i]] >= got[0])
-        except StopIteration as done:
-            decisions[i] = SeqTestDecision(tests[i].variable, *done.value, got[0])
-            return None
-        return tests[i].block(len(got))
-
     if workers == 1 or len(tests) <= 1:
-        for i, test in enumerate(tests):
-            block = test.block(0)
-            while block:
-                block = receive(i, _block_vimps(test, *block))
+        decisions = list(map(_decide, tests))
     else:
         # fork: the workers start with the package imported, where spawn
         # would import numpy, scipy and panelforest again in each of them
         pool = ProcessPoolExecutor(min(workers, len(tests)),
                                    mp_context=multiprocessing.get_context("fork"))
         try:
-            running = {pool.submit(_block_vimps, test, *test.block(0)): i
-                       for i, test in enumerate(tests)}
-            while running:
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    i = running.pop(future)
-                    block = receive(i, future.result())
-                    if block:
-                        running[pool.submit(_block_vimps, tests[i], *block)] = i
+            decisions = list(pool.map(_decide, tests))
         finally:
             pool.shutdown(cancel_futures=True)
     found = iter(decisions)
@@ -423,10 +393,12 @@ def rfvimptest(X: np.ndarray, y: np.ndarray, variable: str, cfg: SeqTestConfig,
     The observed importance comes from a forest fit to the original data.
     For each permutation j the variable's column is shuffled, a fresh
     forest is fit to the shuffled data, and the variable's importance is
-    recomputed the same way; an exceedance is a permuted importance >= the
-    observed one.  The null forests are grown a block at a time, so fewer
-    than one block of them past the stopping point is grown and unused;
-    the result does not depend on the block size.
+    recomputed the same way; an exceedance is a permuted importance not
+    less than the observed one, so a NaN importance counts as one.  The
+    null forests are grown a block at a time, and a block only once the
+    stopping rule asks for its first permutation, so fewer than one block
+    of them past the stopping point is grown and unused; the result does
+    not depend on the block size.
     cfg.method decides when to stop.  Every forest of the test takes mtry,
     min_leaf and max_depth from forest_config; its size is cfg.ntree and
     its seed derives from `seed`, so forest_config's n_trees and seed are

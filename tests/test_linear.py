@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from panelforest._common import segment_ids
@@ -32,6 +34,15 @@ def noiseless_panel(slope=2.0, n_ent=4, n_per=10, seed=0):
             xs.append(x)
             ys.append(slope * x + eff)
     return from_records(ents, yrs, {"y": ys, "x": xs})
+
+
+def unbalanced_panel(seed):
+    """fe_panel with entities keeping 4 to 8 years, and E000 skipping 2003."""
+    ds = fe_panel(seed, n_ent=20, n_per=8, sigma=0.5)
+    ent, yr = ds.entity, ds.year
+    keep = (yr < 2004 + segment_ids(ent) % 5) & ~((ent == "E000") & (yr == 2003))
+    return from_records(list(ent[keep]), list(yr[keep]),
+                        {c: ds.column(c)[keep] for c in ("y", "x1", "x2")})
 
 
 SPEC_FE = ModelSpec("y", ("x",), effects="fixed")
@@ -69,6 +80,31 @@ class TestFit:
         beta = np.linalg.lstsq(X, ds.column("y"), rcond=None)[0]
         assert f.coefficients["x1"] == pytest.approx(beta[0], abs=1e-9)
         assert f.coefficients["x2"] == pytest.approx(beta[1], abs=1e-9)
+
+    def test_unbalanced_within_equals_lsdv_with_classical_se(self):
+        ds = unbalanced_panel(33)
+        X = np.column_stack([ds.column("x1"), ds.column("x2")]
+                            + [(ds.entity == e).astype(float) for e in ds.entities])
+        beta, rss = np.linalg.lstsq(X, ds.column("y"), rcond=None)[:2]
+        cov = rss[0] / (len(X) - X.shape[1]) * np.linalg.inv(X.T @ X)
+        f = fit(SPEC2_FE, ds)
+        assert f.df_residual == len(X) - X.shape[1]
+        np.testing.assert_allclose(f.beta, beta[:2], rtol=1e-9)
+        np.testing.assert_allclose([f.se("x1"), f.se("x2")], np.sqrt(np.diag(cov)[:2]),
+                                   rtol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 1e2, 1e4]))
+    def test_entity_constants_absorbed_by_effects(self, seed, scale):
+        ds = unbalanced_panel(34)
+        rng = np.random.default_rng(seed)
+        g = segment_ids(ds.entity)
+        shifted = (ds.with_column("y", ds.column("y") + scale * rng.normal(size=g[-1] + 1)[g])
+                   .with_column("x1", ds.column("x1") + scale * rng.normal(size=g[-1] + 1)[g]))
+        f1, f2 = fit(SPEC2_FE, ds), fit(SPEC2_FE, shifted)
+        np.testing.assert_allclose(f2.beta, f1.beta, rtol=1e-9)
+        np.testing.assert_allclose([f2.se("x1"), f2.se("x2")], [f1.se("x1"), f1.se("x2")],
+                                   rtol=1e-9)
 
     def test_constant_shift_absorbed_by_effects(self):
         ds = fe_panel(5)
@@ -112,12 +148,7 @@ class TestFit:
         assert f.coefficients["x1"] == pytest.approx(0.5, abs=0.05)
 
     def test_random_effects_match_swamy_arora_by_hand(self):
-        # unbalanced: entities keep 4 to 8 years, and E000 skips 2003
-        ds = fe_panel(31, n_ent=20, n_per=8, sigma=0.5)
-        ent, yr = ds.entity, ds.year
-        keep = (yr < 2004 + segment_ids(ent) % 5) & ~((ent == "E000") & (yr == 2003))
-        ds = from_records(list(ent[keep]), list(yr[keep]),
-                          {c: ds.column(c)[keep] for c in ("y", "x1", "x2")})
+        ds = unbalanced_panel(31)
         y, X = ds.column("y"), np.column_stack([ds.column("x1"), ds.column("x2")])
         g = segment_ids(ds.entity)
         t_i = np.bincount(g).astype(np.float64)

@@ -477,6 +477,35 @@ class TestRfvimptestAll:
         first = runs[vimp._ENTRIES_PER_GROUP, 1]
         assert [key for key, run in runs.items() if run != first] == []
 
+    def test_blocks_grow_only_as_the_rule_asks(self, monkeypatch):
+        calls = {}
+        block_vimps = vimp._block_vimps
+
+        def recording(test, start, stop):
+            calls[test.variable].append((start, stop))
+            return block_vimps(test, start, stop)
+
+        monkeypatch.setattr(vimp, "_block_vimps", recording)
+        X, y = three_columns(25, n=80)
+        sprt = SeqTestConfig(method="sprt", mmax=25, ntree=6, nperm=1)
+        complete = SeqTestConfig(method="complete", mmax=12, ntree=6, nperm=1)
+        # blocks of 3 forests, then of 1
+        for size, entries in ((3, 3 * 80 * 6), (1, 1)):
+            monkeypatch.setattr(vimp, "_ENTRIES_PER_GROUP", entries)
+            calls.update(x0=[], x1=[], x2=[])
+            decisions = [*rfvimptest_all(X, y, ["x0", "x1"], sprt, master_seed=19,
+                                         forest_config=FAST_FOREST).values(),
+                         rfvimptest(X, y, "x2", complete, seed=19,
+                                    forest_config=FAST_FOREST)]
+            assert all(dec.m < sprt.mmax for dec in decisions[:2])  # sprt stops early
+            for dec in decisions:
+                blocks = calls[dec.variable]
+                assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+                assert all(stop - start == size for start, stop in blocks[:-1])
+                assert blocks[-1][0] <= dec.m < blocks[-1][1]
+                if size == 1:
+                    assert blocks[-1][1] == dec.m + 1  # forests 0, ..., m
+
     def test_pool_sized_by_the_tests(self, monkeypatch):
         sizes = []
 
@@ -601,6 +630,24 @@ class TestDesignChecks:
         with pytest.raises(ValueError, match=problem):
             self.run(entry, X, y, ["x0", "x1"], workers)
         assert sizes == []
+
+
+class TestConstantTarget:
+    """On a constant target every importance is NaN (R-squared is 0/0),
+    which must count as an exceedance, not as evidence of importance."""
+
+    @pytest.mark.parametrize("method", vimp.METHODS)
+    def test_nan_importance_never_significant(self, method):
+        X, y = signal_data(30, n=80)
+        y[:] = 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the reach warnings of mmax=30
+            cfg = SeqTestConfig(method=method, mmax=30, ntree=5, nperm=1)
+        out = rfvimptest_all(X, y, ["x0", "x1"], cfg, master_seed=31,
+                             forest_config=FAST_FOREST)
+        for dec in out.values():
+            assert np.isnan(dec.observed_vimp)
+            assert (dec.decision, dec.d) == ("not_significant", dec.m)
 
 
 class TestSignificanceCodes:
