@@ -20,8 +20,10 @@ forest is a pure function of (X, y, config).
 A forest stores all its trees in one node table, tree after tree, with the
 offset of each tree's root; child links are tree-local.  One function,
 `_leaves`, routes (tree, row) pairs for predict, OOB scoring and
-`Tree.predict`, and a shuffle reroutes a pair only from its leaf's
-`_first_splits` entry; MDI works on whole node columns.
+`Tree.predict`.  A shuffle of one column keeps a pair in its leaf while the
+new value stays in the leaf's `_stay_intervals` interval, and reroutes it
+from the leaf's first split on the column otherwise; MDI works on whole
+node columns.
 """
 
 from __future__ import annotations
@@ -438,20 +440,27 @@ def _pairs(forest: Forest, X: np.ndarray, oob: bool,
     return rows, _leaves(forest.nodes, forest.roots, forest.roots[tree], X, rows)
 
 
-def _first_splits(forest: Forest) -> np.ndarray:
-    """(n_nodes, p) table of the shallowest node above node i splitting on
-    feature f, or -1: a shuffle of column f moves a pair only below it."""
+def _stay_intervals(forest: Forest, col: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per node: the shallowest node above it that splits on column `col`
+    (-1 when none does), and the interval (lo, hi] of `col` values that its
+    ancestors' splits on `col` send to it.  A change of `col` alone keeps a
+    pair in its leaf while the new value stays in the leaf's interval, and
+    moves it only below that first split otherwise."""
     nodes, level = forest.nodes, forest.roots
-    first = np.full((nodes.n_nodes, nodes.n_features), -1, dtype=np.int32)
+    first = np.full(nodes.n_nodes, -1, dtype=np.intp)
+    lo, hi = np.full(nodes.n_nodes, -np.inf), np.full(nodes.n_nodes, np.inf)
     offset = np.repeat(level, np.diff(level, append=nodes.n_nodes))
     while level.size:
         parent = level[nodes.feature[level] >= 0]
-        above, k, f = first[parent], np.arange(len(parent)), nodes.feature[parent]
-        above[k, f] = np.where(above[k, f] < 0, parent, above[k, f])
+        on, thr = nodes.feature[parent] == col, nodes.threshold[parent]
         kids = nodes.left[parent] + offset[parent]
-        first[kids] = first[kids + 1] = above
+        first[kids] = first[kids + 1] = np.where(on & (first[parent] < 0), parent,
+                                                 first[parent])
+        lo[kids], hi[kids + 1] = lo[parent], hi[parent]
+        hi[kids] = np.where(on, np.minimum(hi[parent], thr), hi[parent])  # x <= thr
+        lo[kids + 1] = np.where(on, np.maximum(lo[parent], thr), lo[parent])
         level = np.concatenate((kids, kids + 1))
-    return first
+    return first, lo, hi
 
 
 def _check_columns(nodes: Tree, X: np.ndarray) -> np.ndarray:

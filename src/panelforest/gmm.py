@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from ._common import segment_ids, segment_starts
 from .dataset import PanelDataset
@@ -145,6 +144,8 @@ def fit_system_gmm(spec: GmmSpec, ds: PanelDataset) -> GmmFit:
 
 
 def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> GmmFit:
+    from scipy import special
+
     # difference-only mode (include_level=False) is internal, used by the
     # test suite where the one-step weight is exactly efficient
     ds.require_columns([spec.dependent, *spec.regressors])
@@ -329,6 +330,8 @@ def _ar_test(w, lagged, diff_group, scores, design_diff, a_inv, zx, w_mat, cov) 
     accounting for estimation error in the coefficients (diff_group: the
     entity of each diff row; scores: row g holds entity g's Z_g'u_g).  Two-sided
     normal p; NaN marker when no pairs overlap."""
+    from scipy import special
+
     if not (lagged >= 0).any():
         return ArResult(math.nan, math.nan)
     w_lag = np.where(lagged >= 0, w[lagged], 0.0)

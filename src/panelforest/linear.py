@@ -20,8 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import special
 
 from ._common import segment_ids, segment_starts, star_code
 from .dataset import PanelDataset
@@ -253,6 +251,8 @@ def _within_variance(y, X, inverse):
 
 
 def _metrics_from(rss: float, tss: float, n: int, k: int) -> FitMetrics:
+    from scipy import special
+
     if tss <= 0.0:
         return FitMetrics(math.nan, math.nan, math.nan, math.nan)
     r2 = 1.0 - rss / tss
@@ -303,6 +303,8 @@ def t_tests(fit_: LinearFit) -> dict[str, TTest]:
 
     A zero standard error yields NaN t/p markers rather than an error.
     """
+    from scipy import special
+
     out = {}
     for i, name in enumerate(fit_.coef_names):
         est = fit_.coefficients[name]
@@ -330,6 +332,8 @@ def wald_joint(fit_, subset: Sequence[str]) -> WaldResult:
     Takes any fit with `coef_names`, `coefficients` and `covariance`: a
     linear fit or a System GMM fit.
     """
+    from scipy import special
+
     subset = list(subset)
     missing = [s for s in subset if s not in fit_.coef_names]
     if missing:
@@ -362,6 +366,8 @@ def _unit_scales(norms) -> np.ndarray:
 def _pivoted_qr(a: np.ndarray, scale: np.ndarray) -> tuple:
     """Pivoted QR of `a * scale`: (q, r) cut to the numerical rank, and the
     pivot order."""
+    from scipy import linalg as sla
+
     q, r, perm = sla.qr(a * scale, mode="economic", pivoting=True)
     rank = int(np.count_nonzero(np.abs(np.diag(r)) > RANK_RTOL))
     return q[:, :rank], r[:rank], perm
@@ -403,6 +409,8 @@ def hausman(fe: LinearFit, re: LinearFit) -> HausmanResult:
     non-positive-semidefinite variance difference is handled with the
     pseudo-inverse and flagged via nonpsd.
     """
+    from scipy import special
+
     if fe.spec.effects != "fixed" or re.spec.effects != "random":
         raise ValueError("hausman expects (fixed fit, random fit)")
     if fe.spec.slopes != re.spec.slopes:

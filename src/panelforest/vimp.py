@@ -3,7 +3,9 @@
 Two layers:
 
 * :func:`permutation_importance` -- shuffle-and-rescore importance, with
-  repeats; a shuffle reroutes only the pairs below the column's first split.
+  repeats; a shuffle keeps the leaf of every pair whose new value stays in
+  the interval its leaf's splits on the column allow, and reroutes the
+  others from the leaf's first split on the column.
 * :func:`rfvimptest` / :func:`rfvimptest_all` / :func:`rfvimptest_many` --
   significance testing of a variable's permutation importance.  The
   observed importance is compared against importances recomputed on data
@@ -36,13 +38,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from ._common import star_code
 from ._rng import derive_seed, stream
 from .forest import (_ENTRIES_PER_GROUP, Forest, ForestConfig, _check_columns, _check_design,
-                     _check_target, _feature_names, _first_splits, _grow_forests, _leaves,
-                     _pairs, r2_score)
+                     _check_target, _feature_names, _grow_forests, _leaves, _pairs, r2_score,
+                     _stay_intervals)
 
 __all__ = [
     "PermImportanceResult",
@@ -81,9 +82,11 @@ def _scorer(forest: Forest, X: np.ndarray, y: np.ndarray, eval_set: str,
 
     X may stack `copies` data sets, each scored by its own forest: a run of
     len(forest.roots) // copies trees (see `_pairs`); y holds the target of
-    one set.  Each shuffle gives one generator per set.  A shuffle reroutes
-    only pairs below a split on `col`; every forest's sums keep `predict`'s
-    and `oob_predictions`' order."""
+    one set.  Each shuffle gives one generator per set.  A pair whose
+    shuffled value stays in its leaf's interval (lo, hi] keeps its leaf,
+    since every split on `col` above the leaf sends it the same way; the
+    others are rerouted from the leaf's first split on `col`.  Every
+    forest's sums keep `predict`'s and `oob_predictions`' order."""
     rows, base = _pairs(forest, X, eval_set == "oob", copies)
     counts = np.bincount(rows, minlength=len(X)).reshape(copies, -1)
     seen = [np.flatnonzero(c) for c in counts]
@@ -93,14 +96,18 @@ def _scorer(forest: Forest, X: np.ndarray, y: np.ndarray, eval_set: str,
         return np.array([r2_score(y[s], t[s] / c[s])
                          for s, t, c in zip(seen, totals.reshape(copies, -1), counts)])
 
-    baseline, first = score(base), _first_splits(forest)
+    baseline = score(base)
 
     def drops(col: int, shuffles: Iterable[Sequence[np.random.Generator]]) -> np.ndarray:
-        start = np.where(first[base, col] >= 0, first[base, col], base)  # else keep the leaf
-        return np.column_stack([baseline - score(_leaves(forest.nodes, forest.roots, start,
-                                                         _null_permutation(X, col, rngs),
-                                                         rows))
-                                for rngs in shuffles])
+        first, lo, hi = (a[base] for a in _stay_intervals(forest, col))
+        first = np.where(first >= 0, first, base)  # no split on col above: keep the leaf
+        out = []
+        for rngs in shuffles:
+            Xp = _null_permutation(X, col, rngs)
+            v = Xp[rows, col]
+            start = np.where((lo < v) & (v <= hi), base, first)
+            out.append(baseline - score(_leaves(forest.nodes, forest.roots, start, Xp, rows)))
+        return np.column_stack(out)
 
     return baseline, drops
 
@@ -261,6 +268,8 @@ def run_sequential(cfg: SeqTestConfig,
             if llr <= lower:
                 return "not_significant", p_est(d, m), m, d, f"{cfg.method}_boundary"
         elif cfg.method == "pval":
+            from scipy import special  # the other rules run without scipy
+
             # Clopper-Pearson interval for the exceedance probability
             lo = 0.0 if d == 0 else float(special.betaincinv(d, m - d + 1, cfg.gamma / 2))
             hi = 1.0 if d == m else float(special.betaincinv(d + 1, m - d, 1 - cfg.gamma / 2))
@@ -374,7 +383,8 @@ def _run_tests(designs: Sequence[Sequence[_Test]],
         decisions = list(map(_decide, tests))
     else:
         # fork: the workers start with the package imported, where spawn
-        # would import numpy, scipy and panelforest again in each of them
+        # would import numpy and panelforest again in each of them (and a
+        # worker imports scipy itself if the pval rule asks for it first)
         pool = ProcessPoolExecutor(min(workers, len(tests)),
                                    mp_context=multiprocessing.get_context("fork"))
         try:

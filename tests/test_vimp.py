@@ -1,10 +1,14 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -133,13 +137,17 @@ class TestScoringOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), eval_set=st.sampled_from(["train", "oob"]),
-           ties=st.booleans(), constant_y=st.booleans())
-    def test_equals_shuffle_and_predict(self, seed, eval_set, ties, constant_y):
+           ties=st.booleans(), constant_y=st.booleans(), adjacent=st.booleans())
+    def test_equals_shuffle_and_predict(self, seed, eval_set, ties, constant_y, adjacent):
         rng = np.random.default_rng(seed)
         n, p = int(rng.integers(12, 80)), int(rng.integers(1, 4))
         X = rng.normal(size=(n, p))
         if ties:
             X = np.round(X, 1)
+        if adjacent:  # two adjacent floats: a split's threshold is the lower one, so
+            # shuffled values land on both ends of a leaf's interval (lo, hi]
+            a = np.nextafter(1.0, 2.0)
+            X = np.column_stack([X, np.where(X[:, 0] > 0, np.nextafter(a, 2.0), a)])
         X = np.column_stack([X, np.full(n, 0.5)])  # a feature no tree splits on
         y = np.full(n, 2.0) if constant_y else np.sin(2 * X[:, 0]) + rng.normal(size=n)
         cfg = ForestConfig(n_trees=int(rng.integers(1, 12)), mtry=int(rng.integers(1, p + 2)),
@@ -434,6 +442,35 @@ class TestRfvimptestAll:
         blobs = {w: json.dumps({k: vars(v) for k, v in m.items()}, sort_keys=True)
                  for w, m in maps.items()}
         assert blobs[1] == blobs[2]
+
+    def test_pval_workers_import_scipy_themselves(self, tmp_path):
+        # inside pytest scipy is loaded before the pool forks; a fresh
+        # interpreter forks its workers without it, and each imports it itself
+        X, y = signal_data(17)
+        np.save(tmp_path / "X.npy", X)
+        np.save(tmp_path / "y.npy", y)
+        code = textwrap.dedent("""
+            import json, sys
+            import numpy as np
+            from panelforest.forest import ForestConfig
+            from panelforest.vimp import SeqTestConfig, rfvimptest_all
+            X, y = np.load(sys.argv[1]), np.load(sys.argv[2])
+            cfg = SeqTestConfig(method="pval", mmax=20, ntree=8, nperm=1)
+            for workers in (2, 1):  # 2 first, while this process has no scipy
+                decisions = rfvimptest_all(X, y, ["x0", "x1"], cfg, master_seed=11,
+                                           workers=workers,
+                                           forest_config=ForestConfig(n_trees=10, min_leaf=5))
+                print(json.dumps([{k: vars(v) for k, v in decisions.items()},
+                                  "scipy" in sys.modules], sort_keys=True))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "X.npy"),
+                              str(tmp_path / "y.npy")], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        (two, loaded_two), (one, loaded_one) = map(json.loads, out.splitlines())
+        assert (loaded_two, loaded_one) == (False, True)
+        assert two == one
+        assert "ci_boundary" in {d["stopping_reason"] for d in one.values()}
 
     def test_unknown_variable_rejected_before_any_forest(self, monkeypatch):
         def no_forest(*args, **kwargs):
