@@ -4,9 +4,8 @@
 Configuration is one JSON file; `--seed`, `--workers`, `--out`, `--input`
 and `--demo` override its top-level keys (flag wins over file, file wins
 over defaults).  A seed is mandatory: there is no wall-clock fallback.
-The PANELFOREST_WORKERS environment variable supplies the default worker
-count.  Progress goes to stdout; artifacts land under the output
-directory only.
+Progress goes to stdout, and errors and warnings to stderr, one line each;
+artifacts land under the output directory only.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
+import warnings
 from dataclasses import astuple, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -48,7 +47,7 @@ STAGES = {
 # every key a config block may set, with its default; "" is the top level,
 # and a dotted name is a block inside another
 SECTIONS = {
-    "": {"input": None, "demo": False, "seed": None, "workers": None,
+    "": {"input": None, "demo": False, "seed": None, "workers": 1,
          "out": "panelforest-out", "groups": {}, "preprocessing": {}, "models": {},
          "forest": {}, "seq_test": {}, "importance_repeats": 10},
     "preprocessing": {"log_vars": [], "outlier_rule": {"kind": "none"},
@@ -120,10 +119,6 @@ class RunConfig:
         groups = {name: _names(members, f"groups.{name}", problems)
                   for name, members in groups.items()}
         problems += [f"group {name!r} is empty" for name, m in groups.items() if not m]
-        if top["workers"] is None:
-            workers = _integer(_env_workers(), "PANELFOREST_WORKERS", 1, problems)
-        else:
-            workers = _integer(top["workers"], "workers", 1, problems)
         names = {key: _names(pre[key], f"preprocessing.{key}", problems)
                  for key in ("log_vars", "outlier_vars", "lag_vars")}
         rule = blocks["preprocessing.outlier_rule"]
@@ -145,11 +140,11 @@ class RunConfig:
             **{**seq, "sapt_bounds": tuple(bounds) if isinstance(bounds, list) else bounds}))
         if problems:
             raise ConfigError(problems)
-        echo = copy.deepcopy({**top, "workers": workers, "groups": groups,
-                              "preprocessing": pre, "models": blocks["models"]})
+        echo = copy.deepcopy({**top, "groups": groups, "preprocessing": pre,
+                              "models": blocks["models"]})
         del echo["out"]  # where artifacts go is not part of what they hold
         return cls(seed=top["seed"], out=str(top["out"]), input=top["input"],
-                   demo=top["demo"], workers=workers, groups=groups, **names,
+                   demo=top["demo"], workers=top["workers"], groups=groups, **names,
                    outlier_rule=outlier_rule, lag_order=pre["lag_order"],
                    static=specs.get("static"), dynamic=specs.get("dynamic"),
                    forest=ForestConfig(**blocks["forest"]), seq_test=seq_test,
@@ -215,33 +210,9 @@ def _static_spec(s: dict, problems: list[str]) -> lin.ModelSpec:
 
 
 def _dynamic_spec(d: dict, problems: list[str]) -> gmm_mod.GmmSpec:
-    lags, where = d["instrument_lags"], "models.dynamic.instrument_lags"
     return gmm_mod.GmmSpec(
         d["dependent"], _names(d["regressors"], "models.dynamic.regressors", problems),
-        instrument_lags=({k: _lag_pair(v, f"{where}.{k}", problems) for k, v in lags.items()}
-                         if isinstance(lags, dict) else _lag_pair(lags, where, problems)),
-        include_time_dummies=d["time_dummies"])
-
-
-def _lag_pair(value, where: str, problems: list[str]) -> tuple[int, int]:
-    """`value` as a (min, max) pair of integers >= 2, or, with the problem
-    recorded, the default pair; GmmSpec checks that min <= max."""
-    found = len(problems)
-    if isinstance(value, list) and len(value) == 2:
-        value = tuple(_integer(v, where, 2, problems) for v in value)
-    else:
-        problems.append(f"{where} must be a pair [min, max] of integers, got {value!r}")
-    return value if len(problems) == found else (2, 4)
-
-
-def _env_workers():
-    """PANELFOREST_WORKERS (default 1) as an int, or as given when it does
-    not spell one, for `_integer` to reject."""
-    raw = os.environ.get("PANELFOREST_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
+        instrument_lags=d["instrument_lags"], include_time_dummies=d["time_dummies"])
 
 
 class Runner:
@@ -262,22 +233,8 @@ class Runner:
     @cached_property
     def raw(self) -> dsm.PanelDataset:
         if self.cfg.demo:
-            ds = demo_mod.make_demo_panel(self.cfg.seed)
-        else:
-            ds = dsm.load_csv(self.cfg.input)
-        self._validate_against_data(ds)
-        return ds
-
-    def _validate_against_data(self, ds: dsm.PanelDataset) -> None:
-        known = set(ds.entities)
-        problems = [f"group {name!r} references unknown entities {unknown}"
-                    for name, members in self.cfg.groups.items()
-                    if (unknown := [m for m in members if m not in known])]
-        problems += [f"preprocessing references unknown column {var!r}"
-                     for var in self.cfg.log_vars + self.cfg.outlier_vars
-                     if var not in ds.columns]
-        if problems:
-            raise ConfigError(problems)
+            return demo_mod.make_demo_panel(self.cfg.seed)
+        return dsm.load_csv(self.cfg.input)
 
     @cached_property
     def prepared(self) -> dsm.PanelDataset:
@@ -291,23 +248,7 @@ class Runner:
                                for v in missing])
         if self.cfg.lag_vars:
             ds = dsm.add_lags(ds, self.cfg.lag_vars, self.cfg.lag_order)
-        self._validate_model_columns(ds)
         return ds
-
-    def _validate_model_columns(self, ds: dsm.PanelDataset) -> None:
-        """Every name a model block gives must be a column of the prepared
-        data, checked before any stage writes an artifact."""
-        named = []
-        if (s := self.cfg.static) is not None:
-            named += [("static.dependent", [s.dependent]), ("static.regressors", s.regressors),
-                      ("static.controls", s.controls)]
-        if (d := self.cfg.dynamic) is not None:
-            named += [("dynamic.dependent", [d.dependent]), ("dynamic.regressors", d.regressors)]
-        problems = [f"models.{key} names unknown column {name!r}; the prepared data has "
-                    f"{', '.join(ds.columns)}"
-                    for key, names in named for name in names if name not in ds.columns]
-        if problems:
-            raise ConfigError(problems)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -323,26 +264,50 @@ class Runner:
         return {name: ds.select_rows(np.isin(entity, members))
                 for name, members in (self.cfg.groups or {"all": ds.entities}).items()}
 
-    def _check_needs(self, stages: tuple[str, ...]) -> None:
-        """Each stage finds the model and columns it reads, checked before
-        any artifact is written."""
-        static, problems = self.cfg.static, []
-        if static is None and {"fit_linear", "fit_rf"} & set(stages):
-            problems.append("models.static is required for this step")
-        if self.cfg.dynamic is None and "fit_gmm" in stages:
-            problems.append("models.dynamic is required for this step")
-        if static is not None and "fit_rf" in stages:
-            dep = static.dependent
-            lagdep = f"{dep}(t-{self.cfg.lag_order})"
-            if lagdep not in self.prepared.columns:
-                problems.append(f"dynamic RF needs {lagdep!r}; add {dep!r} to "
-                                "preprocessing.lag_vars")
-            if lagdep in static.slopes:  # the dynamic forest would hold it twice
-                problems.append(f"dynamic RF adds {lagdep!r} itself; drop it from models.static")
-            try:
-                self.cfg.forest.resolve_mtry(len(static.slopes))
-            except ValueError as err:
-                problems.append(f"forest.{err}")
+    @property
+    def lagdep(self) -> str:
+        """The lagged dependent the dynamic forest adds to the static features."""
+        return f"{self.cfg.static.dependent}(t-{self.cfg.lag_order})"
+
+    def _check(self, stages: tuple[str, ...]) -> None:
+        """Each stage finds the entities, columns and models it reads, checked
+        before any artifact is written: one ConfigError lists every problem
+        of the raw data or, when there is none, of the prepared data."""
+        cfg, ds = self.cfg, self.raw
+        known = set(ds.entities)
+        problems = [f"group {name!r} references unknown entities {unknown}"
+                    for name, members in cfg.groups.items()
+                    if (unknown := [m for m in members if m not in known])]
+        problems += [f"preprocessing references unknown column {var!r}"
+                     for var in cfg.log_vars + cfg.outlier_vars if var not in ds.columns]
+        if not problems and stages != ("describe",):  # the rest read the prepared panel
+            ds, static, dynamic = self.prepared, cfg.static, cfg.dynamic
+            named = []
+            if static is not None:
+                named += [("static.dependent", [static.dependent]),
+                          ("static.regressors", static.regressors),
+                          ("static.controls", static.controls)]
+            if dynamic is not None:
+                named += [("dynamic.dependent", [dynamic.dependent]),
+                          ("dynamic.regressors", dynamic.regressors)]
+            problems += [f"models.{key} names unknown column {name!r}; the prepared data has "
+                         f"{', '.join(ds.columns)}"
+                         for key, names in named for name in names if name not in ds.columns]
+            if static is None and {"fit_linear", "fit_rf"} & set(stages):
+                problems.append("models.static is required for this step")
+            if dynamic is None and "fit_gmm" in stages:
+                problems.append("models.dynamic is required for this step")
+            if static is not None and "fit_rf" in stages:
+                if self.lagdep not in ds.columns:
+                    problems.append(f"dynamic RF needs {self.lagdep!r}; add "
+                                    f"{static.dependent!r} to preprocessing.lag_vars")
+                if self.lagdep in static.slopes:  # the dynamic forest would hold it twice
+                    problems.append(f"dynamic RF adds {self.lagdep!r} itself; "
+                                    "drop it from models.static")
+                try:
+                    cfg.forest.resolve_mtry(len(static.slopes))
+                except ValueError as err:
+                    problems.append(f"forest.{err}")
         if problems:
             raise ConfigError(problems)
 
@@ -352,7 +317,7 @@ class Runner:
         dep = self.cfg.static.dependent
         features = list(self.cfg.static.slopes)
         if setting == "dynamic":
-            features = [f"{dep}(t-{self.cfg.lag_order})"] + features
+            features = [self.lagdep] + features
         mask = ds.complete_rows([dep, *features])
         X = np.column_stack([ds.column(f)[mask] for f in features])
         y = ds.column(dep)[mask]
@@ -473,9 +438,8 @@ class Runner:
 
     def run(self, subcommand: str) -> None:
         stages = STAGES[subcommand]
-        if stages != ("describe",):  # every other stage reads the prepared panel,
-            self.prepared  # whose outlier filter fills the removal log
-            self._check_needs(stages)
+        self._check(stages)
+        if stages != ("describe",):  # the prepared panel's outlier filter filled the log
             dsm.write_removal_log(self._removal_log, self.out / "removal_log.csv")
         for stage in stages:
             getattr(self, f"step_{stage}")()
@@ -498,9 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run on the bundled synthetic panel")
     parser.add_argument("--input", help="input CSV (overrides config)")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--workers", type=int,
-                        help="parallel workers (overrides config and "
-                             "PANELFOREST_WORKERS)")
+    parser.add_argument("--workers", type=int, help="parallel workers (overrides config)")
     parser.add_argument("--out", help="output directory (overrides config)")
     return parser
 
@@ -531,12 +493,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args)
-        Runner(cfg).run(args.subcommand)
-    except (ValueError, KeyError, OSError) as exc:  # a ConfigError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ConfigError) else 1
+    with warnings.catch_warnings():  # restores the caller's warning display
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            Runner(load_config(args)).run(args.subcommand)
+        except (ValueError, KeyError, OSError) as exc:  # a ConfigError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            return 2 if isinstance(exc, ConfigError) else 1
     return 0
 
 

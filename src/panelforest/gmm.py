@@ -46,7 +46,8 @@ class GmmSpec:
 
     instrument_lags gives the level-lag range used to instrument the
     differenced equations, either one (min, max) pair for every
-    instrumented variable or a per-variable mapping; min must be >= 2.
+    instrumented variable or a per-variable mapping whose keys are the
+    dependent or regressors, an omitted one taking (2, 4); min must be >= 2.
     Instruments are collapsed: one column per (variable, lag distance).
     """
 
@@ -62,19 +63,26 @@ class GmmSpec:
         if not isinstance(self.include_time_dummies, bool):
             raise ValueError("include_time_dummies must be a bool, "
                              f"got {self.include_time_dummies!r}")
-        lag_items = (self.instrument_lags.items() if isinstance(self.instrument_lags, Mapping)
-                     else [("*", self.instrument_lags)])
-        for var, lags in lag_items:
-            if not (isinstance(lags, (tuple, list)) and len(lags) == 2
-                    and all(isinstance(v, int) and not isinstance(v, bool) for v in lags)):
-                raise ValueError(f"instrument lags for {var!r} must be a (min, max) pair "
-                                 f"of integers, got {lags!r}")
-            lo, hi = lags
-            if lo < 2:
-                raise ValueError(f"instrument min_lag must be >= 2 (got {lo} for {var!r}); "
-                                 "levels dated t-1 are not valid for the differenced equation")
-            if hi < lo:
-                raise ValueError(f"instrument max_lag < min_lag for {var!r}")
+        lags, problems = self.instrument_lags, []
+        if isinstance(lags, Mapping):
+            instrumented = [self.dependent, *self.regressors]
+            if unknown := [var for var in lags if var not in instrumented]:
+                problems.append(f"instrument_lags names {unknown}, which are not instrumented; "
+                                f"its keys must be among {instrumented}")
+            pairs = [(f"instrument_lags for {var!r}", pair) for var, pair in lags.items()]
+        else:
+            pairs = [("instrument_lags", lags)]
+        for where, pair in pairs:
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)):
+                problems.append(f"{where} must be a (min, max) pair of integers, got {pair!r}")
+            elif pair[0] < 2:
+                problems.append(f"{where}: min_lag must be >= 2, got {pair[0]}; levels dated "
+                                "t-1 are not valid for the differenced equation")
+            elif pair[1] < pair[0]:
+                problems.append(f"{where}: max_lag {pair[1]} < min_lag {pair[0]}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def lags_for(self, var: str) -> tuple[int, int]:
         if isinstance(self.instrument_lags, Mapping):

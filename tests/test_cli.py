@@ -89,26 +89,12 @@ class TestOverrides:
         assert parsed.seed == 2
         assert parsed.out == str(tmp_path / "b")
 
-    def test_env_var_default_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PANELFOREST_WORKERS", "3")
-        parsed = load_config(build_args(["describe", "--demo", "--seed", "1"]))
-        assert parsed.workers == 3
-
-    def test_workers_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PANELFOREST_WORKERS", "3")
-        parsed = load_config(build_args(["describe", "--demo", "--seed", "1",
-                                         "--workers", "2"]))
+    def test_workers_flag_beats_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 1, "demo": True, "workers": 1}))
+        assert load_config(build_args(["describe", "-c", str(path)])).workers == 1
+        parsed = load_config(build_args(["describe", "-c", str(path), "--workers", "2"]))
         assert parsed.workers == 2
-
-    @pytest.mark.parametrize("value", ["0", "four"])
-    def test_bad_env_workers_exits_2(self, value, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PANELFOREST_WORKERS", value)
-        with pytest.raises(ConfigError, match="PANELFOREST_WORKERS"):
-            load_config(build_args(["describe", "--demo", "--seed", "1"]))
-        out = tmp_path / "o"
-        assert main(["describe", "--demo", "--seed", "1", "--out", str(out)]) == 2
-        assert "PANELFOREST_WORKERS must be" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_input_flag_disables_demo(self, tmp_path):
         (tmp_path / "d.csv").write_text(TOY_CSV)
@@ -138,6 +124,13 @@ class TestDescribe:
         assert any(line.startswith("GDP,") for line in lines)
         corr = (tmp_path / "out" / "tables" / "correlation_matrix.csv").read_text()
         assert corr.splitlines()[0] == "variable,GDP,Invest"
+
+    def test_warning_printed_on_one_line(self, tmp_path, capsys):
+        (tmp_path / "c.json").write_text(json.dumps(fast_demo_config(1, tmp_path / "out")))
+        assert main(["describe", "-c", str(tmp_path / "c.json")]) == 0
+        err = capsys.readouterr().err
+        assert "warning: certain cannot reach 'significant' with mmax=15" in err
+        assert ".py:" not in err
 
 
 class TestDemoPanel:
@@ -318,11 +311,16 @@ MALFORMED = [
      "sapt_bounds must be a pair (lower, upper) with lower < 0 < upper"),
     ("seq_test.sapt_bounds", ["-1", 1], "sapt_bounds must be a pair"),
     ("models.dynamic.instrument_lags", [2.7, 3],
-     "models.dynamic.instrument_lags must be an integer, got 2.7"),
+     "models.dynamic: instrument_lags must be a (min, max) pair of integers, got [2.7, 3]"),
     ("models.dynamic.instrument_lags", [2],
-     "models.dynamic.instrument_lags must be a pair [min, max] of integers"),
+     "models.dynamic: instrument_lags must be a (min, max) pair of integers, got [2]"),
     ("models.dynamic.instrument_lags", {"Growth(t-1)": [2, "3"]},
-     "models.dynamic.instrument_lags.Growth(t-1) must be an integer, got '3'"),
+     "models.dynamic: instrument_lags for 'Growth(t-1)' must be a (min, max) pair of "
+     "integers, got [2, '3']"),
+    ("models.dynamic.instrument_lags", {"Growth(t-1)": [2, 2], "Growht(t-1)": [2, 3]},
+     "models.dynamic: instrument_lags names ['Growht(t-1)'], which are not instrumented"),
+    ("workers", 0, "workers must be >= 1"),
+    ("workers", "four", "workers must be an integer"),
 ]
 
 
@@ -398,6 +396,19 @@ class TestConfigAtLoad:
         (tmp_path / "c.json").write_text(json.dumps(cfg))
         assert main(["compare", "-c", str(tmp_path / "c.json")]) == 2
         assert "forest.mtry must be in [1, 4]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_every_model_and_forest_problem_in_one_error(self, tmp_path, capsys):
+        cfg = fast_demo_config(3, tmp_path / "run")
+        cfg["models"]["static"]["regressors"].append("Nope")
+        cfg["forest"]["mtry"] = 9
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["compare", "-c", str(tmp_path / "c.json")]) == 2
+        problems = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("  - ")]
+        assert len(problems) == 2
+        assert "models.static.regressors names unknown column 'Nope'" in problems[0]
+        assert "forest.mtry must be in [1, 5]" in problems[1]
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("path, value, problem", MALFORMED,

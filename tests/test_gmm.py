@@ -52,6 +52,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="'x'.*pair of integers"):
             GmmSpec("y", ("x",), instrument_lags={"y": (2, 3), "x": (2, 3.9)})
 
+    def test_lag_key_not_instrumented_rejected(self):
+        with pytest.raises(ValueError, match=r"\['z'\], which are not instrumented; "
+                                             r"its keys must be among \['y', 'x'\]"):
+            GmmSpec("y", ("x",), instrument_lags={"y": (2, 3), "z": (2, 2)})
+        assert GmmSpec("y", ("x",), instrument_lags={"y": (2, 3)}).lags_for("x") == (2, 4)
+
+    def test_every_bad_pair_listed(self):
+        with pytest.raises(ValueError) as err:
+            GmmSpec("y", ("x",), instrument_lags={"y": (1, 3), "x": (3, 2)})
+        assert str(err.value) == (
+            "instrument_lags for 'y': min_lag must be >= 2, got 1; levels dated t-1 are not "
+            "valid for the differenced equation; instrument_lags for 'x': max_lag 2 < min_lag 3")
+
     def test_single_lag_rejected(self):
         with pytest.raises(ValueError, match="pair of integers"):
             GmmSpec("y", ("x",), instrument_lags=(2,))
