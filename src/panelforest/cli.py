@@ -118,7 +118,7 @@ class RunConfig:
             groups = {}
         groups = {name: _names(members, f"groups.{name}", problems)
                   for name, members in groups.items()}
-        problems += [f"group {name!r} is empty" for name, m in groups.items() if not m]
+        problems += [f"group {name!r} is empty" for name, m in groups.items() if m == []]
         names = {key: _names(pre[key], f"preprocessing.{key}", problems)
                  for key in ("log_vars", "outlier_vars", "lag_vars")}
         rule = blocks["preprocessing.outlier_rule"]
@@ -182,11 +182,12 @@ def _integer(value, where: str, minimum: int, problems: list[str]):
     return value
 
 
-def _names(value, where: str, problems: list[str]) -> list[str]:
+def _names(value, where: str, problems: list[str]) -> list[str] | None:
+    """`value` as a list of names, or None with the problem recorded."""
     if isinstance(value, list) and all(isinstance(v, str) for v in value):
         return list(value)
     problems.append(f"{where} must be a list of names, got {value!r}")
-    return []
+    return None
 
 
 def _build(problems: list[str], where: str, make):
@@ -198,21 +199,25 @@ def _build(problems: list[str], where: str, make):
         return None
 
 
-def _static_spec(s: dict, problems: list[str]) -> lin.ModelSpec:
+def _static_spec(s: dict, problems: list[str]) -> lin.ModelSpec | None:
     effects = s["effects"]
     if effects not in ("fixed", "random"):  # the two estimators fit-linear runs
         problems.append(f"models.static.effects must be fixed or random, got {effects!r}")
         effects = "fixed"  # reported once; the rest of the block is still checked
-    return lin.ModelSpec(
-        s["dependent"], _names(s["regressors"], "models.static.regressors", problems),
-        controls=_names(s["controls"], "models.static.controls", problems),
-        include_time_dummies=s["time_dummies"], effects=effects)
+    regressors = _names(s["regressors"], "models.static.regressors", problems)
+    controls = _names(s["controls"], "models.static.controls", problems)
+    if regressors is None or controls is None:
+        return None  # a spec without the rejected list would report problems it lacks
+    return lin.ModelSpec(s["dependent"], regressors, controls=controls,
+                         include_time_dummies=s["time_dummies"], effects=effects)
 
 
-def _dynamic_spec(d: dict, problems: list[str]) -> gmm_mod.GmmSpec:
-    return gmm_mod.GmmSpec(
-        d["dependent"], _names(d["regressors"], "models.dynamic.regressors", problems),
-        instrument_lags=d["instrument_lags"], include_time_dummies=d["time_dummies"])
+def _dynamic_spec(d: dict, problems: list[str]) -> gmm_mod.GmmSpec | None:
+    regressors = _names(d["regressors"], "models.dynamic.regressors", problems)
+    if regressors is None:
+        return None  # as in _static_spec
+    return gmm_mod.GmmSpec(d["dependent"], regressors, instrument_lags=d["instrument_lags"],
+                           include_time_dummies=d["time_dummies"])
 
 
 class Runner:

@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._common import segment_ids, segment_starts
+from ._dist import chi2_upper, normal_tail
 from .dataset import PanelDataset
 from .linear import TIME_DUMMY_PREFIX, WaldResult, full_rank_qr, wald_joint
 
@@ -152,8 +153,6 @@ def fit_system_gmm(spec: GmmSpec, ds: PanelDataset) -> GmmFit:
 
 
 def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> GmmFit:
-    from scipy import special
-
     # difference-only mode (include_level=False) is internal, used by the
     # test suite where the one-step weight is exactly efficient
     ds.require_columns([spec.dependent, *spec.regressors])
@@ -269,7 +268,7 @@ def _fit_gmm(spec: GmmSpec, ds: PanelDataset, include_level: bool = True) -> Gmm
         g = z.T @ u
         stat = float(g @ w_mat @ g) / sigma2
         # an ill-conditioned Z'HZ can leave W indefinite and stat < 0: p = 1
-        sargan = SarganResult(stat, df, float(special.chdtrc(df, np.maximum(stat, 0.0))))
+        sargan = SarganResult(stat, df, chi2_upper(stat, df))
 
     # diff position of each dataset row; the extra last slot maps a missing lag (-1) to -1
     diff_pos = np.full(ds.n_rows + 1, -1)
@@ -338,8 +337,6 @@ def _ar_test(w, lagged, diff_group, scores, design_diff, a_inv, zx, w_mat, cov) 
     accounting for estimation error in the coefficients (diff_group: the
     entity of each diff row; scores: row g holds entity g's Z_g'u_g).  Two-sided
     normal p; NaN marker when no pairs overlap."""
-    from scipy import special
-
     if not (lagged >= 0).any():
         return ArResult(math.nan, math.nan)
     w_lag = np.where(lagged >= 0, w[lagged], 0.0)
@@ -359,4 +356,4 @@ def _ar_test(w, lagged, diff_group, scores, design_diff, a_inv, zx, w_mat, cov) 
     if var <= 0.0:
         return ArResult(math.nan, math.nan)
     z_stat = q / math.sqrt(var)
-    return ArResult(z_stat, 2.0 * float(special.ndtr(-abs(z_stat))))
+    return ArResult(z_stat, 2.0 * normal_tail(z_stat))

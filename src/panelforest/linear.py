@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ._common import segment_ids, segment_starts, star_code
+from ._dist import chi2_upper, f_upper, t_two_sided
 from .dataset import PanelDataset
 
 __all__ = [
@@ -251,8 +252,6 @@ def _within_variance(y, X, inverse):
 
 
 def _metrics_from(rss: float, tss: float, n: int, k: int) -> FitMetrics:
-    from scipy import special
-
     if tss <= 0.0:
         return FitMetrics(math.nan, math.nan, math.nan, math.nan)
     r2 = 1.0 - rss / tss
@@ -263,7 +262,7 @@ def _metrics_from(rss: float, tss: float, n: int, k: int) -> FitMetrics:
         return FitMetrics(r2, adj, math.inf, 0.0)
     f = (r2 / k) / ((1.0 - r2) / (n - k - 1))
     # r2 < 0 gives f < 0, below the F support: p = 1
-    return FitMetrics(r2, adj, f, float(special.fdtrc(k, n - k - 1, np.maximum(f, 0.0))))
+    return FitMetrics(r2, adj, f, f_upper(f, k, n - k - 1))
 
 
 def robust_covariance(fit_: LinearFit, small_sample: bool = True) -> LinearFit:
@@ -303,8 +302,6 @@ def t_tests(fit_: LinearFit) -> dict[str, TTest]:
 
     A zero standard error yields NaN t/p markers rather than an error.
     """
-    from scipy import special
-
     out = {}
     for i, name in enumerate(fit_.coef_names):
         est = fit_.coefficients[name]
@@ -314,7 +311,7 @@ def t_tests(fit_: LinearFit) -> dict[str, TTest]:
             out[name] = TTest(est, 0.0, math.nan, math.nan, "")
             continue
         t = est / se
-        p = 2.0 * float(special.stdtr(fit_.df_residual, -abs(t)))
+        p = t_two_sided(t, fit_.df_residual)
         out[name] = TTest(est, se, t, p, star_code(p))
     return out
 
@@ -330,17 +327,19 @@ def wald_joint(fit_, subset: Sequence[str]) -> WaldResult:
     """Chi-square Wald test that all coefficients in `subset` are zero.
 
     Takes any fit with `coef_names`, `coefficients` and `covariance`: a
-    linear fit or a System GMM fit.
+    linear fit or a System GMM fit.  The block is solved standardized by
+    its standard errors, as in `hausman`, so the units of the coefficients
+    do not steer the solve.
     """
-    from scipy import special
-
     subset = list(subset)
     missing = [s for s in subset if s not in fit_.coef_names]
     if missing:
         raise KeyError(f"coefficients not in fit: {missing}")
     idx = [fit_.coef_names.index(s) for s in subset]
-    b = np.array([fit_.coefficients[s] for s in subset])
-    v = fit_.covariance[np.ix_(idx, idx)]
+    se = np.sqrt(np.abs(np.diag(fit_.covariance)[idx]))
+    se[se == 0.0] = 1.0
+    b = np.array([fit_.coefficients[s] for s in subset]) / se
+    v = fit_.covariance[np.ix_(idx, idx)] / np.outer(se, se)
     try:
         w = float(b @ np.linalg.solve(v, b))
     except np.linalg.LinAlgError:
@@ -348,7 +347,7 @@ def wald_joint(fit_, subset: Sequence[str]) -> WaldResult:
     if not math.isfinite(w):
         raise ValueError(f"singular covariance block for subset {subset}")
     # an indefinite covariance block can give w < 0: p = 1
-    return WaldResult(w, len(subset), float(special.chdtrc(len(subset), np.maximum(w, 0.0))))
+    return WaldResult(w, len(subset), chi2_upper(w, len(subset)))
 
 
 # Every column is divided by a power of two (exact) that brings the norm of
@@ -365,12 +364,44 @@ def _unit_scales(norms) -> np.ndarray:
 
 def _pivoted_qr(a: np.ndarray, scale: np.ndarray) -> tuple:
     """Pivoted QR of `a * scale`: (q, r) cut to the numerical rank, and the
-    pivot order."""
-    from scipy import linalg as sla
+    pivot order.
 
-    q, r, perm = sla.qr(a * scale, mode="economic", pivoting=True)
-    rank = int(np.count_nonzero(np.abs(np.diag(r)) > RANK_RTOL))
-    return q[:, :rank], r[:rank], perm
+    Pivots as LAPACK's xGEQP3 does: step j takes the column of largest
+    remaining norm, the first in the current order on a tie, and swaps it
+    with column j.  The tall part is one unpivoted QR, a * scale = q1 r1;
+    Householder QR with column pivoting (Businger & Golub 1965) then factors
+    the small r1.  Columns equal in `a * scale` are made equal in r1, as they
+    are in exact arithmetic, and the pivoted steps put every column through
+    the same elementwise operations and sums, so equal columns tie."""
+    w = a * scale
+    q1, r1 = np.linalg.qr(w)
+    first: dict = {}  # each column's first bit-for-bit equal column
+    w = r1[:, [first.setdefault(col.tobytes(), j) for j, col in enumerate(w.T.copy())]]
+    m, k = w.shape
+    perm = np.arange(k)
+    reflectors = []
+    for j in range(m):
+        rest = w[j:, j:]
+        p = j + int(np.argmax((rest * rest).sum(axis=0)))
+        w[:, [j, p]] = w[:, [p, j]]
+        perm[[j, p]] = perm[[p, j]]
+        v, tau = w[j:, j].copy(), 0.0  # tau = 0: nothing below the diagonal, H = I
+        if v[1:].any():
+            alpha = v[0]
+            beta = -math.copysign(math.sqrt(v @ v), alpha)
+            v[0] = alpha - beta
+            v /= v[0]
+            tau = (beta - alpha) / beta
+            trail = w[j:, j + 1:]
+            trail -= v[:, None] * (tau * (v[:, None] * trail).sum(axis=0))
+            w[j, j], w[j + 1:, j] = beta, 0.0
+        reflectors.append((v, tau))
+    rank = int(np.count_nonzero(np.abs(np.diag(w)) > RANK_RTOL))
+    q = np.eye(m, rank)
+    for j in reversed(range(rank)):
+        v, tau = reflectors[j]
+        q[j:] -= np.outer(tau * v, v @ q[j:])
+    return q1 @ q, np.triu(w[:rank]), perm
 
 
 def full_rank_qr(a: np.ndarray, names: Sequence[str], what: str = "design matrix",
@@ -409,8 +440,6 @@ def hausman(fe: LinearFit, re: LinearFit) -> HausmanResult:
     non-positive-semidefinite variance difference is handled with the
     pseudo-inverse and flagged via nonpsd.
     """
-    from scipy import special
-
     if fe.spec.effects != "fixed" or re.spec.effects != "random":
         raise ValueError("hausman expects (fixed fit, random fit)")
     if fe.spec.slopes != re.spec.slopes:
@@ -434,5 +463,5 @@ def hausman(fe: LinearFit, re: LinearFit) -> HausmanResult:
     nonpsd = bool(eig.min() < -1e-10 * scale)
     h = max(0.0, float(diff @ np.linalg.pinv(v) @ diff))
     df = len(common)
-    p = float(special.chdtrc(df, h))
+    p = chi2_upper(h, df)
     return HausmanResult(h, df, p, "fixed" if p < 0.05 else "random", nonpsd)

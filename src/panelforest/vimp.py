@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ._common import star_code
+from ._dist import betainc
 from ._rng import derive_seed, stream
 from .forest import (_ENTRIES_PER_GROUP, Forest, ForestConfig, _check_columns, _check_design,
                      _check_target, _feature_names, _grow_forests, _leaves, _pairs, r2_score,
@@ -268,14 +269,10 @@ def run_sequential(cfg: SeqTestConfig,
             if llr <= lower:
                 return "not_significant", p_est(d, m), m, d, f"{cfg.method}_boundary"
         elif cfg.method == "pval":
-            from scipy import special  # the other rules run without scipy
-
-            # Clopper-Pearson interval for the exceedance probability
-            lo = 0.0 if d == 0 else float(special.betaincinv(d, m - d + 1, cfg.gamma / 2))
-            hi = 1.0 if d == m else float(special.betaincinv(d + 1, m - d, 1 - cfg.gamma / 2))
-            if lo > alpha:
+            below, above = _interval_tails(d, m, alpha)
+            if below < cfg.gamma / 2:
                 return "not_significant", p_est(d, m), m, d, "ci_boundary"
-            if hi < alpha:
+            if above < cfg.gamma / 2:
                 return "significant", p_est(d, m), m, d, "ci_boundary"
 
     p = p_est(d, mmax)
@@ -288,6 +285,18 @@ def run_sequential(cfg: SeqTestConfig,
     else:
         return "undecided", p, mmax, d, "mmax_undecided"
     return "significant" if p <= alpha else "not_significant", p, mmax, d, reason
+
+
+def _interval_tails(d: int, m: int, alpha: float) -> tuple[float, float]:
+    """The `pval` rule's two beta tails at d exceedances in m permutations.
+    The Clopper-Pearson interval (lo, hi) of level 1 - gamma for the
+    exceedance probability has lo = I^-1_{gamma/2}(d, m - d + 1) and
+    hi = I^-1_{1 - gamma/2}(d + 1, m - d), so lo > alpha iff the first tail,
+    I_alpha(d, m - d + 1), is below gamma / 2, and hi < alpha iff the second,
+    I_{1 - alpha}(m - d, d + 1), is.  A tail is 1 where its bound is 0 or 1."""
+    below = betainc(d, m - d + 1, alpha, 1.0 - alpha) if d > 0 else 1.0
+    above = betainc(m - d, d + 1, 1.0 - alpha, alpha) if d < m else 1.0
+    return below, above
 
 
 def _null_permutation(X: np.ndarray, col: int,
@@ -383,8 +392,7 @@ def _run_tests(designs: Sequence[Sequence[_Test]],
         decisions = list(map(_decide, tests))
     else:
         # fork: the workers start with the package imported, where spawn
-        # would import numpy and panelforest again in each of them (and a
-        # worker imports scipy itself if the pval rule asks for it first)
+        # would import numpy and panelforest again in each of them
         pool = ProcessPoolExecutor(min(workers, len(tests)),
                                    mp_context=multiprocessing.get_context("fork"))
         try:

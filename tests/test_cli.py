@@ -429,6 +429,31 @@ class TestConfigAtLoad:
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("path, value, problem", [
+        ("models.dynamic.regressors", "Growth(t-1)",
+         "models.dynamic.regressors must be a list of names, got 'Growth(t-1)'"),
+        ("models.static.regressors", "Growth(t-1)",
+         "models.static.regressors must be a list of names, got 'Growth(t-1)'"),
+        ("models.static.controls", [1],
+         "models.static.controls must be a list of names, got [1]"),
+        ("groups.north", "N00", "groups.north must be a list of names, got 'N00'"),
+    ], ids=["dynamic.regressors", "static.regressors", "static.controls", "group"])
+    def test_rejected_name_list_is_the_only_problem(self, path, value, problem, tmp_path):
+        # a rejected list stands for no names at all: it must not also draw
+        # "not instrumented" for a per-variable lag of a listed regressor, or
+        # "group is empty"
+        cfg = fast_demo_config(16, tmp_path / "run")
+        cfg["models"]["dynamic"]["instrument_lags"] = {"Growth(t-1)": [2, 2]}
+        RunConfig.from_mapping(cfg)  # valid before the change below
+        *parents, key = path.split(".")
+        block = cfg
+        for name in parents:
+            block = block[name]
+        block[key] = value
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_mapping(cfg)
+        assert info.value.problems == [problem]
+
     @pytest.mark.parametrize("sub", ["fit-linear", "all"])
     def test_unknown_model_column_named_before_any_write(self, sub, tmp_path, capsys):
         cfg = fast_demo_config(16, tmp_path / "run")

@@ -1,14 +1,18 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as sla
 from scipy import stats as sps
 
+from panelforest import linear
 from panelforest._common import segment_ids
 from panelforest.dataset import from_records
+from panelforest.gmm import fit_system_gmm
 from panelforest.linear import (
     ModelSpec,
     _within_variance,
@@ -20,6 +24,8 @@ from panelforest.linear import (
 )
 
 from conftest import fe_panel
+from test_gmm import SPEC as GMM_SPEC
+from test_gmm import exact_panel as exact_gmm_panel
 
 
 def noiseless_panel(slope=2.0, n_ent=4, n_per=10, seed=0):
@@ -362,6 +368,69 @@ class TestWald:
             wald_joint(broken, ["x1", "x2"])
 
 
+class TestWaldUnits:
+    @settings(max_examples=60, deadline=None)
+    @given(exponents=st.lists(st.integers(-60, 60), min_size=3, max_size=3),
+           cov=st.sampled_from(["classical", "cluster"]))
+    def test_power_of_two_units_leave_wald_bit_equal(self, exponents, cov):
+        # b -> D b and V -> D V D for D = diag(2^k_i) must not move a bit
+        f = fit(ModelSpec("y", ("x1", "x2"), effects="random"), fe_panel(43, sigma=1.0))
+        if cov == "cluster":
+            f = robust_covariance(f)
+        d = np.ldexp(1.0, exponents)
+        scaled = SimpleNamespace(
+            coef_names=f.coef_names,
+            coefficients={n: b * d[i] for i, (n, b) in enumerate(f.coefficients.items())},
+            covariance=f.covariance * np.outer(d, d))
+        names = list(f.coef_names)
+        assert wald_joint(scaled, names) == wald_joint(f, names)
+        assert wald_joint(scaled, names[1:]) == wald_joint(f, names[1:])
+
+
+class TestRegressorOrder:
+    """Listing the regressors in another order reorders the results and
+    changes nothing else."""
+
+    @staticmethod
+    def panel(seed):
+        ds = fe_panel(seed, n_ent=12, n_per=6, sigma=0.5)
+        rng = np.random.default_rng(seed)
+        for name in ("x3", "x4"):
+            ds = ds.with_column(name, rng.normal(size=ds.n_rows) * 10.0 ** rng.integers(-3, 4))
+        return ds
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.permutations(["x1", "x2", "x3", "x4"]),
+           effects=st.sampled_from(["pooled", "fixed", "random"]))
+    def test_permuted_regressors_permute_the_results(self, seed, order, effects):
+        ds = self.panel(seed)
+        base = fit(ModelSpec("y", ("x1", "x2", "x3", "x4"), effects=effects), ds)
+        moved = fit(ModelSpec("y", tuple(order), effects=effects), ds)
+        assert sorted(moved.coef_names) == sorted(base.coef_names)
+        for f_base, f_moved in ((base, moved), (robust_covariance(base), robust_covariance(moved))):
+            want, got = t_tests(f_base), t_tests(f_moved)
+            for name in base.coef_names:
+                for field in ("estimate", "se", "t", "p"):
+                    np.testing.assert_allclose(getattr(got[name], field),
+                                               getattr(want[name], field), rtol=1e-10,
+                                               err_msg=f"{effects} {name} {field}")
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.permutations(["x1", "x2", "z"]),
+           effects=st.sampled_from(["pooled", "fixed", "random"]))
+    def test_collinear_design_names_the_same_columns_in_any_order(self, seed, order, effects):
+        # z is constant: collinear with the pooled and random-effects
+        # constant, and wiped out by the within transform
+        ds = self.panel(seed)
+        ds = ds.with_column("z", np.full(ds.n_rows, 0.3))
+        named = []
+        for slopes in (("x1", "x2", "z"), tuple(order)):
+            with pytest.raises(ValueError, match="collinear") as err:
+                fit(ModelSpec("y", slopes, effects=effects), ds)
+            named.append(str(err.value).split("collinear columns: ")[1])
+        assert named[0] == named[1]
+
+
 class TestHausman:
     def test_correlated_effects_prefer_fixed(self):
         prefer = 0
@@ -452,3 +521,91 @@ class TestMetrics:
         m = f.metrics
         expected = float(sps.f.sf(m.f_statistic, 2, f.n_obs - 3))
         assert m.f_pvalue == pytest.approx(expected, rel=1e-9)
+
+
+def equal_column_classes(w):
+    """Each column's first bit-for-bit equal column in `w`."""
+    first = {}
+    return np.array([first.setdefault(col.tobytes(), j) for j, col in enumerate(w.T.copy())])
+
+
+PIVOTED_QR = linear._pivoted_qr  # the tests below record its calls by monkeypatching
+
+
+def assert_pivots_like_lapack(a, scale, exact=True):
+    """_pivoted_qr's rank and pivots against scipy's (LAPACK xGEQP3).  LAPACK
+    breaks a tie between equal columns by the rounding of its own updates,
+    so with exact=False columns equal in a * scale count as one."""
+    w = a * scale
+    q, r, perm = PIVOTED_QR(a, scale)
+    _, r_ref, perm_ref = sla.qr(w, mode="economic", pivoting=True)
+    rank = len(r)
+    assert rank == np.count_nonzero(np.abs(np.diag(r_ref)) > linear.RANK_RTOL)
+    cls = np.arange(w.shape[1]) if exact else equal_column_classes(w)
+    np.testing.assert_array_equal(cls[perm[:rank]], cls[perm_ref[:rank]])
+    assert sorted(cls[perm[rank:]]) == sorted(cls[perm_ref[rank:]])
+    np.testing.assert_allclose(np.abs(np.diag(r)), np.abs(np.diag(r_ref))[:rank], rtol=1e-12)
+    np.testing.assert_allclose(q @ r, w[:, perm] if rank == w.shape[1] else q @ r, atol=1e-14)
+    np.testing.assert_allclose(q.T @ q, np.eye(rank), atol=1e-14)
+
+
+class TestPivotedQr:
+    """The package's pivoted QR makes LAPACK's pivot decisions."""
+
+    def recorded(self, monkeypatch, run):
+        calls = []
+
+        def record(a, scale):
+            calls.append((a.copy(), scale.copy()))
+            return PIVOTED_QR(a, scale)
+
+        monkeypatch.setattr(linear, "_pivoted_qr", record)
+        with pytest.raises(ValueError, match="collinear"):
+            run()
+        assert calls
+        return calls
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**30, 2.0**-30], ids=["1", "2^30", "2^-30"])
+    def test_collinear_designs_of_the_suite(self, scale, monkeypatch):
+        ds = fe_panel(8, n_ent=10, n_per=5)
+        ds = ds.with_column("x1_copy", ds.column("x1") * scale)
+        runs = [lambda: fit(ModelSpec("y", ("x1", "x1_copy", "x2")), ds)]
+        invariant = TestFit.with_time_invariant(fe_panel(8, n_ent=10, n_per=3))
+        runs += [lambda s=s: fit(ModelSpec("y", s), invariant) for s in (("x1", "z", "x2"),
+                                                                          ("z",))]
+        panel = exact_gmm_panel()
+        panel = panel.with_column("x", panel.column("x") * scale)
+        runs.append(lambda: fit_system_gmm(GMM_SPEC, panel))
+        for run in runs:
+            for a, col_scale in self.recorded(monkeypatch, run):
+                assert_pivots_like_lapack(a, col_scale)
+
+    def test_random_effects_between_step_on_balanced_time_dummies(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linear, "_pivoted_qr",
+                            lambda a, s: calls.append((a.copy(), s.copy())) or PIVOTED_QR(a, s))
+        fit(ModelSpec("y", ("x1",), include_time_dummies=True, effects="random"), fe_panel(5))
+        deficient = 0
+        for a, s in calls:
+            # the year dummies of a balanced panel have equal norms without
+            # being equal columns, so rounding breaks their ties: compare the
+            # rank and the space spanned, not the pivots
+            q, r, _ = PIVOTED_QR(a, s)
+            q_ref, r_ref, _ = sla.qr(a * s, mode="economic", pivoting=True)
+            rank = np.count_nonzero(np.abs(np.diag(r_ref)) > linear.RANK_RTOL)
+            assert len(r) == rank
+            np.testing.assert_allclose(q @ q.T, q_ref[:, :rank] @ q_ref[:, :rank].T,
+                                       atol=1e-12)
+            deficient += rank < a.shape[1]
+        assert deficient  # the between step on the balanced panel
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), k=st.integers(1, 7))
+    def test_duplicated_and_power_of_two_scaled_columns(self, data, n, k):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a = rng.normal(size=(n, k))
+        for _ in range(data.draw(st.integers(0, 3))):
+            src, dst = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+            a[:, dst] = a[:, src] * 2.0 ** data.draw(st.integers(-60, 60))
+        assert_pivots_like_lapack(a, linear._unit_scales(np.linalg.norm(a, axis=0)),
+                                  exact=False)
