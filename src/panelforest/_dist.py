@@ -83,14 +83,9 @@ def betainc(a: float, b: float, x: float, y: float) -> float:
 
 
 def t_two_sided(t: float, df: float) -> float:
-    """P(|T| > |t|) for Student's t with df degrees of freedom:
-    I_{df / (df + t^2)}(df / 2, 1/2)."""
-    if math.isnan(t):
-        return math.nan
-    t2 = t * t
-    if math.isinf(t2):
-        return 0.0
-    return betainc(0.5 * df, 0.5, df / (df + t2), t2 / (df + t2))
+    """P(|T| > |t|) for Student's t with df degrees of freedom: T^2 is
+    F(1, df), so this is f_upper(t^2, 1, df)."""
+    return f_upper(t * t, 1, df)
 
 
 def f_upper(f: float, dfn: float, dfd: float) -> float:

@@ -136,8 +136,10 @@ class RunConfig:
                 _integer(blocks["forest"][key], f"forest.{key}", 1, problems)
         seq = blocks["seq_test"]
         bounds = seq["sapt_bounds"]
-        seq_test = _build(problems, "seq_test", lambda: SeqTestConfig(
-            **{**seq, "sapt_bounds": tuple(bounds) if isinstance(bounds, list) else bounds}))
+        seq_test = None
+        if not any(p.startswith("seq_test.") for p in problems):  # as in _static_spec
+            seq_test = _build(problems, "seq_test", lambda: SeqTestConfig(
+                **{**seq, "sapt_bounds": tuple(bounds) if isinstance(bounds, list) else bounds}))
         if problems:
             raise ConfigError(problems)
         echo = copy.deepcopy({**top, "groups": groups, "preprocessing": pre,

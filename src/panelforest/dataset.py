@@ -396,8 +396,9 @@ class ColumnStats:
 
     std_dev is the sample standard deviation (n-1 denominator); skewness
     and kurtosis are the standardized central-moment estimators m3/m2^1.5
-    and m4/m2^2 - 3 (excess/Fisher convention).  Undefined statistics are
-    NaN, never an exception.
+    and m4/m2^2 - 3 (excess/Fisher convention).  A constant column has
+    std_dev 0, skewness 0 and kurtosis NaN.  Undefined statistics are NaN,
+    never an exception.
     """
 
     mean: float
@@ -416,6 +417,9 @@ def _column_stats(values: np.ndarray) -> ColumnStats:
     if n < 2:
         m = float(clean[0]) if n == 1 else math.nan
         return ColumnStats(m, m, m, m, math.nan, math.nan, math.nan, n)
+    lo, hi = float(np.min(clean)), float(np.max(clean))
+    if lo == hi:  # constant: its computed mean may differ from it
+        return ColumnStats(lo, lo, lo, lo, 0.0, 0.0, math.nan, n)
     mean = float(np.mean(clean))
     centered = clean - mean
     m2 = float(np.mean(centered**2))
@@ -425,9 +429,9 @@ def _column_stats(values: np.ndarray) -> ColumnStats:
         skew = m3 / m2**1.5
         kurt = m4 / m2**2 - 3.0
     else:
-        skew, kurt = 0.0, math.nan  # constant column
-    return ColumnStats(mean, float(np.median(clean)), float(np.min(clean)),
-                       float(np.max(clean)), float(np.std(clean, ddof=1)), skew, kurt, n)
+        skew, kurt = 0.0, math.nan  # the spread underflows
+    return ColumnStats(mean, float(np.median(clean)), lo, hi,
+                       float(np.std(clean, ddof=1)), skew, kurt, n)
 
 
 def describe(ds: PanelDataset) -> dict[str, ColumnStats]:
@@ -466,7 +470,8 @@ def correlation_matrix(ds: PanelDataset, vars: Sequence[str]) -> CorrelationMatr
                 continue
             x, y = series[i][both], series[j][both]
             sx, sy = np.std(x), np.std(y)
-            if sx == 0 or sy == 0:
+            # a constant's computed std may round above 0, so compare values
+            if sx == 0 or sy == 0 or x.min() == x.max() or y.min() == y.max():
                 continue
             r = float(np.mean((x - np.mean(x)) * (y - np.mean(y))) / (sx * sy))
             mat[i, j] = mat[j, i] = min(1.0, max(-1.0, r))

@@ -479,16 +479,18 @@ def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
 
 
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """1 - RSS/TSS; NaN when TSS is zero (constant target)."""
+    """1 - RSS/TSS; NaN when TSS is zero (constant target).  A constant is
+    found by comparing values: the mean of equal floats need not equal them,
+    so the computed TSS of a constant is often not zero."""
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
     if len(y_true) != len(y_pred):
         raise ValueError("length mismatch")
     if len(y_true) < 2:
         raise ValueError("need at least 2 observations")
-    tss = float(np.sum((y_true - np.mean(y_true)) ** 2))
-    if tss == 0.0:
+    if y_true.min() == y_true.max():
         return math.nan
+    tss = float(np.sum((y_true - np.mean(y_true)) ** 2))
     rss = float(np.sum((y_true - y_pred) ** 2))
     return 1.0 - rss / tss
 

@@ -86,10 +86,9 @@ class LinearFit:
 
     `covariance` rows/columns follow `coef_names`; `cov_method` is
     "classical" or "arellano_cluster".  row_entity is the entity of each
-    residual row.  The transformed design matrix is retained so
-    cluster-robust covariances and specification tests can be computed
-    without refitting; design_scale holds the power-of-two column scales
-    of the untransformed design that its rank decision uses.
+    residual row.  basis and transform are the fit's one `full_rank_qr`
+    factor of its transformed design: design @ transform = basis, with
+    basis orthonormal, so a cluster-robust covariance needs no refactoring.
     """
 
     spec: ModelSpec
@@ -103,8 +102,8 @@ class LinearFit:
     residuals: np.ndarray
     row_entity: np.ndarray
     metrics: FitMetrics
-    design: np.ndarray
-    design_scale: np.ndarray
+    basis: np.ndarray
+    transform: np.ndarray
     fingerprint: str
 
     @property
@@ -186,7 +185,12 @@ def fit(spec: ModelSpec, ds: PanelDataset) -> LinearFit:
     cov = rss / df_resid * (t @ t.T)
 
     k_slopes = len(names_t) - (1 if "const" in names_t else 0)
-    tss = float(np.sum((y_t - np.mean(y_t)) ** 2))
+    # a dependent constant overall (within each entity for FE) leaves nothing
+    # to explain; compare values, as the mean of equal floats need not equal them
+    same = y[1:] == y[:-1]
+    if spec.effects == "fixed":
+        same |= groups[1:] != groups[:-1]
+    tss = 0.0 if same.all() else float(np.sum((y_t - np.mean(y_t)) ** 2))
     metrics = _metrics_from(rss, tss, n, k_slopes)
 
     return LinearFit(
@@ -201,8 +205,8 @@ def fit(spec: ModelSpec, ds: PanelDataset) -> LinearFit:
         residuals=resid,
         row_entity=entity,
         metrics=metrics,
-        design=X_t,
-        design_scale=scale,
+        basis=q,
+        transform=t,
         fingerprint=ds.fingerprint(),
     )
 
@@ -271,13 +275,13 @@ def robust_covariance(fit_: LinearFit, small_sample: bool = True) -> LinearFit:
     (X'X)^-1 (sum_i X_i' u_i u_i' X_i) (X'X)^-1, clustered on entities,
     scaled by G/(G-1) * (n-1)/(n-k) when small_sample is set.  With all
     singleton clusters and small_sample=False this is exactly the HC0
-    heteroskedasticity-robust covariance.  It reads only the fit: its
-    design, residuals and entity of each row.
+    heteroskedasticity-robust covariance.  It reads only the fit: the
+    factor of its design, its residuals and the entity of each row.
     """
     if fit_.n_entities < 2:
         raise ValueError("clustering is undefined with a single entity")
     # with X t = q, the sandwich is t (sum_i q_i' u_i u_i' q_i) t'
-    q, t = full_rank_qr(fit_.design, fit_.coef_names, scale=fit_.design_scale)
+    q, t = fit_.basis, fit_.transform
     n, k = q.shape
     # fit rows keep the dataset's (entity, year) order: clusters are contiguous
     qu = np.add.reduceat(q * fit_.residuals[:, None], segment_starts(fit_.row_entity)[:-1])
@@ -411,7 +415,9 @@ def full_rank_qr(a: np.ndarray, names: Sequence[str], what: str = "design matrix
     `scale` holds the column scales, by default those of `a` itself; when
     `a` is a transformed design, pass the scales of the untransformed one.
     Rescaling a column by a power of two rescales its row of t exactly.
-    Raises naming the collinear columns unless `a` has full column rank."""
+    Raises naming the collinear columns unless `a` has full column rank.
+    `fit` calls it once and keeps (q, t) on the fit, so the clustered
+    covariance applies the same scales to the same factor."""
     if scale is None:
         scale = _unit_scales(np.linalg.norm(a, axis=0))
     q, r, perm = _pivoted_qr(a, scale)

@@ -213,7 +213,8 @@ def emit_importance_figure(decisions: Mapping[str, SeqTestDecision],
     """Horizontal importance bar chart as deterministic SVG.
 
     Bars are sorted by importance descending; a bar is gray when its
-    p-value exceeds 0.05, colored otherwise; whiskers show +/- one std.
+    p-value exceeds 0.05, colored otherwise; whiskers show +/- one std.  A
+    NaN importance comes last, reads "n/a" and draws no bar or whisker.
     `decisions` and `importance` must cover identical variable sets.
     """
     means, stds = importance.means, importance.stds
@@ -223,13 +224,14 @@ def emit_importance_figure(decisions: Mapping[str, SeqTestDecision],
         raise ValueError("decisions and scores cover different variables: "
                          f"{sorted(set(means) ^ set(decisions))}")
 
-    order = sorted(means, key=lambda n: means[n], reverse=True)
+    order = importance.ranking()
+    finite = [n for n in order if not math.isnan(means[n])]
     bar_h, gap, left, top = 24, 10, 170, 30
     width = 640
     plot_w = width - left - 40
     height = top + len(order) * (bar_h + gap) + 40
-    upper = max(max(means[n] + stds[n] for n in means), 1e-12)
-    lower = min(0.0, min(means[n] - stds[n] for n in means))
+    upper = max([means[n] + stds[n] for n in finite] + [1e-12])
+    lower = min([0.0] + [means[n] - stds[n] for n in finite])
     span = upper - lower
 
     def sx(v: float) -> float:
@@ -248,18 +250,20 @@ def emit_importance_figure(decisions: Mapping[str, SeqTestDecision],
         mean, std = means[name], stds[name]
         p = decisions[name].p_estimate
         y = top + i * (bar_h + gap)
-        x0, x1 = sorted((sx(0.0), sx(mean)))
-        fill = SVG_GRAY if p > 0.05 else SVG_BAR_COLOR
-        lines.append(f'<rect class="bar" x="{x0:.2f}" y="{y}" '
-                     f'width="{max(x1 - x0, 0.5):.2f}" height="{bar_h}" fill="{fill}"/>')
         wy = y + bar_h / 2
-        lines.append(f'<line x1="{sx(mean - std):.2f}" y1="{wy:.2f}" '
-                     f'x2="{sx(mean + std):.2f}" y2="{wy:.2f}" '
-                     'stroke="#333" stroke-width="1.5"/>')
+        x1 = sx(0.0)
+        if not math.isnan(mean):
+            x0, x1 = sorted((sx(0.0), sx(mean)))
+            fill = SVG_GRAY if p > 0.05 else SVG_BAR_COLOR
+            lines.append(f'<rect class="bar" x="{x0:.2f}" y="{y}" '
+                         f'width="{max(x1 - x0, 0.5):.2f}" height="{bar_h}" fill="{fill}"/>')
+            lines.append(f'<line x1="{sx(mean - std):.2f}" y1="{wy:.2f}" '
+                         f'x2="{sx(mean + std):.2f}" y2="{wy:.2f}" '
+                         'stroke="#333" stroke-width="1.5"/>')
         lines.append(f'<text x="{left - 8}" y="{wy + 4:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="12">{_xml(name)}</text>')
         lines.append(f'<text x="{x1 + 6:.2f}" y="{wy + 4:.2f}" '
-                     f'font-family="sans-serif" font-size="11">{mean:.4f}'
+                     f'font-family="sans-serif" font-size="11">{fmt4(mean)}'
                      f'{star_code(p)}</text>')
     lines.append("</svg>")
     path = Path(path)

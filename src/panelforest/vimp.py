@@ -72,8 +72,9 @@ class PermImportanceResult:
     baseline_score: float
 
     def ranking(self) -> list[str]:
-        """Variable names sorted by mean importance, descending."""
-        return sorted(self.means, key=lambda n: self.means[n], reverse=True)
+        """Variable names sorted by mean importance, descending; NaN
+        importances (a constant target) come last, in their given order."""
+        return sorted(self.means, key=lambda n: (math.isnan(self.means[n]), -self.means[n]))
 
 
 def _scorer(forest: Forest, X: np.ndarray, y: np.ndarray, eval_set: str,

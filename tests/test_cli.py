@@ -479,6 +479,19 @@ class TestConfigAtLoad:
                          if line.startswith("  - ")]
         assert len(problem_lines) == 1 and "'bogus'" in problem_lines[0]
 
+    @pytest.mark.parametrize("mmax", [0, 2.5, 15.5])
+    def test_rejected_count_reported_once_without_warning(self, mmax, tmp_path, capsys):
+        # no SeqTestConfig is built from a rejected count, so it neither
+        # repeats the problem nor warns about the value
+        cfg = fast_demo_config(16, tmp_path / "run")
+        cfg["seq_test"]["mmax"] = mmax
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["importance", "-c", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        problems = [line for line in err if line.startswith("  - ")]
+        assert len(problems) == 1 and "seq_test.mmax must be" in problems[0]
+        assert not [line for line in err if line.startswith("warning:")]
+
     def test_documented_configs_parse(self):
         from panelforest.cli import SECTIONS
 

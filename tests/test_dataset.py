@@ -283,6 +283,14 @@ class TestDescribe:
         assert s.skewness == 0.0
         assert math.isnan(s.kurtosis)
 
+    def test_constant_whose_mean_rounds_off_it(self):
+        ds = from_records(["A"] * 3, [2000, 2001, 2002], {"c": [0.1, 0.1, 0.1]})
+        assert np.mean(ds.column("c")) != 0.1
+        s = describe(ds)["c"]
+        assert (s.mean, s.median, s.min, s.max) == (0.1, 0.1, 0.1, 0.1)
+        assert (s.std_dev, s.skewness) == (0.0, 0.0)
+        assert math.isnan(s.kurtosis)
+
     def test_excess_kurtosis_convention(self):
         # [0,0,1,1]: m2=0.25, m4=0.0625 -> kurtosis = 0.0625/0.0625 - 3 = -2
         ds = from_records(["A"] * 4, [2000, 2001, 2002, 2003],
@@ -351,6 +359,12 @@ class TestCorrelationMatrix:
         corr = correlation_matrix(ds, ["c", "x"])
         assert math.isnan(corr[("c", "x")])
         assert corr[("c", "c")] == 1.0
+
+    def test_zero_variance_marker_when_the_mean_rounds(self):
+        ds = from_records(["A"] * 3, [2000, 2001, 2002],
+                          {"c": [0.1, 0.1, 0.1], "x": [1.0, 2.0, 4.0]})
+        assert np.std(ds.column("c")) > 0.0
+        assert math.isnan(correlation_matrix(ds, ["c", "x"])[("c", "x")])
 
     def test_pairwise_complete(self):
         ds = from_records(["A"] * 4, list(range(2000, 2004)),

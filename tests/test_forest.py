@@ -284,6 +284,17 @@ class TestR2Score:
     def test_zero_tss_marker(self):
         assert math.isnan(r2_score(np.array([2.0, 2.0]), np.array([1.0, 3.0])))
 
+    def test_constant_whose_mean_rounds_off_it(self):
+        # the computed mean of 220 copies of log(0.2) is not log(0.2), so
+        # the computed TSS is not 0; the target is still constant
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(220, 2))
+        y = np.full(220, math.log(0.2))
+        assert np.mean(y) != y[0]
+        f = fit_forest(X, y, ForestConfig(n_trees=10, seed=1))
+        assert math.isnan(forest_metrics(f, X, y).r2)
+        assert math.isnan(oob_score(f, X, y).oob_r2)
+
     def test_matches_independent_formula(self):
         # acceptance-grade oracle on a few vectors (full battery in acceptance)
         rng = np.random.default_rng(10)

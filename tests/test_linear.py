@@ -11,7 +11,9 @@ from scipy import stats as sps
 
 from panelforest import linear
 from panelforest._common import segment_ids
+from panelforest.cli import RunConfig, Runner
 from panelforest.dataset import from_records
+from panelforest.demo import demo_config
 from panelforest.gmm import fit_system_gmm
 from panelforest.linear import (
     ModelSpec,
@@ -266,7 +268,7 @@ class TestRobustCovariance:
                           {"y": y, "x": x})
         f = fit(ModelSpec("y", ("x",), effects="pooled"), ds)
         fr = robust_covariance(f, small_sample=False)
-        X, u = f.design, f.residuals
+        X, u = np.column_stack([np.ones(n), x]), f.residuals
         bread = np.linalg.inv(X.T @ X)
         hc0 = bread @ (X * u[:, None] ** 2).T @ X @ bread
         np.testing.assert_allclose(fr.covariance, hc0, atol=1e-14)
@@ -499,7 +501,9 @@ class TestMetrics:
         ds = fe_panel(60, n_ent=20, n_per=6)
         f = fit(SPEC2_FE, ds)
         resid = f.residuals
-        y_within = f.design @ f.beta + resid
+        y = ds.column("y")
+        _, inv = np.unique(ds.entity, return_inverse=True)
+        y_within = y - (np.bincount(inv, weights=y) / np.bincount(inv))[inv]
         rss = float(resid @ resid)
         tss = float(np.sum((y_within - y_within.mean()) ** 2))
         assert f.metrics.r_squared == pytest.approx(1 - rss / tss, rel=1e-10)
@@ -508,6 +512,27 @@ class TestMetrics:
         assert f.metrics.adj_r_squared == pytest.approx(expected_adj, rel=1e-12)
         expected_f = (f.metrics.r_squared / k) / ((1 - f.metrics.r_squared) / (n - k - 1))
         assert f.metrics.f_statistic == pytest.approx(expected_f, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [60, 1000])
+    def test_constant_dependent_whose_mean_rounds_off_it(self, n):
+        rng = np.random.default_rng(62)
+        y = np.full(n, 0.1)
+        assert np.mean(y) != 0.1
+        ds = from_records([f"E{i % 10}" for i in range(n)], [2000 + i // 10 for i in range(n)],
+                          {"y": y, "x": rng.normal(size=n)})
+        m = fit(ModelSpec("y", ("x",), effects="pooled"), ds).metrics
+        assert all(math.isnan(v) for v in (m.r_squared, m.adj_r_squared, m.f_statistic,
+                                            m.f_pvalue))
+
+    def test_dependent_constant_within_each_entity(self):
+        # FE explains only within-entity variation, and there is none
+        ds = fe_panel(63, n_ent=20, n_per=6)
+        _, inv = np.unique(ds.entity, return_inverse=True)
+        y = np.array([0.1, 0.3, 1.7, 2.9])[inv % 4]
+        assert (y != (np.bincount(inv, weights=y) / np.bincount(inv))[inv]).any()
+        m = fit(SPEC2_FE, ds.with_column("y", y)).metrics
+        assert all(math.isnan(v) for v in (m.r_squared, m.adj_r_squared, m.f_statistic,
+                                            m.f_pvalue))
 
     def test_r2_bounds_property(self):
         for seed in range(20):
@@ -598,6 +623,28 @@ class TestPivotedQr:
                                        atol=1e-12)
             deficient += rank < a.shape[1]
         assert deficient  # the between step on the balanced panel
+
+    @pytest.mark.filterwarnings("ignore:sprt needs")  # the demo's mmax=40
+    def test_fit_linear_factors_each_design_once(self, tmp_path, monkeypatch):
+        # per group: FE 1, RE within 1, between 1 and quasi-demeaned 1; the
+        # clustered covariances reuse their fit's factor
+        calls, in_robust = [], []
+        monkeypatch.setattr(linear, "_pivoted_qr", lambda a, s: calls.append(1) or
+                            PIVOTED_QR(a, s))
+        robust = linear.robust_covariance
+
+        def counted(fit_, *args):
+            before = len(calls)
+            out = robust(fit_, *args)
+            in_robust.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(linear, "robust_covariance", counted)
+        cfg = RunConfig.from_mapping(demo_config(seed=7, out=str(tmp_path)))
+        assert len(cfg.groups) == 2
+        Runner(cfg).run("fit-linear")
+        assert len(calls) == 8
+        assert in_robust == [0, 0, 0, 0]
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40), k=st.integers(1, 7))

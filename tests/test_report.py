@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 from pathlib import Path
 
@@ -199,6 +200,24 @@ class TestImportanceFigure:
         p2 = emit_importance_figure(decisions_for(self.SCORES, ps), self.SCORES,
                                     tmp_path / "two.svg")
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_nan_importance_last_without_bar(self, tmp_path):
+        # a constant target gives NaN importances: drawn the same whatever
+        # the variable order, as "n/a" with no bar or whisker
+        means, stds = {"a": math.nan, "b": 0.2}, {"a": math.nan, "b": 0.05}
+        ps = {"a": 1.0, "b": 0.01}
+        svgs = []
+        for order in (("a", "b"), ("b", "a")):
+            imp = PermImportanceResult({n: means[n] for n in order}, {n: stds[n] for n in order},
+                                       10, "r2", math.nan)
+            assert imp.ranking() == ["b", "a"]
+            decisions = decisions_for(imp, {n: ps[n] for n in order})
+            svgs.append(emit_importance_figure(decisions, imp, tmp_path / "fig.svg").read_bytes())
+        assert svgs[0] == svgs[1]
+        text = svgs[0].decode()
+        assert "nan" not in text
+        assert text.count('class="bar"') == 1 and text.count('stroke-width="1.5"') == 1
+        assert ">n/a</text>" in text
 
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no variables"):
