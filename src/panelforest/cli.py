@@ -135,13 +135,17 @@ class RunConfig:
             if blocks["forest"][key] is not None:
                 _integer(blocks["forest"][key], f"forest.{key}", 1, problems)
         seq = blocks["seq_test"]
-        bounds = seq["sapt_bounds"]
-        seq_test = None
+        if isinstance(seq["sapt_bounds"], list):  # a JSON pair
+            seq = {**seq, "sapt_bounds": tuple(seq["sapt_bounds"])}
+        seq_test, reach = None, []
         if not any(p.startswith("seq_test.") for p in problems):  # as in _static_spec
-            seq_test = _build(problems, "seq_test", lambda: SeqTestConfig(
-                **{**seq, "sapt_bounds": tuple(bounds) if isinstance(bounds, list) else bounds}))
+            with warnings.catch_warnings(record=True) as reach:  # shown once all is accepted
+                warnings.simplefilter("always")
+                seq_test = _build(problems, "seq_test", lambda: SeqTestConfig(**seq))
         if problems:
             raise ConfigError(problems)
+        for caught in reach:
+            warnings.warn(caught.message, stacklevel=2)
         echo = copy.deepcopy({**top, "groups": groups, "preprocessing": pre,
                               "models": blocks["models"]})
         del echo["out"]  # where artifacts go is not part of what they hold
@@ -245,16 +249,13 @@ class Runner:
 
     @cached_property
     def prepared(self) -> dsm.PanelDataset:
-        """Outlier-filtered, log-transformed, lagged dataset."""
+        """Outlier-filtered, log-transformed, lagged dataset; `_check` names missing lag_vars."""
         ds, self._removal_log = dsm.remove_outliers(
             self.raw, self.cfg.outlier_vars or list(self.raw.columns), self.cfg.outlier_rule)
         ds = dsm.log_transform(ds, self.cfg.log_vars)
-        missing = [v for v in self.cfg.lag_vars if v not in ds.columns]
-        if missing:
-            raise ConfigError([f"lag variable {v!r} not found after transforms"
-                               for v in missing])
-        if self.cfg.lag_vars:
-            ds = dsm.add_lags(ds, self.cfg.lag_vars, self.cfg.lag_order)
+        lag_vars = [v for v in self.cfg.lag_vars if v in ds.columns]
+        if lag_vars:
+            ds = dsm.add_lags(ds, lag_vars, self.cfg.lag_order)
         return ds
 
     @cached_property
@@ -289,6 +290,8 @@ class Runner:
                      for var in cfg.log_vars + cfg.outlier_vars if var not in ds.columns]
         if not problems and stages != ("describe",):  # the rest read the prepared panel
             ds, static, dynamic = self.prepared, cfg.static, cfg.dynamic
+            problems += [f"lag variable {v!r} not found after transforms"
+                         for v in cfg.lag_vars if v not in ds.columns]
             named = []
             if static is not None:
                 named += [("static.dependent", [static.dependent]),

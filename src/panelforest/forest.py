@@ -18,12 +18,13 @@ level, from its own counter-derived stream (cfg.seed, i), so the fitted
 forest is a pure function of (X, y, config).
 
 A forest stores all its trees in one node table, tree after tree, with the
-offset of each tree's root; child links are tree-local.  One function,
-`_leaves`, routes (tree, row) pairs for predict, OOB scoring and
-`Tree.predict`.  A shuffle of one column keeps a pair in its leaf while the
-new value stays in the leaf's `_stay_intervals` interval, and reroutes it
-from the leaf's first split on the column otherwise; MDI works on whole
-node columns.
+offset of each tree's root; child links are tree-local.  A tree is a forest
+of one: `Forest.trees` gives each tree as a one-tree `Forest`, so one
+function, `_leaves`, routes (tree, row) pairs for predict and OOB scoring of
+a forest or of one tree.  A shuffle of one column keeps a pair in its leaf
+while the new value stays in the leaf's `_stay_intervals` interval, and
+reroutes it from the leaf's first split on the column otherwise; MDI works
+on whole node columns.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from ._rng import stream
 
 __all__ = [
     "ForestConfig",
-    "Tree",
     "Forest",
     "fit_forest",
     "predict",
@@ -84,65 +84,33 @@ class ForestConfig:
         return m
 
 
-@dataclass(frozen=True)
-class Tree:
-    """Array-encoded CART node table: one tree, or a forest's trees in turn.
-
-    feature[i] == -1 marks a leaf; left[i] and right[i] = left[i] + 1 index
-    the children from the root of node i's tree; value[i] is the node's
-    training-target mean (the prediction for leaves), n_samples[i] the
-    bootstrap-multiset size, sse_decrease[i] the split's SSE reduction.
-    n_features is the column count of the X the trees route.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    n_samples: np.ndarray
-    sse_decrease: np.ndarray
-    n_features: int
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value of every row of X in the tree rooted at node 0."""
-        X = _check_columns(self, X)
-        n = len(X)
-        return self.value[_leaves(self, [0], np.zeros(n, dtype=np.intp), X, np.arange(n))]
-
-
 # `_grow_forests` grows trees in runs of at most about this many bootstrap
 # draws: it bounds the working memory to a few MiB and changes no tree
 _ENTRIES_PER_GROUP = 8192
 _LEVELS_PER_PASS = 3  # `_leaves` drops the finished pairs every this many levels
 
-# node-table columns in Tree field order
+# node-table columns in Forest field order
 _NODE_COLUMNS = ("feature", "threshold", "left", "right", "value", "n_samples",
                  "sse_decrease")
 
 
-def _leaves(nodes: Tree, roots: Sequence[int], node: np.ndarray, X: np.ndarray,
-            rows: np.ndarray) -> np.ndarray:
+def _leaves(forest: Forest, node: np.ndarray, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Table index of the leaf each (tree, row) pair reaches, starting at
-    node[i] and descending on X[rows[i]]; roots are the trees' offsets.
-    A leaf routes to itself (its NaN threshold fails `x <= thr` and its
-    right link points back), so a level is one gather-compare-step of every
-    unfinished pair; finished ones are dropped every _LEVELS_PER_PASS."""
-    inner = nodes.feature >= 0
-    offset = np.repeat(roots, np.diff(roots, append=nodes.n_nodes))
-    right = np.where(inner, nodes.right + offset, np.arange(nodes.n_nodes))
-    column = np.maximum(nodes.feature, 0) * len(X)
+    node[i] and descending on X[rows[i]].  A leaf routes to itself (its NaN
+    threshold fails `x <= thr` and its right link points back), so a level
+    is one gather-compare-step of every unfinished pair; finished ones are
+    dropped every _LEVELS_PER_PASS."""
+    inner = forest.feature >= 0
+    offset = np.repeat(forest.roots, np.diff(forest.roots, append=forest.n_nodes))
+    right = np.where(inner, forest.right + offset, np.arange(forest.n_nodes))
+    column = np.maximum(forest.feature, 0) * len(X)
     x = X.T.ravel()  # x[f * n + r] = X[r, f]
     leaf = node.copy()
     todo = np.flatnonzero(inner[leaf]).astype(np.int32)
     at, row = leaf[todo], rows[todo].astype(np.int32)
     while todo.size:
         for _ in range(_LEVELS_PER_PASS):
-            go_left = x[column[at] + row] <= nodes.threshold[at]
+            go_left = x[column[at] + row] <= forest.threshold[at]
             at = right[at]
             at -= go_left
         leaf[todo] = at
@@ -153,21 +121,37 @@ def _leaves(nodes: Tree, roots: Sequence[int], node: np.ndarray, X: np.ndarray,
 
 @dataclass(frozen=True)
 class Forest:
-    """Fitted ensemble: one node table in which tree i starts at roots[i],
-    plus per-tree bootstrap bookkeeping for OOB scoring.  It has no file
-    form; `fit_forest` on the same inputs rebuilds it bit for bit."""
+    """Fitted ensemble: one CART node table in which tree i starts at
+    roots[i], plus per-tree bootstrap bookkeeping for OOB scoring.
 
-    nodes: Tree
+    feature[i] == -1 marks a leaf; left[i] and right[i] = left[i] + 1 index
+    the children from the root of node i's tree; value[i] is the node's
+    training-target mean (the prediction for leaves), n_samples[i] the
+    bootstrap-multiset size, sse_decrease[i] the split's SSE reduction.  It
+    has no file form; `fit_forest` on the same inputs rebuilds it bit for bit."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+    sse_decrease: np.ndarray
     roots: np.ndarray  # (n_trees,) table offset of each tree's root
     in_bag_counts: np.ndarray  # (n_trees, n_rows) bootstrap multiplicities
     feature_names: tuple[str, ...]
     n_rows: int
 
     @property
-    def trees(self) -> tuple[Tree, ...]:
-        """Per-tree views of the node table (no copies)."""
-        parts = [np.split(getattr(self.nodes, name), self.roots[1:]) for name in _NODE_COLUMNS]
-        return tuple(Tree(*columns, self.nodes.n_features) for columns in zip(*parts))
+    def n_nodes(self) -> int:
+        return len(self.feature)
+
+    @property
+    def trees(self) -> tuple[Forest, ...]:
+        """Each tree as a forest of one, on views of the node table (no copies)."""
+        parts = [np.split(getattr(self, name), self.roots[1:]) for name in _NODE_COLUMNS]
+        return tuple(Forest(*columns, np.zeros(1, np.intp), in_bag[None], self.feature_names,
+                            self.n_rows) for *columns, in_bag in zip(*parts, self.in_bag_counts))
 
 
 def _best_splits(sel: np.ndarray, feat: np.ndarray, cand: np.ndarray, node: np.ndarray,
@@ -230,8 +214,8 @@ def _best_splits(sel: np.ndarray, feat: np.ndarray, cand: np.ndarray, node: np.n
 
 def _grow(X: np.ndarray, y: np.ndarray, in_bag: np.ndarray, mtry: int,
           min_leaf: int, max_depth: int | None,
-          rngs: list[np.random.Generator]) -> tuple[Tree, np.ndarray]:
-    """Grow every tree of a forest level by level; returns the node table
+          rngs: list[np.random.Generator]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Grow every tree of a forest level by level: the node-table columns
     (tree after tree, breadth-first within a tree) and each tree's root."""
     n_trees, n = in_bag.shape
     p = X.shape[1]
@@ -342,7 +326,7 @@ def _grow(X: np.ndarray, y: np.ndarray, in_bag: np.ndarray, mtry: int,
     right = np.where(inner, left + 1, -1)
     columns = (feature, threshold, left, right, centre + sums / n_samples, n_samples,
                sse_decrease)
-    return Tree(*(c[pack] for c in columns), p), roots
+    return [c[pack] for c in columns], roots
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
@@ -414,11 +398,10 @@ def _grow_forests(X: np.ndarray, y: np.ndarray, seeds: Sequence[int], n_trees: i
         groups.append(_grow(X[first * n:(first + copies) * n], np.tile(y, copies),
                             wide.reshape(len(copy), copies * n), mtry, cfg.min_leaf,
                             cfg.max_depth, rngs[i:i + step]))
-    offsets = np.cumsum([0] + [nodes.n_nodes for nodes, _ in groups[:-1]])
-    roots = np.concatenate([r + o for (_, r), o in zip(groups, offsets)])
-    nodes = Tree(**{name: np.concatenate([getattr(g, name) for g, _ in groups])
-                    for name in _NODE_COLUMNS}, n_features=X.shape[1])
-    return Forest(nodes, roots, in_bag, names, n)
+    columns, roots = zip(*groups)
+    offsets = np.cumsum([0] + [len(c[0]) for c in columns[:-1]])
+    roots = np.concatenate([r + o for r, o in zip(roots, offsets)])
+    return Forest(*map(np.concatenate, zip(*columns)), roots, in_bag, names, n)
 
 
 def _feature_names(X: np.ndarray, names: Sequence[str] | None) -> tuple[str, ...]:
@@ -437,7 +420,7 @@ def _pairs(forest: Forest, X: np.ndarray, oob: bool,
     scores = forest.in_bag_counts == 0 if oob else np.ones((len(forest.roots), n), bool)
     tree, rows = np.divmod(np.flatnonzero(scores), n)
     rows += tree // (len(forest.roots) // copies) * n
-    return rows, _leaves(forest.nodes, forest.roots, forest.roots[tree], X, rows)
+    return rows, _leaves(forest, forest.roots[tree], X, rows)
 
 
 def _stay_intervals(forest: Forest, col: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -446,14 +429,14 @@ def _stay_intervals(forest: Forest, col: int) -> tuple[np.ndarray, np.ndarray, n
     ancestors' splits on `col` send to it.  A change of `col` alone keeps a
     pair in its leaf while the new value stays in the leaf's interval, and
     moves it only below that first split otherwise."""
-    nodes, level = forest.nodes, forest.roots
-    first = np.full(nodes.n_nodes, -1, dtype=np.intp)
-    lo, hi = np.full(nodes.n_nodes, -np.inf), np.full(nodes.n_nodes, np.inf)
-    offset = np.repeat(level, np.diff(level, append=nodes.n_nodes))
+    level = forest.roots
+    first = np.full(forest.n_nodes, -1, dtype=np.intp)
+    lo, hi = np.full(forest.n_nodes, -np.inf), np.full(forest.n_nodes, np.inf)
+    offset = np.repeat(level, np.diff(level, append=forest.n_nodes))
     while level.size:
-        parent = level[nodes.feature[level] >= 0]
-        on, thr = nodes.feature[parent] == col, nodes.threshold[parent]
-        kids = nodes.left[parent] + offset[parent]
+        parent = level[forest.feature[level] >= 0]
+        on, thr = forest.feature[parent] == col, forest.threshold[parent]
+        kids = forest.left[parent] + offset[parent]
         first[kids] = first[kids + 1] = np.where(on & (first[parent] < 0), parent,
                                                  first[parent])
         lo[kids], hi[kids + 1] = lo[parent], hi[parent]
@@ -463,18 +446,18 @@ def _stay_intervals(forest: Forest, col: int) -> tuple[np.ndarray, np.ndarray, n
     return first, lo, hi
 
 
-def _check_columns(nodes: Tree, X: np.ndarray) -> np.ndarray:
+def _check_columns(forest: Forest, X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != nodes.n_features:
-        raise ValueError(f"X must have {nodes.n_features} columns")
+    if X.ndim != 2 or X.shape[1] != len(forest.feature_names):
+        raise ValueError(f"X must have {len(forest.feature_names)} columns")
     return X
 
 
 def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Arithmetic mean of per-tree predictions."""
-    X = _check_columns(forest.nodes, X)
+    X = _check_columns(forest, X)
     rows, leaf = _pairs(forest, X, oob=False)
-    return np.bincount(rows, weights=forest.nodes.value[leaf],
+    return np.bincount(rows, weights=forest.value[leaf],
                        minlength=len(X)) / len(forest.roots)
 
 
@@ -507,9 +490,9 @@ def oob_predictions(forest: Forest, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Returns (predictions, covered mask); uncovered rows are NaN.
     """
-    X = _check_columns(forest.nodes, X)
+    X = _check_columns(forest, X)
     rows, leaf = _pairs(forest, X, oob=True)
-    totals = np.bincount(rows, weights=forest.nodes.value[leaf], minlength=len(X))
+    totals = np.bincount(rows, weights=forest.value[leaf], minlength=len(X))
     counts = np.bincount(rows, minlength=len(X))
     covered = counts > 0
     preds = np.full(len(X), np.nan)
@@ -534,11 +517,10 @@ def mdi_importance(forest: Forest) -> dict[str, float]:
     A forest whose trees never split returns the all-zero vector (with a
     warning as the degenerate-case marker).
     """
-    nodes = forest.nodes
-    internal = nodes.feature >= 0
+    internal = forest.feature >= 0
     totals = np.zeros(len(forest.feature_names))
     # every bootstrap sample draws n_rows rows
-    np.add.at(totals, nodes.feature[internal], nodes.sse_decrease[internal] / forest.n_rows)
+    np.add.at(totals, forest.feature[internal], forest.sse_decrease[internal] / forest.n_rows)
     totals /= len(forest.roots)
     norm = totals.sum()
     if norm <= 0.0:

@@ -94,7 +94,7 @@ def _scorer(forest: Forest, X: np.ndarray, y: np.ndarray, eval_set: str,
     seen = [np.flatnonzero(c) for c in counts]
 
     def score(leaf: np.ndarray) -> np.ndarray:
-        totals = np.bincount(rows, weights=forest.nodes.value[leaf], minlength=len(X))
+        totals = np.bincount(rows, weights=forest.value[leaf], minlength=len(X))
         return np.array([r2_score(y[s], t[s] / c[s])
                          for s, t, c in zip(seen, totals.reshape(copies, -1), counts)])
 
@@ -108,7 +108,7 @@ def _scorer(forest: Forest, X: np.ndarray, y: np.ndarray, eval_set: str,
             Xp = _null_permutation(X, col, rngs)
             v = Xp[rows, col]
             start = np.where((lo < v) & (v <= hi), base, first)
-            out.append(baseline - score(_leaves(forest.nodes, forest.roots, start, Xp, rows)))
+            out.append(baseline - score(_leaves(forest, start, Xp, rows)))
         return np.column_stack(out)
 
     return baseline, drops
@@ -128,7 +128,7 @@ def permutation_importance(forest: Forest, X: np.ndarray, y: np.ndarray,
         raise ValueError("n_repeats must be >= 1")
     if eval_set not in ("train", "oob"):
         raise ValueError(f"unknown eval_set {eval_set!r}")
-    X = _check_columns(forest.nodes, X)
+    X = _check_columns(forest, X)
     y = _check_target(X, y)
     baseline, shuffle_drops = _scorer(forest, X, y, eval_set)
     names = forest.feature_names

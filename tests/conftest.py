@@ -8,28 +8,22 @@ from panelforest.dataset import PanelDataset, from_records
 
 def fe_panel(seed, n_ent=50, n_per=10, betas=(0.5, -1.0), sigma=0.1,
              corr_effects=0.0, ar_err=0.0, ar_x=0.0):
-    """Panel with entity effects: y = b1*x1 + b2*x2 + eff_i + e_it."""
-    rng = np.random.default_rng(seed)
-    ents, yrs = [], []
-    cols = {"y": [], "x1": [], "x2": []}
-    for i in range(n_ent):
-        eff = rng.normal()
-        e_prev = rng.normal() * sigma
-        x_prev = rng.normal()
-        for t in range(n_per):
-            x1 = (ar_x * x_prev + np.sqrt(max(1 - ar_x**2, 0.01)) * rng.normal()
-                  + corr_effects * eff)
-            x_prev = x1
-            x2 = rng.normal()
-            e = (ar_err * e_prev
-                 + np.sqrt(max(1 - ar_err**2, 0.01)) * rng.normal() * sigma)
-            e_prev = e
-            ents.append(f"E{i:03d}")
-            yrs.append(2000 + t)
-            cols["x1"].append(x1)
-            cols["x2"].append(x2)
-            cols["y"].append(betas[0] * x1 + betas[1] * x2 + eff + e)
-    return from_records(ents, yrs, cols)
+    """Panel with entity effects: y = b1*x1 + b2*x2 + eff_i + e_it.
+
+    Entity i takes row i of one block of draws: eff, e_0, x_0, then
+    (x1, x2, e) per year; the recursion runs over all entities at once."""
+    draws = np.random.default_rng(seed).normal(size=(n_ent, 3 + 3 * n_per))
+    eff, e, x1 = draws[:, 0], draws[:, 1] * sigma, draws[:, 2]
+    sx, se = np.sqrt(max(1 - ar_x**2, 0.01)), np.sqrt(max(1 - ar_err**2, 0.01))
+    x1s, x2s, ys = [], [], []
+    for t in range(n_per):
+        x1 = ar_x * x1 + sx * draws[:, 3 + 3 * t] + corr_effects * eff
+        x2 = draws[:, 4 + 3 * t]
+        e = ar_err * e + se * draws[:, 5 + 3 * t] * sigma
+        x1s.append(x1)
+        x2s.append(x2)
+        ys.append(betas[0] * x1 + betas[1] * x2 + eff + e)
+    return _entity_years(n_ent, n_per, {"y": ys, "x1": x1s, "x2": x2s})
 
 
 def dynamic_panel(seed, n_ent=200, n_per=10, rho=0.5, beta=0.3, s_eta=1.0,
@@ -37,27 +31,31 @@ def dynamic_panel(seed, n_ent=200, n_per=10, rho=0.5, beta=0.3, s_eta=1.0,
     """Dynamic panel y_it = rho*y_{i,t-1} + beta*x_it + eta_i + eps_it.
 
     Burn-in from near the stationary mean keeps the level-equation moment
-    conditions valid (mean stationarity).
+    conditions valid (mean stationarity).  Entity i takes row i of one
+    block of draws: eta, x_0, nu_0, then (x, nu) per step.
     """
-    rng = np.random.default_rng(seed)
-    ents, yrs, ys, xs = [], [], [], []
-    for i in range(n_ent):
-        eta = rng.normal() * s_eta
-        x = rng.normal()
-        y = (beta * x + eta) / (1 - rho) if rho < 1 else 0.0
-        nu_prev = rng.normal()
-        for t in range(-burn_in, n_per):
-            x = 0.5 * x + rng.normal() + 0.3 * eta
-            nu = rng.normal()
-            eps = (nu + ma_err * nu_prev) * s_eps
-            nu_prev = nu
-            y = rho * y + beta * x + eta + eps
-            if t >= 0:
-                ents.append(f"E{i:03d}")
-                yrs.append(2000 + t)
-                ys.append(y)
-                xs.append(x)
-    return from_records(ents, yrs, {"y": ys, "x": xs})
+    draws = np.random.default_rng(seed).normal(size=(n_ent, 3 + 2 * (burn_in + n_per)))
+    eta, x, nu_prev = draws[:, 0] * s_eta, draws[:, 1], draws[:, 2]
+    y = (beta * x + eta) / (1 - rho) if rho < 1 else np.zeros(n_ent)
+    ys, xs = [], []
+    for k in range(burn_in + n_per):
+        x = 0.5 * x + draws[:, 3 + 2 * k] + 0.3 * eta
+        nu = draws[:, 4 + 2 * k]
+        eps = (nu + ma_err * nu_prev) * s_eps
+        nu_prev = nu
+        y = rho * y + beta * x + eta + eps
+        if k >= burn_in:
+            ys.append(y)
+            xs.append(x)
+    return _entity_years(n_ent, n_per, {"y": ys, "x": xs})
+
+
+def _entity_years(n_ent, n_per, columns):
+    """Panel of entities E000.. over years 2000.., from per-year columns."""
+    ents = np.repeat([f"E{i:03d}" for i in range(n_ent)], n_per)
+    years = np.tile(2000 + np.arange(n_per), n_ent)
+    return from_records(ents, years, {name: np.reshape(np.transpose(c), -1)
+                                      for name, c in columns.items()})
 
 
 def toy_panel() -> PanelDataset:

@@ -492,6 +492,43 @@ class TestConfigAtLoad:
         assert len(problems) == 1 and "seq_test.mmax must be" in problems[0]
         assert not [line for line in err if line.startswith("warning:")]
 
+    def test_reach_warning_only_for_an_accepted_config(self, tmp_path, capsys):
+        # the demo's sprt cannot reach 'significant' within mmax=40: worth a
+        # warning for a config that runs, noise next to one that is rejected
+        cfg = demo_config(seed=1, out=str(tmp_path / "run"))
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["describe", "-c", str(tmp_path / "c.json")]) == 0
+        assert capsys.readouterr().err.count("warning: sprt needs at least") == 1
+        cfg["sead"] = 1
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["describe", "-c", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'sead'" in err
+        assert "warning:" not in err
+
+    def test_seq_test_problem_listed_beside_unknown_key(self):
+        cfg = demo_config(seed=1)
+        cfg["sead"] = 1
+        cfg["seq_test"]["p1"] = 0.5
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_mapping(cfg)
+        assert len(info.value.problems) == 2
+        assert info.value.problems[0].startswith("unknown key 'sead'")
+        assert info.value.problems[1].startswith("seq_test: need 0 < p1 < alpha < p0 < 1")
+
+    def test_missing_lag_variable_listed_with_unknown_columns(self, tmp_path, capsys):
+        cfg = fast_demo_config(16, tmp_path / "run")
+        cfg["preprocessing"]["lag_vars"].append("Nope")
+        cfg["models"]["static"]["regressors"].append("Foo")
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["fit-linear", "-c", str(tmp_path / "c.json")]) == 2
+        problems = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("  - ")]
+        assert len(problems) == 2
+        assert "lag variable 'Nope' not found after transforms" in problems[0]
+        assert "models.static.regressors names unknown column 'Foo'" in problems[1]
+        assert not (tmp_path / "run").exists()
+
     def test_documented_configs_parse(self):
         from panelforest.cli import SECTIONS
 

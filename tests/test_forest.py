@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from panelforest.forest import (
     Forest,
     ForestConfig,
-    Tree,
     _leaves,
     fit_forest,
     forest_metrics,
@@ -171,7 +170,7 @@ class TestFitForest:
         X2[:, j] = mapped[np.searchsorted(distinct, X[:, j])]
         cfg = ForestConfig(n_trees=5, mtry=int(rng.integers(1, p + 1)),
                            min_leaf=int(rng.integers(1, 6)), seed=seed)
-        a, b = fit_forest(X, y, cfg).nodes, fit_forest(X2, y, cfg).nodes
+        a, b = fit_forest(X, y, cfg), fit_forest(X2, y, cfg)
         for name in ("feature", "left", "right", "value", "n_samples", "sse_decrease"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -192,7 +191,7 @@ class TestPredict:
         y = np.array([0.0, 1.0, 2.0, 3.0] * 3)
         f = fit_forest(X, y, ForestConfig(n_trees=1, min_leaf=1, seed=0))
         tree = f.trees[0]
-        np.testing.assert_array_equal(predict(f, X), tree.predict(X))
+        np.testing.assert_array_equal(predict(f, X), predict(tree, X))
 
     def test_mean_of_two_trees(self):
         # constant-target forests predict their target exactly, so a
@@ -201,7 +200,7 @@ class TestPredict:
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
         f = fit_forest(X, y, ForestConfig(n_trees=2, seed=4))
-        expected = (f.trees[0].predict(X) + f.trees[1].predict(X)) / 2.0
+        expected = (predict(f.trees[0], X) + predict(f.trees[1], X)) / 2.0
         np.testing.assert_allclose(predict(f, X), expected, atol=1e-15)
 
     def test_equals_per_tree_enumeration(self):
@@ -210,7 +209,7 @@ class TestPredict:
         y = X[:, 1] + rng.normal(size=50)
         f = fit_forest(X, y, ForestConfig(n_trees=12, seed=5))
         pts = rng.normal(size=(40, 3))
-        manual = np.mean([t.predict(pts) for t in f.trees], axis=0)
+        manual = np.mean([predict(t, pts) for t in f.trees], axis=0)
         np.testing.assert_allclose(predict(f, pts), manual, atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -389,8 +388,8 @@ def golden_forest() -> Forest:
     columns["threshold"] = columns["threshold"].astype(float)  # None -> NaN
     roots = np.cumsum([0] + [len(t["feature"]) for t in trees[:-1]])
     names = tuple(doc["feature_names"])
-    return Forest(Tree(**columns, n_features=len(names)), roots,
-                  np.array(doc["in_bag_counts"]), names, doc["n_rows"])
+    return Forest(**columns, roots=roots, in_bag_counts=np.array(doc["in_bag_counts"]),
+                  feature_names=names, n_rows=doc["n_rows"])
 
 
 class TestTreeOrderSums:
@@ -411,7 +410,7 @@ class TestTreeOrderSums:
             for rows in (X, pts):
                 total = np.zeros(len(rows))
                 for tree in f.trees:
-                    total += tree.predict(rows)
+                    total += predict(tree, rows)
                 assert np.array_equal(predict(f, rows), total / len(f.trees))
 
     def test_oob_equals_tree_order_sum(self):
@@ -420,7 +419,7 @@ class TestTreeOrderSums:
             totals, counts = np.zeros(len(X)), np.zeros(len(X), dtype=int)
             for tree, in_bag in zip(f.trees, f.in_bag_counts):
                 oob = in_bag == 0
-                totals[oob] += tree.predict(X)[oob]
+                totals[oob] += predict(tree, X)[oob]
                 counts[oob] += 1
             covered = counts > 0
             expected = np.full(len(X), np.nan)
@@ -428,6 +427,32 @@ class TestTreeOrderSums:
             preds, got_covered = oob_predictions(f, X)
             assert np.array_equal(got_covered, covered)
             assert np.array_equal(preds, expected, equal_nan=True)
+
+
+class TestTreeIsForestOfOne:
+    """forest.trees[i] is a one-tree Forest that predict, oob_predictions and
+    mdi_importance take like any other."""
+
+    def test_tree_view_serves_every_forest_function(self):
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(60, 3))
+        y = X[:, 0] + np.sin(2 * X[:, 1]) + 0.3 * rng.normal(size=60)
+        f = fit_forest(X, y, ForestConfig(n_trees=6, min_leaf=2, seed=8))
+        pts = np.concatenate([X, rng.normal(size=(20, 3)) * 2])
+        for i, tree in enumerate(f.trees):
+            assert isinstance(tree, Forest) and len(tree.roots) == 1
+            leaf = [walk(tree, 0, x) for x in pts]
+            assert np.array_equal(predict(tree, pts), tree.value[leaf])
+            oob = f.in_bag_counts[i] == 0
+            preds, covered = oob_predictions(tree, X)
+            assert np.array_equal(covered, oob)
+            assert np.array_equal(preds[oob], tree.value[leaf[:len(X)]][oob])
+            assert np.isnan(preds[~oob]).all()
+            inner = tree.feature >= 0
+            sums = np.bincount(tree.feature[inner], weights=tree.sse_decrease[inner],
+                               minlength=3)
+            expected = dict(zip(f.feature_names, sums / sums.sum()))
+            assert mdi_importance(tree) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestGoldenForestFile:
@@ -463,7 +488,7 @@ class TestOobColumns:
     def test_tree_view_checks_column_count(self, width):
         f, X4 = self.forest_and_wide_x()
         with pytest.raises(ValueError, match="3 columns"):
-            f.trees[0].predict(X4[:, :width])
+            predict(f.trees[0], X4[:, :width])
 
 
 def node_multisets(forest, X, t):
@@ -550,8 +575,8 @@ class TestTargetShiftAndScale:
         scaled = fit_forest(X, scale * y, cfg)
         for other in (shifted, scaled):
             for name in ("feature", "left", "n_samples"):
-                assert np.array_equal(getattr(base.nodes, name), getattr(other.nodes, name))
-            assert np.array_equal(base.nodes.threshold, other.nodes.threshold, equal_nan=True)
+                assert np.array_equal(getattr(base, name), getattr(other, name))
+            assert np.array_equal(base.threshold, other.threshold, equal_nan=True)
         grid = rng.normal(size=(25, 3))
         np.testing.assert_allclose(predict(shifted, grid), predict(base, grid) + shift,
                                    rtol=0, atol=1e-15 * 64 * (abs(shift) + 20))
@@ -598,13 +623,13 @@ class TestNonFiniteInput:
             fit_forest(X, y, ForestConfig(n_trees=2, seed=1))
 
 
-def walk(nodes, roots, start, x):
+def walk(forest, start, x):
     """Leaf that one row x reaches from node `start`, one node at a time."""
-    root = roots[np.searchsorted(roots, start, side="right") - 1]
+    root = forest.roots[np.searchsorted(forest.roots, start, side="right") - 1]
     at = start
-    while nodes.feature[at] >= 0:
-        go_left = x[nodes.feature[at]] <= nodes.threshold[at]  # False for NaN
-        at = root + (nodes.left[at] if go_left else nodes.right[at])
+    while forest.feature[at] >= 0:
+        go_left = x[forest.feature[at]] <= forest.threshold[at]  # False for NaN
+        at = root + (forest.left[at] if go_left else forest.right[at])
     return at
 
 
@@ -612,11 +637,10 @@ def check_node_layout(f: Forest):
     """The layout `_leaves` steps through: a leaf links to -1 on both sides;
     an inner node's right child is its left child + 1, both inside its own
     tree and after it."""
-    nodes = f.nodes
-    ends = np.append(f.roots[1:], nodes.n_nodes)
+    ends = np.append(f.roots[1:], f.n_nodes)
     for root, end in zip(f.roots, ends):
-        feature = nodes.feature[root:end]
-        left, right = nodes.left[root:end], nodes.right[root:end]
+        feature = f.feature[root:end]
+        left, right = f.left[root:end], f.right[root:end]
         inner = feature >= 0
         assert np.all(left[~inner] == -1) and np.all(right[~inner] == -1)
         assert np.array_equal(right[inner], left[inner] + 1)
@@ -643,9 +667,9 @@ class TestLeaves:
     """The vectorised router against a scalar walk of each (start, row) pair."""
 
     @staticmethod
-    def check(nodes, roots, start, X, rows):
-        got = _leaves(nodes, roots, start, X, rows)
-        expected = [walk(nodes, roots, s, X[r]) for s, r in zip(start, rows)]
+    def check(forest, start, X, rows):
+        got = _leaves(forest, start, X, rows)
+        expected = [walk(forest, s, X[r]) for s, r in zip(start, rows)]
         assert np.array_equal(got, expected)
 
     @settings(max_examples=60, deadline=None)
@@ -658,33 +682,32 @@ class TestLeaves:
                            max_depth=[None, 2][seed % 2], seed=seed)
         f = fit_forest(X, X[:, 0] + rng.normal(size=n), cfg)
         # query cells: training values, the thresholds themselves, NaN, +-inf
-        cells = np.concatenate([X.ravel(), f.nodes.threshold[f.nodes.feature >= 0],
+        cells = np.concatenate([X.ravel(), f.threshold[f.feature >= 0],
                                 [np.nan, np.inf, -np.inf]])
         Q = rng.choice(cells, size=(int(rng.integers(1, 40)), p))
         pairs = int(rng.integers(1, 200))
-        start = rng.integers(0, f.nodes.n_nodes, size=pairs)  # leaves and inner nodes
-        self.check(f.nodes, f.roots, start, Q, rng.integers(0, len(Q), size=pairs))
+        start = rng.integers(0, f.n_nodes, size=pairs)  # leaves and inner nodes
+        self.check(f, start, Q, rng.integers(0, len(Q), size=pairs))
 
     def test_threshold_goes_left_nan_and_inf_go_right(self):
         X = np.arange(10.0)[:, None]
         f = fit_forest(X, (X[:, 0] > 4.5).astype(float),
                        ForestConfig(n_trees=1, min_leaf=1, max_depth=1, seed=0))
-        nodes = f.nodes
-        thr = nodes.threshold[0]
+        thr = f.threshold[0]
         Q = np.array([[thr], [np.nextafter(thr, np.inf)], [np.nan], [np.inf], [-np.inf]])
-        got = _leaves(nodes, f.roots, np.zeros(5, dtype=np.intp), Q, np.arange(5))
-        left, right = nodes.left[0], nodes.right[0]
+        got = _leaves(f, np.zeros(5, dtype=np.intp), Q, np.arange(5))
+        left, right = f.left[0], f.right[0]
         assert got.tolist() == [left, right, right, right, left]
-        self.check(nodes, f.roots, np.zeros(5, dtype=np.intp), Q, np.arange(5))
+        self.check(f, np.zeros(5, dtype=np.intp), Q, np.arange(5))
 
     def test_lone_leaf_trees_keep_their_root(self):
         X = np.random.default_rng(1).normal(size=(12, 2))
         f = fit_forest(X, np.full(12, 3.0), ForestConfig(n_trees=4, seed=2))
-        assert f.nodes.n_nodes == 4
+        assert f.n_nodes == 4
         tree, rows = np.indices((4, 12)).reshape(2, -1)
         Q = X.copy()
         Q[0, 0] = np.nan
-        assert np.array_equal(_leaves(f.nodes, f.roots, f.roots[tree], Q, rows), f.roots[tree])
+        assert np.array_equal(_leaves(f, f.roots[tree], Q, rows), f.roots[tree])
 
     def test_golden_forest(self):
         f = golden_forest()
@@ -692,4 +715,4 @@ class TestLeaves:
         grid[::3, 0] = np.nan
         grid[1::4, -1] = np.inf
         tree, rows = np.indices((len(f.roots), len(grid))).reshape(2, -1)
-        self.check(f.nodes, f.roots, f.roots[tree], grid, rows)
+        self.check(f, f.roots[tree], grid, rows)

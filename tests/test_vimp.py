@@ -212,12 +212,12 @@ class TestBlockGrowth:
             forest = forest_mod._grow_forests(
                 np.concatenate(data), y, [derive_seed(test_seed, *path, "fit") for path in paths],
                 ntree, fcfg, own[0].feature_names)
-        ends = np.append(forest.roots, forest.nodes.n_nodes)
+        ends = np.append(forest.roots, forest.n_nodes)
         for b, fit in enumerate(own):
             lo, hi = ends[b * ntree], ends[(b + 1) * ntree]
             for name in _NODE_COLUMNS:
-                assert getattr(forest.nodes, name)[lo:hi].tobytes() \
-                    == getattr(fit.nodes, name).tobytes(), name
+                assert getattr(forest, name)[lo:hi].tobytes() \
+                    == getattr(fit, name).tobytes(), name
             assert np.array_equal(forest.roots[b * ntree:(b + 1) * ntree] - lo, fit.roots)
             assert np.array_equal(forest.in_bag_counts[b * ntree:(b + 1) * ntree],
                                   fit.in_bag_counts)
