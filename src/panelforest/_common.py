@@ -9,7 +9,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["star_code", "fmt4", "write_csv", "segment_starts", "segment_ids"]
+__all__ = ["star_code", "fmt4", "write_csv", "segment_starts", "segment_ids", "is_integer"]
+
+
+def is_integer(value) -> bool:
+    """True for an int or numpy integer; a bool is a switch, not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def star_code(p: float) -> str:

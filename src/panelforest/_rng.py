@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+from ._common import is_integer
+
 __all__ = ["seed_sequence", "derive_seed", "stream"]
 
 
@@ -29,7 +31,10 @@ def _as_uint(part) -> int:
 
 
 def seed_sequence(master_seed: int, *path) -> np.random.SeedSequence:
-    """SeedSequence for the stream at `path` under `master_seed`."""
+    """SeedSequence for the stream at `path` under `master_seed`, an
+    integer >= 0: a fractional seed would reuse its integer part's stream."""
+    if not is_integer(master_seed) or master_seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {master_seed!r}")
     key = tuple(_as_uint(p) for p in path)
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=key)
 

@@ -27,7 +27,7 @@ from . import gmm as gmm_mod
 from . import linear as lin
 from . import report as rpt
 from . import vimp as vimp_mod
-from ._common import fmt4, write_csv
+from ._common import fmt4, is_integer, write_csv
 from ._rng import derive_seed
 from .forest import ForestConfig, fit_forest, forest_metrics, oob_score
 from .vimp import SeqTestConfig, permutation_importance, rfvimptest_many
@@ -56,7 +56,7 @@ SECTIONS = {
     "models": {"static": {}, "dynamic": {}},
     "models.static": {"dependent": None, "regressors": [], "controls": [],
                       "effects": "fixed", "time_dummies": False},
-    "models.dynamic": {"dependent": None, "regressors": [], "instrument_lags": [2, 4],
+    "models.dynamic": {"dependent": None, "regressors": [], "instrument_lags": (2, 4),
                        "time_dummies": False},
     "forest": {"n_trees": 150, "mtry": None, "min_leaf": 5, "max_depth": None},
     "seq_test": {f.name: f.default for f in fields(SeqTestConfig)},
@@ -106,9 +106,9 @@ class RunConfig:
             problems.append("seed is mandatory (reproducibility first; no clock default)")
         else:
             _integer(top["seed"], "seed", 0, problems)
-        if not top["demo"] and not top["input"]:
+        if top["demo"] is False and not top["input"]:  # a rejected demo is reported alone
             problems.append("either input (CSV path) or demo must be set")
-        if top["demo"] and top["input"]:
+        if top["demo"] is True and top["input"]:
             problems.append("input and demo are mutually exclusive")
         if not isinstance(top["input"] or "", str):
             problems.append(f"input must be a CSV path, got {top['input']!r}")
@@ -119,29 +119,28 @@ class RunConfig:
         groups = {name: _names(members, f"groups.{name}", problems)
                   for name, members in groups.items()}
         problems += [f"group {name!r} is empty" for name, m in groups.items() if m == []]
-        names = {key: _names(pre[key], f"preprocessing.{key}", problems)
-                 for key in ("log_vars", "outlier_vars", "lag_vars")}
         rule = blocks["preprocessing.outlier_rule"]
         outlier_rule = _build(problems, "preprocessing.outlier_rule",
                               lambda: dsm.OutlierRule(rule["kind"], float(rule["k"])))
+        effects = blocks["models.static"]["effects"]
+        if effects not in ("fixed", "random"):  # the two estimators fit-linear runs
+            problems.append(f"models.static.effects must be fixed or random, got {effects!r}")
         specs = {}
         for name, make in (("static", _static_spec), ("dynamic", _dynamic_spec)):
             given, block = blocks["models"][name], blocks[f"models.{name}"]
             if given and block["dependent"] is None:  # an empty block is an absent one
                 problems.append(f"models.{name}.dependent is required")
             elif given:
-                specs[name] = _build(problems, f"models.{name}", lambda: make(block, problems))
+                specs[name] = _build(problems, f"models.{name}", lambda: make(block))
         for key in ("mtry", "max_depth"):  # null, the default, means no limit
             if blocks["forest"][key] is not None:
                 _integer(blocks["forest"][key], f"forest.{key}", 1, problems)
         seq = blocks["seq_test"]
         if isinstance(seq["sapt_bounds"], list):  # a JSON pair
             seq = {**seq, "sapt_bounds": tuple(seq["sapt_bounds"])}
-        seq_test, reach = None, []
-        if not any(p.startswith("seq_test.") for p in problems):  # as in _static_spec
-            with warnings.catch_warnings(record=True) as reach:  # shown once all is accepted
-                warnings.simplefilter("always")
-                seq_test = _build(problems, "seq_test", lambda: SeqTestConfig(**seq))
+        with warnings.catch_warnings(record=True) as reach:  # shown once all is accepted
+            warnings.simplefilter("always")
+            seq_test = _build(problems, "seq_test", lambda: SeqTestConfig(**seq))
         if problems:
             raise ConfigError(problems)
         for caught in reach:
@@ -150,7 +149,8 @@ class RunConfig:
                               "models": blocks["models"]})
         del echo["out"]  # where artifacts go is not part of what they hold
         return cls(seed=top["seed"], out=str(top["out"]), input=top["input"],
-                   demo=top["demo"], workers=top["workers"], groups=groups, **names,
+                   demo=top["demo"], workers=top["workers"], groups=groups,
+                   **{key: list(pre[key]) for key in ("log_vars", "outlier_vars", "lag_vars")},
                    outlier_rule=outlier_rule, lag_order=pre["lag_order"],
                    static=specs.get("static"), dynamic=specs.get("dynamic"),
                    forest=ForestConfig(**blocks["forest"]), seq_test=seq_test,
@@ -158,34 +158,40 @@ class RunConfig:
 
 
 def _blocks(raw, problems: list[str]) -> dict[str, dict]:
-    """Each SECTIONS block of `raw`, defaults filled in; a non-object block,
-    an unknown key, a count (int default) not an integer >= 1, or a switch
-    (bool default) not a JSON boolean is a problem."""
+    """Each SECTIONS block of `raw`, defaults filled in.  A non-object block,
+    an unknown key, or a value not of its default's type is a problem: a
+    count (int default) must be an integer >= 1, a switch (bool) a JSON
+    boolean, a number (float) a JSON number, and a name list (list) a list
+    of strings."""
     blocks: dict[str, dict] = {}
     for path, defaults in SECTIONS.items():
         parent, _, name = path.rpartition(".")
-        value = blocks[parent][name] if path else raw
-        if not isinstance(value, dict):
-            problems.append(f"{path or 'the config'} must be a JSON object, got {value!r}")
-            value = {}
+        block = blocks[parent][name] if path else raw
+        if not isinstance(block, dict):
+            problems.append(f"{path or 'the config'} must be a JSON object, got {block!r}")
+            block = {}
         prefix = f"{path}." if path else ""
         problems += [f"unknown key '{prefix}{key}'; {path or 'top-level'} keys are "
-                     f"{', '.join(defaults)}" for key in value if key not in defaults]
-        for key, default in defaults.items():
-            if type(default) is int and key in value:
-                _integer(value[key], prefix + key, 1, problems)
-            elif type(default) is bool and not isinstance(value.get(key, default), bool):
-                problems.append(f"{prefix}{key} must be true or false, got {value[key]!r}")
-        blocks[path] = {key: value.get(key, default) for key, default in defaults.items()}
+                     f"{', '.join(defaults)}" for key in block if key not in defaults]
+        blocks[path] = {key: block.get(key, default) for key, default in defaults.items()}
+        for key, default in defaults.items():  # a default passes its own check
+            where, value, kind = prefix + key, blocks[path][key], type(default)
+            if kind is int:
+                _integer(value, where, 1, problems)
+            elif kind is bool and not isinstance(value, bool):
+                problems.append(f"{where} must be true or false, got {value!r}")
+            elif kind is float and (type(value) is bool or not isinstance(value, (int, float))):
+                problems.append(f"{where} must be a number, got {value!r}")
+            elif kind is list:
+                _names(value, where, problems)
     return blocks
 
 
 def _integer(value, where: str, minimum: int, problems: list[str]):
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_integer(value):
         problems.append(f"{where} must be an integer, got {value!r}")
     elif value < minimum:
         problems.append(f"{where} must be >= {minimum}, got {value}")
-    return value
 
 
 def _names(value, where: str, problems: list[str]) -> list[str] | None:
@@ -197,7 +203,10 @@ def _names(value, where: str, problems: list[str]) -> list[str] | None:
 
 
 def _build(problems: list[str], where: str, make):
-    """make(), or None with its error recorded as a problem of `where`."""
+    """make(), or None with its error recorded as a problem of `where`; a block
+    with a rejected key builds nothing, which would report that key again."""
+    if any(p.startswith(f"{where}.") for p in problems):
+        return None
     try:
         return make()
     except (TypeError, ValueError) as exc:
@@ -205,24 +214,13 @@ def _build(problems: list[str], where: str, make):
         return None
 
 
-def _static_spec(s: dict, problems: list[str]) -> lin.ModelSpec | None:
-    effects = s["effects"]
-    if effects not in ("fixed", "random"):  # the two estimators fit-linear runs
-        problems.append(f"models.static.effects must be fixed or random, got {effects!r}")
-        effects = "fixed"  # reported once; the rest of the block is still checked
-    regressors = _names(s["regressors"], "models.static.regressors", problems)
-    controls = _names(s["controls"], "models.static.controls", problems)
-    if regressors is None or controls is None:
-        return None  # a spec without the rejected list would report problems it lacks
-    return lin.ModelSpec(s["dependent"], regressors, controls=controls,
-                         include_time_dummies=s["time_dummies"], effects=effects)
+def _static_spec(s: dict) -> lin.ModelSpec:
+    return lin.ModelSpec(s["dependent"], s["regressors"], controls=s["controls"],
+                         include_time_dummies=s["time_dummies"], effects=s["effects"])
 
 
-def _dynamic_spec(d: dict, problems: list[str]) -> gmm_mod.GmmSpec | None:
-    regressors = _names(d["regressors"], "models.dynamic.regressors", problems)
-    if regressors is None:
-        return None  # as in _static_spec
-    return gmm_mod.GmmSpec(d["dependent"], regressors, instrument_lags=d["instrument_lags"],
+def _dynamic_spec(d: dict) -> gmm_mod.GmmSpec:
+    return gmm_mod.GmmSpec(d["dependent"], d["regressors"], instrument_lags=d["instrument_lags"],
                            include_time_dummies=d["time_dummies"])
 
 

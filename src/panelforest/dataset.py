@@ -199,9 +199,9 @@ def load_csv(path) -> PanelDataset:
     Raises
     ------
     SchemaError
-        Missing entity/year column, repeated column name, a row too short
-        to hold its entity and year, a blank entity, a year that is not a
-        64-bit integer, or a non-blank cell past the header.
+        No data rows, missing entity/year column, repeated column name, a
+        row too short to hold its entity and year, a blank entity, a year
+        that is not a 64-bit integer, or a non-blank cell past the header.
     IntegrityError
         Duplicate (entity, year) rows, or infinite cells (the message names
         the entity, year and variable of each).
@@ -261,6 +261,8 @@ def load_csv(path) -> PanelDataset:
                         infinite.append(f"{entities[-1]} {years[-1]} {name}={cell}")
                 raw_cols[name].append(value)
 
+    if not entities:
+        raise SchemaError(f"{path}: no data rows")
     if infinite:
         raise IntegrityError(f"{path}: {len(infinite)} infinite numeric cells "
                              f"(entity year variable=cell): {', '.join(infinite)}")

@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._common import is_integer
 from ._rng import stream
 
 __all__ = [
@@ -68,6 +69,10 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_trees", "min_leaf", "mtry", "max_depth"):
+            value = getattr(self, name)
+            if not (is_integer(value) or value is None and name in ("mtry", "max_depth")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if self.min_leaf < 1:

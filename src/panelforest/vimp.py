@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._common import star_code
+from ._common import is_integer, star_code
 from ._dist import betainc
 from ._rng import derive_seed, stream
 from .forest import (_ENTRIES_PER_GROUP, Forest, ForestConfig, _check_columns, _check_design,
@@ -124,6 +124,8 @@ def permutation_importance(forest: Forest, X: np.ndarray, y: np.ndarray,
     for which it was out-of-bag (X must then be the training rows).
     A feature the forest never splits on scores exactly 0 in every repeat.
     """
+    if not is_integer(n_repeats):
+        raise ValueError(f"n_repeats must be an integer, got {n_repeats!r}")
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
     if eval_set not in ("train", "oob"):
@@ -177,12 +179,17 @@ class SeqTestConfig:
             problems.append("alpha and beta must be in (0, 1)")
         if not (0 < self.gamma < 1):
             problems.append("gamma must be in (0, 1)")
-        if self.mmax < 1:
+        if not is_integer(self.mmax):
+            problems.append(f"mmax must be an integer, got {self.mmax!r}")
+        elif self.mmax < 1:
             problems.append(f"mmax must be >= 1, got {self.mmax}")
         elif self.mmax < 10:
             warnings.warn(f"mmax={self.mmax} is below the supported minimum of 10; "
                           "p-value estimates will be very coarse", stacklevel=3)
-        if self.ntree < 1 or self.nperm < 1:
+        if bad := [f"{name}={getattr(self, name)!r}" for name in ("ntree", "nperm")
+                   if not is_integer(getattr(self, name))]:
+            problems.append(f"ntree and nperm must be integers, got {', '.join(bad)}")
+        elif self.ntree < 1 or self.nperm < 1:
             problems.append("ntree and nperm must be >= 1")
         if self.eval_set not in ("train", "oob"):
             problems.append(f"eval_set must be 'train' or 'oob', got {self.eval_set!r}")

@@ -7,7 +7,7 @@ import pytest
 
 from panelforest import vimp
 from panelforest._common import fmt4
-from panelforest.cli import ConfigError, RunConfig, Runner, load_config, main
+from panelforest.cli import SECTIONS, ConfigError, RunConfig, Runner, load_config, main
 from panelforest.demo import demo_config, make_demo_panel
 
 TOY_CSV = """Code,Year,GDP,Invest
@@ -69,6 +69,15 @@ class TestConfigValidation:
     def test_config_file_not_found(self, capsys):
         rc = main(["describe", "-c", "/nonexistent/config.json"])
         assert rc == 2
+
+    def test_header_without_rows_writes_nothing(self, tmp_path, capsys):
+        # one error line and no tables, not a traceback after two of them
+        (tmp_path / "d.csv").write_text("Code,Year,x\n")
+        rc = main(["describe", "--input", str(tmp_path / "d.csv"), "--seed", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'd.csv'}: no data rows\n"
+        assert not (tmp_path / "o").exists()
 
     def test_duplicate_rows_integrity_error(self, tmp_path, capsys):
         bad = TOY_CSV + "USA,2000,9.9,0.99\n"
@@ -324,6 +333,17 @@ MALFORMED = [
 ]
 
 
+# every key whose default's type the config check enforces, set to values
+# of the wrong type for it, and the one problem each must give
+WRONG_VALUES = {int: [2.5, True, "3", None], bool: [1, "yes", None],
+                float: ["x", True, None, [0.5]], list: ["x", [1], None, {"a": "b"}]}
+KIND = {int: "an integer", bool: "true or false", float: "a number", list: "a list of names"}
+WRONG_TYPED = [(path, value, f"{path} must be {KIND[type(default)]}, got {value!r}")
+               for block, defaults in SECTIONS.items() for key, default in defaults.items()
+               for path in [f"{block}.{key}".lstrip(".")]
+               for value in WRONG_VALUES.get(type(default), [])]
+
+
 class TestConfigAtLoad:
     """Config errors surface before any data is read, as exit code 2."""
 
@@ -528,6 +548,21 @@ class TestConfigAtLoad:
         assert "lag variable 'Nope' not found after transforms" in problems[0]
         assert "models.static.regressors names unknown column 'Foo'" in problems[1]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("path, value, problem", WRONG_TYPED,
+                             ids=[f"{path}={value!r}" for path, value, _ in WRONG_TYPED])
+    def test_wrong_type_is_one_problem_naming_its_key(self, path, value, problem):
+        # the block with the rejected key builds nothing, so nothing reports
+        # the key a second time or without its name, and no value is coerced
+        cfg = demo_config(seed=1)
+        *parents, key = path.split(".")
+        block = cfg
+        for name in parents:
+            block = block[name]
+        block[key] = value
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_mapping(cfg)
+        assert info.value.problems == [problem]
 
     def test_documented_configs_parse(self):
         from panelforest.cli import SECTIONS

@@ -35,6 +35,12 @@ class TestLoadCsv:
         with pytest.raises(IntegrityError, match="duplicate"):
             load_csv(p)
 
+    def test_header_without_rows_rejected(self, tmp_csv):
+        # a panel with no rows has no years for describe to report
+        p = tmp_csv("Code,Year,x\n\n")
+        with pytest.raises(SchemaError, match=r"data\.csv: no data rows"):
+            load_csv(p)
+
     def test_missing_entity_column(self, tmp_csv):
         p = tmp_csv("Country,Year,x\nUSA,2000,1\n")
         with pytest.raises(SchemaError, match="Code"):

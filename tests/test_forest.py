@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,24 @@ class TestFitForest:
             ForestConfig(min_leaf=0)
         with pytest.raises(ValueError):
             fit_forest(np.ones((20, 2)), np.ones(20), ForestConfig(mtry=3))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_trees", 2.5), ("n_trees", True), ("min_leaf", 2.5), ("mtry", 1.5),
+        ("max_depth", 2.5), ("max_depth", False)])
+    def test_non_integer_count_rejected(self, field, value):
+        # caught here, not deep in the grower; True is not one tree
+        problem = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            ForestConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [2.9, True, -1])
+    def test_seed_must_be_an_integer(self, seed):
+        # seed 2.9 must not grow the seed-2 forest
+        X = np.arange(20.0)[:, None]
+        problem = f"seed must be an integer >= 0, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            fit_forest(X, X[:, 0], ForestConfig(n_trees=2, seed=seed))
+        assert fit_forest(X, X[:, 0], ForestConfig(n_trees=2, seed=np.int64(2))).n_nodes > 1
 
     def test_leaf_sample_counts_sum_to_bootstrap_size(self):
         rng = np.random.default_rng(4)

@@ -86,6 +86,14 @@ class TestPermutationImportance:
         with pytest.raises(ValueError):
             permutation_importance(f, X[:, :1], y)
 
+    @pytest.mark.parametrize("n_repeats", [2.5, True])
+    def test_non_integer_repeats_rejected(self, n_repeats):
+        # neither is a number of repeats the report footer can print
+        X, y = signal_data(9)
+        f = fit_forest(X, y, ForestConfig(n_trees=5, seed=1))
+        with pytest.raises(ValueError, match=f"n_repeats must be an integer, got {n_repeats}"):
+            permutation_importance(f, X, y, n_repeats=n_repeats)
+
     @pytest.mark.parametrize("extra", [7, -7])
     def test_target_of_another_length_rejected(self, extra):
         X, y = signal_data(9)
@@ -356,6 +364,25 @@ class TestStoppingRules:
             SeqTestConfig(mmax=5)
         with pytest.raises(ValueError, match="sapt_bounds applies only to method 'sapt'"):
             SeqTestConfig(method="sprt", mmax=200, sapt_bounds=(-0.1, 0.1))
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("mmax", 15.5, "mmax must be an integer, got 15.5"),
+        ("mmax", True, "mmax must be an integer, got True"),
+        ("ntree", 2.5, "ntree and nperm must be integers, got ntree=2.5"),
+        ("nperm", 1.5, "ntree and nperm must be integers, got nperm=1.5")])
+    def test_non_integer_count_rejected(self, field, value, problem):
+        # caught at construction, not once a test runs inside a pool worker;
+        # mmax=True is not one permutation
+        with pytest.raises(ValueError) as info:
+            SeqTestConfig(**{"mmax": 40, field: value})
+        assert str(info.value) == problem
+
+    def test_fractional_seed_rejected(self):
+        # a fractional seed must not reuse its integer part's streams
+        for seed in (2.5, True):
+            with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+                derive_seed(seed, "a")
+        assert derive_seed(np.int64(2), "a") == derive_seed(2, "a")
 
     @pytest.mark.parametrize("method, shortest", [("sprt", 132), ("sapt", 75)])
     def test_unreachable_significance_warns(self, method, shortest):
