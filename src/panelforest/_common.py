@@ -9,12 +9,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["star_code", "fmt4", "write_csv", "segment_starts", "segment_ids", "is_integer"]
+__all__ = ["star_code", "fmt4", "write_csv", "segment_starts", "segment_ids", "is_integer",
+           "is_number"]
 
 
 def is_integer(value) -> bool:
     """True for an int or numpy integer; a bool is a switch, not a count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """True for an int, a float or a real numpy number; not for a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def star_code(p: float) -> str:

@@ -27,7 +27,7 @@ from . import gmm as gmm_mod
 from . import linear as lin
 from . import report as rpt
 from . import vimp as vimp_mod
-from ._common import fmt4, is_integer, write_csv
+from ._common import fmt4, is_integer, is_number, write_csv
 from ._rng import derive_seed
 from .forest import ForestConfig, fit_forest, forest_metrics, oob_score
 from .vimp import SeqTestConfig, permutation_importance, rfvimptest_many
@@ -180,7 +180,7 @@ def _blocks(raw, problems: list[str]) -> dict[str, dict]:
                 _integer(value, where, 1, problems)
             elif kind is bool and not isinstance(value, bool):
                 problems.append(f"{where} must be true or false, got {value!r}")
-            elif kind is float and (type(value) is bool or not isinstance(value, (int, float))):
+            elif kind is float and not is_number(value):
                 problems.append(f"{where} must be a number, got {value!r}")
             elif kind is list:
                 _names(value, where, problems)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._common import segment_ids, write_csv
+from ._common import is_number, segment_ids, write_csv
 
 __all__ = [
     "PanelDataset",
@@ -332,7 +332,9 @@ class OutlierRule:
     def __post_init__(self):
         if self.kind not in {"none", "iqr", "zscore"}:
             raise ValueError(f"unknown outlier rule {self.kind!r}")
-        if self.kind != "none" and self.k <= 0:
+        if not is_number(self.k):
+            raise ValueError(f"outlier rule multiplier k must be a number, got {self.k!r}")
+        if self.kind != "none" and not self.k > 0:  # NaN too
             raise ValueError("outlier rule multiplier must be positive")
 
     def bounds(self, values: np.ndarray) -> tuple[float, float]:

@@ -95,8 +95,7 @@ _ENTRIES_PER_GROUP = 8192
 _LEVELS_PER_PASS = 3  # `_leaves` drops the finished pairs every this many levels
 
 # node-table columns in Forest field order
-_NODE_COLUMNS = ("feature", "threshold", "left", "right", "value", "n_samples",
-                 "sse_decrease")
+_NODE_COLUMNS = ("feature", "threshold", "left", "value", "n_samples", "sse_decrease")
 
 
 def _leaves(forest: Forest, node: np.ndarray, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -107,7 +106,7 @@ def _leaves(forest: Forest, node: np.ndarray, X: np.ndarray, rows: np.ndarray) -
     dropped every _LEVELS_PER_PASS."""
     inner = forest.feature >= 0
     offset = np.repeat(forest.roots, np.diff(forest.roots, append=forest.n_nodes))
-    right = np.where(inner, forest.right + offset, np.arange(forest.n_nodes))
+    right = np.where(inner, forest.left + 1 + offset, np.arange(forest.n_nodes))
     column = np.maximum(forest.feature, 0) * len(X)
     x = X.T.ravel()  # x[f * n + r] = X[r, f]
     leaf = node.copy()
@@ -129,23 +128,22 @@ class Forest:
     """Fitted ensemble: one CART node table in which tree i starts at
     roots[i], plus per-tree bootstrap bookkeeping for OOB scoring.
 
-    feature[i] == -1 marks a leaf; left[i] and right[i] = left[i] + 1 index
-    the children from the root of node i's tree; value[i] is the node's
-    training-target mean (the prediction for leaves), n_samples[i] the
-    bootstrap-multiset size, sse_decrease[i] the split's SSE reduction.  It
-    has no file form; `fit_forest` on the same inputs rebuilds it bit for bit."""
+    feature[i] == -1 marks a leaf; the children of inner node i are left[i]
+    and left[i] + 1, counted from the root of its tree; value[i] is the
+    node's training-target mean (the prediction for leaves), n_samples[i]
+    the bootstrap-multiset size, sse_decrease[i] the split's SSE reduction.
+    The row count is the width of in_bag_counts.  It has no file form;
+    `fit_forest` on the same inputs rebuilds it bit for bit."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     n_samples: np.ndarray
     sse_decrease: np.ndarray
     roots: np.ndarray  # (n_trees,) table offset of each tree's root
     in_bag_counts: np.ndarray  # (n_trees, n_rows) bootstrap multiplicities
     feature_names: tuple[str, ...]
-    n_rows: int
 
     @property
     def n_nodes(self) -> int:
@@ -155,8 +153,8 @@ class Forest:
     def trees(self) -> tuple[Forest, ...]:
         """Each tree as a forest of one, on views of the node table (no copies)."""
         parts = [np.split(getattr(self, name), self.roots[1:]) for name in _NODE_COLUMNS]
-        return tuple(Forest(*columns, np.zeros(1, np.intp), in_bag[None], self.feature_names,
-                            self.n_rows) for *columns, in_bag in zip(*parts, self.in_bag_counts))
+        return tuple(Forest(*columns, np.zeros(1, np.intp), in_bag[None], self.feature_names)
+                     for *columns, in_bag in zip(*parts, self.in_bag_counts))
 
 
 def _best_splits(sel: np.ndarray, feat: np.ndarray, cand: np.ndarray, node: np.ndarray,
@@ -328,9 +326,7 @@ def _grow(X: np.ndarray, y: np.ndarray, in_bag: np.ndarray, mtry: int,
     roots = np.searchsorted(tree[pack], np.arange(n_trees))
     inner = feature >= 0
     left[inner] = slot[left[inner]] - roots[tree[inner]]
-    right = np.where(inner, left + 1, -1)
-    columns = (feature, threshold, left, right, centre + sums / n_samples, n_samples,
-               sse_decrease)
+    columns = (feature, threshold, left, centre + sums / n_samples, n_samples, sse_decrease)
     return [c[pack] for c in columns], roots
 
 
@@ -406,7 +402,7 @@ def _grow_forests(X: np.ndarray, y: np.ndarray, seeds: Sequence[int], n_trees: i
     columns, roots = zip(*groups)
     offsets = np.cumsum([0] + [len(c[0]) for c in columns[:-1]])
     roots = np.concatenate([r + o for r, o in zip(roots, offsets)])
-    return Forest(*map(np.concatenate, zip(*columns)), roots, in_bag, names, n)
+    return Forest(*map(np.concatenate, zip(*columns)), roots, in_bag, names)
 
 
 def _feature_names(X: np.ndarray, names: Sequence[str] | None) -> tuple[str, ...]:
@@ -414,18 +410,18 @@ def _feature_names(X: np.ndarray, names: Sequence[str] | None) -> tuple[str, ...
 
 
 def _pairs(forest: Forest, X: np.ndarray, oob: bool,
-           copies: int = 1) -> tuple[np.ndarray, np.ndarray]:
+           copies: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row and leaf of each (tree, row) pair that scores X (with `oob`, the
-    out-of-bag ones), tree-major: sums over them add as a tree-by-tree loop.
-    X may stack `copies` data sets, each scored only by its own run of
-    len(forest.roots) // copies consecutive trees (forests grown together)."""
+    out-of-bag ones), tree-major so that sums add as a tree-by-tree loop, and
+    each row's pair count.  X may stack `copies` data sets, each scored only
+    by its own run of len(forest.roots) // copies trees (forests grown together)."""
     n = len(X) // copies
-    if oob and n != forest.n_rows:
+    if oob and n != forest.in_bag_counts.shape[1]:
         raise ValueError("OOB scoring requires the training rows")
     scores = forest.in_bag_counts == 0 if oob else np.ones((len(forest.roots), n), bool)
     tree, rows = np.divmod(np.flatnonzero(scores), n)
     rows += tree // (len(forest.roots) // copies) * n
-    return rows, _leaves(forest, forest.roots[tree], X, rows)
+    return rows, _leaves(forest, forest.roots[tree], X, rows), np.bincount(rows, minlength=len(X))
 
 
 def _stay_intervals(forest: Forest, col: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -461,9 +457,8 @@ def _check_columns(forest: Forest, X: np.ndarray) -> np.ndarray:
 def predict(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Arithmetic mean of per-tree predictions."""
     X = _check_columns(forest, X)
-    rows, leaf = _pairs(forest, X, oob=False)
-    return np.bincount(rows, weights=forest.value[leaf],
-                       minlength=len(X)) / len(forest.roots)
+    rows, leaf, counts = _pairs(forest, X, oob=False)
+    return np.bincount(rows, weights=forest.value[leaf], minlength=len(X)) / counts
 
 
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -493,16 +488,11 @@ class OobScore:
 def oob_predictions(forest: Forest, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row mean prediction over trees where the row was out-of-bag.
 
-    Returns (predictions, covered mask); uncovered rows are NaN.
-    """
+    Returns (predictions, covered mask); uncovered rows are NaN."""
     X = _check_columns(forest, X)
-    rows, leaf = _pairs(forest, X, oob=True)
-    totals = np.bincount(rows, weights=forest.value[leaf], minlength=len(X))
-    counts = np.bincount(rows, minlength=len(X))
-    covered = counts > 0
-    preds = np.full(len(X), np.nan)
-    preds[covered] = totals[covered] / counts[covered]
-    return preds, covered
+    rows, leaf, counts = _pairs(forest, X, oob=True)
+    with np.errstate(invalid="ignore"):  # 0 / 0 is NaN
+        return np.bincount(rows, weights=forest.value[leaf], minlength=len(X)) / counts, counts > 0
 
 
 def oob_score(forest: Forest, X: np.ndarray, y: np.ndarray) -> OobScore:
@@ -524,8 +514,8 @@ def mdi_importance(forest: Forest) -> dict[str, float]:
     """
     internal = forest.feature >= 0
     totals = np.zeros(len(forest.feature_names))
-    # every bootstrap sample draws n_rows rows
-    np.add.at(totals, forest.feature[internal], forest.sse_decrease[internal] / forest.n_rows)
+    np.add.at(totals, forest.feature[internal],
+              forest.sse_decrease[internal] / forest.in_bag_counts.shape[1])  # per bootstrap draw
     totals /= len(forest.roots)
     norm = totals.sum()
     if norm <= 0.0:
@@ -552,7 +542,7 @@ def forest_metrics(forest: Forest, X: np.ndarray, y: np.ndarray) -> ForestMetric
     it is reported for comparability with linear fits, not as a calibrated
     test.  Undefined quantities (n <= k+1, zero TSS, perfect fit) are NaN.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _check_target(X, y)
     k = len(forest.feature_names)
     n = len(y)
     preds = predict(forest, X)

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import segment_ids, segment_starts
+from ._common import is_integer, segment_ids, segment_starts
 from ._dist import chi2_upper, normal_tail
 from .dataset import PanelDataset
 from .linear import TIME_DUMMY_PREFIX, WaldResult, full_rank_qr, wald_joint
@@ -75,7 +75,7 @@ class GmmSpec:
             pairs = [("instrument_lags", lags)]
         for where, pair in pairs:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)):
+                    and all(map(is_integer, pair))):
                 problems.append(f"{where} must be a (min, max) pair of integers, got {pair!r}")
             elif pair[0] < 2:
                 problems.append(f"{where}: min_lag must be >= 2, got {pair[0]}; levels dated "

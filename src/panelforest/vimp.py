@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._common import is_integer, star_code
+from ._common import is_integer, is_number, star_code
 from ._dist import betainc
 from ._rng import derive_seed, stream
 from .forest import (_ENTRIES_PER_GROUP, Forest, ForestConfig, _check_columns, _check_design,
@@ -89,8 +89,8 @@ def _scorer(forest: Forest, X: np.ndarray, y: np.ndarray, eval_set: str,
     since every split on `col` above the leaf sends it the same way; the
     others are rerouted from the leaf's first split on `col`.  Every
     forest's sums keep `predict`'s and `oob_predictions`' order."""
-    rows, base = _pairs(forest, X, eval_set == "oob", copies)
-    counts = np.bincount(rows, minlength=len(X)).reshape(copies, -1)
+    rows, base, counts = _pairs(forest, X, eval_set == "oob", copies)
+    counts = counts.reshape(copies, -1)
     seen = [np.flatnonzero(c) for c in counts]
 
     def score(leaf: np.ndarray) -> np.ndarray:
@@ -172,13 +172,17 @@ class SeqTestConfig:
         problems = []
         if self.method not in METHODS:
             problems.append(f"method must be one of {METHODS}, got {self.method!r}")
-        if not (0 < self.p1 < self.alpha < self.p0 < 1):
-            problems.append(f"need 0 < p1 < alpha < p0 < 1, got p1={self.p1}, "
-                            f"alpha={self.alpha}, p0={self.p0}")
-        if not (0 < self.alpha < 1 and 0 < self.beta < 1):
-            problems.append("alpha and beta must be in (0, 1)")
-        if not (0 < self.gamma < 1):
-            problems.append("gamma must be in (0, 1)")
+        numbers = {name: getattr(self, name) for name in ("p0", "p1", "alpha", "beta", "gamma")}
+        if bad := [f"{name}={value!r}" for name, value in numbers.items() if not is_number(value)]:
+            problems.append(f"p0, p1, alpha, beta and gamma must be numbers, got {', '.join(bad)}")
+        else:
+            if not (0 < self.p1 < self.alpha < self.p0 < 1):
+                problems.append(f"need 0 < p1 < alpha < p0 < 1, got p1={self.p1}, "
+                                f"alpha={self.alpha}, p0={self.p0}")
+            if not (0 < self.alpha < 1 and 0 < self.beta < 1):
+                problems.append("alpha and beta must be in (0, 1)")
+            if not (0 < self.gamma < 1):
+                problems.append("gamma must be in (0, 1)")
         if not is_integer(self.mmax):
             problems.append(f"mmax must be an integer, got {self.mmax!r}")
         elif self.mmax < 1:
@@ -193,9 +197,11 @@ class SeqTestConfig:
             problems.append("ntree and nperm must be >= 1")
         if self.eval_set not in ("train", "oob"):
             problems.append(f"eval_set must be 'train' or 'oob', got {self.eval_set!r}")
+        if not isinstance(self.mmax_fallback, bool):
+            problems.append(f"mmax_fallback must be a bool, got {self.mmax_fallback!r}")
         bounds = self.sapt_bounds
         if bounds is not None and not (isinstance(bounds, tuple) and len(bounds) == 2
-                                       and all(isinstance(b, (int, float)) for b in bounds)
+                                       and all(map(is_number, bounds))
                                        and bounds[0] < 0 < bounds[1]):
             problems.append("sapt_bounds must be a pair (lower, upper) with "
                             f"lower < 0 < upper, got {bounds!r}")

@@ -239,6 +239,23 @@ class TestRemoveOutliers:
         assert out.n_rows == 10
         assert log[0].value == 50.0
 
+    @pytest.mark.parametrize("kind, k", [("iqr", True), ("zscore", None), ("iqr", "3")])
+    def test_non_number_multiplier_rejected(self, kind, k):
+        # True is not k = 1, and None is not a TypeError from a comparison
+        with pytest.raises(ValueError, match=f"multiplier k must be a number, got {k!r}"):
+            OutlierRule(kind, k)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
+    def test_multiplier_must_be_positive(self, k):
+        # a NaN multiplier would give NaN bounds, which flag nothing
+        with pytest.raises(ValueError, match="multiplier must be positive"):
+            OutlierRule("iqr", k)
+
+    def test_numpy_multiplier_accepted(self):
+        ds = from_records(["A", "B", "C", "D"], [2000] * 4, {"x": [1.0, 2.0, 3.0, 100.0]})
+        out, log = remove_outliers(ds, ["x"], OutlierRule("iqr", np.float64(1.5)))
+        assert out.n_rows == 3 and log[0].upper == pytest.approx(65.5)
+
     def test_subset_and_log_cardinality(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)

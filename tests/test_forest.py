@@ -27,8 +27,7 @@ def forests_equal(a: Forest, b: Forest) -> bool:
         return False
     for ta, tb in zip(a.trees, b.trees):
         for fa, fb in [(ta.feature, tb.feature), (ta.left, tb.left),
-                       (ta.right, tb.right), (ta.value, tb.value),
-                       (ta.n_samples, tb.n_samples)]:
+                       (ta.value, tb.value), (ta.n_samples, tb.n_samples)]:
             if not np.array_equal(fa, fb):
                 return False
         if not np.array_equal(ta.threshold, tb.threshold, equal_nan=True):
@@ -190,7 +189,7 @@ class TestFitForest:
         cfg = ForestConfig(n_trees=5, mtry=int(rng.integers(1, p + 1)),
                            min_leaf=int(rng.integers(1, 6)), seed=seed)
         a, b = fit_forest(X, y, cfg), fit_forest(X2, y, cfg)
-        for name in ("feature", "left", "right", "value", "n_samples", "sse_decrease"):
+        for name in ("feature", "left", "value", "n_samples", "sse_decrease"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_predictions_bounded_by_training_target(self):
@@ -385,6 +384,12 @@ class TestForestMetrics:
         assert m.adj_r2 == pytest.approx(1 - (1 - m.r2) * 49 / (50 - 3), rel=1e-12)
         assert m.adj_r2 <= m.r2 <= 1.0
 
+    def test_target_of_another_length_rejected(self):
+        X = np.random.default_rng(15).normal(size=(40, 2))
+        f = fit_forest(X, X[:, 0], ForestConfig(n_trees=3, seed=4))
+        with pytest.raises(ValueError, match="X has 40 rows but y has 39"):
+            forest_metrics(f, X, X[:-1, 0])
+
     def test_degenerate_n_markers(self):
         rng = np.random.default_rng(14)
         X = rng.normal(size=(3, 2))  # n = 3 <= k + 1
@@ -400,15 +405,20 @@ GOLDEN = Path(__file__).parent / "golden"
 def golden_forest() -> Forest:
     """The Forest of forest_v1.json: its trees' node columns joined into one
     table, null (leaf) thresholds as NaN.  The file's config, target range
-    and bootstrap fraction do not enter the forest."""
+    and bootstrap fraction do not enter the forest; its right links and row
+    count, which the table and the in-bag counts fix, are checked and
+    dropped."""
     doc = json.loads((GOLDEN / "forest_v1.json").read_text())
     trees = doc["trees"]
     columns = {name: np.array([v for t in trees for v in t[name]]) for name in trees[0]}
     columns["threshold"] = columns["threshold"].astype(float)  # None -> NaN
+    right = columns.pop("right")
+    assert np.array_equal(right, np.where(columns["feature"] >= 0, columns["left"] + 1, -1))
+    in_bag = np.array(doc["in_bag_counts"])
+    assert in_bag.shape[1] == doc["n_rows"]
     roots = np.cumsum([0] + [len(t["feature"]) for t in trees[:-1]])
     names = tuple(doc["feature_names"])
-    return Forest(**columns, roots=roots, in_bag_counts=np.array(doc["in_bag_counts"]),
-                  feature_names=names, n_rows=doc["n_rows"])
+    return Forest(**columns, roots=roots, in_bag_counts=in_bag, feature_names=names)
 
 
 class TestTreeOrderSums:
@@ -520,7 +530,7 @@ def node_multisets(forest, X, t):
             continue
         yield i, rows
         go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
-        stack += [(tree.left[i], rows[go_left]), (tree.right[i], rows[~go_left])]
+        stack += [(tree.left[i], rows[go_left]), (tree.left[i] + 1, rows[~go_left])]
 
 
 class TestExactNodeSplits:
@@ -569,8 +579,7 @@ class TestPrefixProperty:
             small = fit_forest(X, y, ForestConfig(n_trees=k, min_leaf=2, seed=5))
             assert np.array_equal(small.in_bag_counts, big.in_bag_counts[:k])
             for ta, tb in zip(small.trees, big.trees[:k]):
-                for name in ("feature", "left", "right", "value", "n_samples",
-                             "sse_decrease"):
+                for name in ("feature", "left", "value", "n_samples", "sse_decrease"):
                     assert np.array_equal(getattr(ta, name), getattr(tb, name))
                 assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
 
@@ -648,23 +657,22 @@ def walk(forest, start, x):
     at = start
     while forest.feature[at] >= 0:
         go_left = x[forest.feature[at]] <= forest.threshold[at]  # False for NaN
-        at = root + (forest.left[at] if go_left else forest.right[at])
+        at = root + (forest.left[at] if go_left else forest.left[at] + 1)
     return at
 
 
 def check_node_layout(f: Forest):
-    """The layout `_leaves` steps through: a leaf links to -1 on both sides;
-    an inner node's right child is its left child + 1, both inside its own
-    tree and after it."""
+    """The layout `_leaves` steps through: a leaf links to -1; an inner
+    node's children, left and left + 1, lie inside its own tree and after
+    it."""
     ends = np.append(f.roots[1:], f.n_nodes)
     for root, end in zip(f.roots, ends):
         feature = f.feature[root:end]
-        left, right = f.left[root:end], f.right[root:end]
+        left = f.left[root:end]
         inner = feature >= 0
-        assert np.all(left[~inner] == -1) and np.all(right[~inner] == -1)
-        assert np.array_equal(right[inner], left[inner] + 1)
+        assert np.all(left[~inner] == -1)
         assert np.all(left[inner] > np.flatnonzero(inner))
-        assert np.all(right[inner] < end - root)
+        assert np.all(left[inner] + 1 < end - root)
 
 
 class TestNodeLayout:
@@ -715,7 +723,7 @@ class TestLeaves:
         thr = f.threshold[0]
         Q = np.array([[thr], [np.nextafter(thr, np.inf)], [np.nan], [np.inf], [-np.inf]])
         got = _leaves(f, np.zeros(5, dtype=np.intp), Q, np.arange(5))
-        left, right = f.left[0], f.right[0]
+        left, right = f.left[0], f.left[0] + 1
         assert got.tolist() == [left, right, right, right, left]
         self.check(f, np.zeros(5, dtype=np.intp), Q, np.arange(5))
 

@@ -48,6 +48,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="pair of integers"):
             GmmSpec("y", ("x",), instrument_lags=lags)
 
+    def test_numpy_integer_lags_accepted(self):
+        # as ForestConfig, SeqTestConfig and every seed accept them
+        lags = (np.int64(2), np.int64(3))
+        assert GmmSpec("y", ("x",), instrument_lags=lags).lags_for("x") == (2, 3)
+        spec = GmmSpec("y", ("x",), instrument_lags={"y": (2, 2), "x": (np.int32(2), 2)})
+        plain = GmmSpec("y", ("x",), instrument_lags={"y": (2, 2), "x": (2, 2)})
+        assert fit_system_gmm(spec, exact_panel()).coefficients \
+            == fit_system_gmm(plain, exact_panel()).coefficients
+
     def test_lag_variable_named(self):
         with pytest.raises(ValueError, match="'x'.*pair of integers"):
             GmmSpec("y", ("x",), instrument_lags={"y": (2, 3), "x": (2, 3.9)})

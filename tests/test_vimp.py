@@ -377,6 +377,30 @@ class TestStoppingRules:
             SeqTestConfig(**{"mmax": 40, field: value})
         assert str(info.value) == problem
 
+    @pytest.mark.parametrize("field, value", [
+        ("p1", "x"), ("gamma", None), ("alpha", True), ("beta", [0.2])])
+    def test_non_number_probability_rejected(self, field, value):
+        # not a TypeError from a comparison, and a switch is not a number
+        with pytest.raises(ValueError) as info:
+            SeqTestConfig(**{"mmax": 40, field: value})
+        assert str(info.value) == ("p0, p1, alpha, beta and gamma must be numbers, "
+                                   f"got {field}={value!r}")
+
+    def test_numpy_numbers_accepted(self):
+        cfg = SeqTestConfig(p0=np.float64(0.06), p1=np.float32(0.04), gamma=np.float64(0.05))
+        assert cfg.p0 == 0.06 and cfg.p1 < cfg.alpha
+        SeqTestConfig(method="sapt", mmax=200, sapt_bounds=(np.float64(-1.0), np.int64(2)))
+
+    def test_mmax_fallback_must_be_bool(self):
+        # "no" is truthy: it must not switch the fallback on
+        with pytest.raises(ValueError, match="mmax_fallback must be a bool, got 'no'"):
+            SeqTestConfig(mmax_fallback="no")
+
+    @pytest.mark.parametrize("bounds", [(-1.0, True), (None, 1.0), (-1.0, "1")])
+    def test_non_number_sapt_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="sapt_bounds must be a pair"):
+            SeqTestConfig(method="sapt", mmax=200, sapt_bounds=bounds)
+
     def test_fractional_seed_rejected(self):
         # a fractional seed must not reuse its integer part's streams
         for seed in (2.5, True):
