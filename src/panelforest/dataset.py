@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -185,6 +186,11 @@ def from_records(entity: Sequence[str], year: Sequence[int],
     return PanelDataset(ent[order], yr[order], cols)
 
 
+# Data rows held as Python objects before they move into arrays: this
+# bounds the Python floats alive at once, however long the file is.
+_LOAD_BLOCK = 2048
+
+
 def load_csv(path) -> PanelDataset:
     """Load a UTF-8 CSV with a header row into a PanelDataset; a leading
     byte-order mark is dropped.
@@ -194,14 +200,18 @@ def load_csv(path) -> PanelDataset:
     is parsed as numeric.  Empty cells and unparseable numeric cells
     become missing (the latter are counted per column in
     ``parse_warnings``).  An infinite cell ("inf", "-Infinity", or a
-    literal that overflows) is rejected.
+    literal that overflows) is rejected.  A column whose header name is
+    blank is dropped when no row has a value in it, as with a trailing
+    comma on every line.  An error names the file line where its record
+    starts.
 
     Raises
     ------
     SchemaError
         No data rows, missing entity/year column, repeated column name, a
-        row too short to hold its entity and year, a blank entity, a year
-        that is not a 64-bit integer, or a non-blank cell past the header.
+        value under a blank header name, a row too short to hold its
+        entity and year, a blank entity, a year that is not a 64-bit
+        integer, or a non-blank cell past the header.
     IntegrityError
         Duplicate (entity, year) rows, or infinite cells (the message names
         the entity, year and variable of each).
@@ -217,24 +227,33 @@ def load_csv(path) -> PanelDataset:
             raise SchemaError(f"{path}: missing entity column 'Code'")
         if "Year" not in header:
             raise SchemaError(f"{path}: missing year column 'Year'")
-        repeated = sorted({h for h in header if header.count(h) > 1})
+        repeated = sorted({h for h in header if h and header.count(h) > 1})
         if repeated:
             raise SchemaError(f"{path}: repeated column names {repeated}")
 
         e_idx, y_idx = header.index("Code"), header.index("Year")
-        value_pos = [i for i in range(len(header)) if i not in (e_idx, y_idx)]
+        blank_pos = [i for i, h in enumerate(header) if not h]
+        value_pos = [i for i, h in enumerate(header) if h and i not in (e_idx, y_idx)]
         value_names = [header[i] for i in value_pos]
         entities, years = [], []
         raw_cols: dict[str, list[float]] = {name: [] for name in value_names}
+        pending = [(entities, object), (years, np.int64)]
+        pending += [(vals, np.float64) for vals in raw_cols.values()]
+        blocks: list[list[np.ndarray]] = [[] for _ in pending]  # arrays, one per block
         bad_cells: dict[str, int] = {}
         infinite: list[str] = []  # "entity year variable=cell" of each infinite cell
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num  # a quoted cell may span file lines
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) <= max(e_idx, y_idx):
                 raise SchemaError(f"{path}:{lineno}: row too short for its Code and Year")
             if any(c.strip() for c in row[len(header):]):
                 raise SchemaError(f"{path}:{lineno}: cell past the header's {len(header)} columns")
+            for i in blank_pos:
+                if i < len(row) and row[i].strip():
+                    raise SchemaError(f"{path}: header column {i + 1} is blank")
             if not row[e_idx].strip():
                 raise SchemaError(f"{path}:{lineno}: blank Code")
             try:
@@ -243,7 +262,7 @@ def load_csv(path) -> PanelDataset:
                 year = math.nan
             if not (year.is_integer() and abs(year) < 2**63):
                 raise SchemaError(f"{path}:{lineno}: year {row[y_idx]!r} is not a 64-bit integer")
-            entities.append(row[e_idx].strip())
+            entities.append(sys.intern(row[e_idx].strip()))
             years.append(int(year))
             for name, col_pos in zip(value_names, value_pos):
                 cell = row[col_pos].strip() if col_pos < len(row) else ""
@@ -260,16 +279,18 @@ def load_csv(path) -> PanelDataset:
                         bad_cells[name] = bad_cells.get(name, 0) + 1
                         infinite.append(f"{entities[-1]} {years[-1]} {name}={cell}")
                 raw_cols[name].append(value)
+            if len(years) == _LOAD_BLOCK:
+                _move_block(pending, blocks)
+        _move_block(pending, blocks)
 
-    if not entities:
+    ent, yr = np.concatenate(blocks[0]), np.concatenate(blocks[1])
+    if not len(yr):
         raise SchemaError(f"{path}: no data rows")
     if infinite:
         raise IntegrityError(f"{path}: {len(infinite)} infinite numeric cells "
                              f"(entity year variable=cell): {', '.join(infinite)}")
-    ent = np.asarray(entities, dtype=object)
-    yr = np.asarray(years, dtype=np.int64)
     order = np.lexsort((yr, ent))
-    cols = {name: np.asarray(vals, dtype=np.float64)[order] for name, vals in raw_cols.items()}
+    cols = {name: np.concatenate(parts)[order] for name, parts in zip(value_names, blocks[2:])}
     try:
         ds = PanelDataset(ent[order], yr[order], cols, parse_warnings=bad_cells)
     except IntegrityError as exc:
@@ -279,6 +300,13 @@ def load_csv(path) -> PanelDataset:
         warnings.warn(f"{path}: {total} unparseable numeric cells coerced to missing "
                       f"({dict(sorted(bad_cells.items()))})", stacklevel=2)
     return ds
+
+
+def _move_block(pending, blocks) -> None:
+    """Append each pending list to its blocks as one array, and empty it."""
+    for (rows, dtype), parts in zip(pending, blocks):
+        parts.append(np.array(rows, dtype=dtype))
+        rows.clear()
 
 
 def add_lags(ds: PanelDataset, vars: Sequence[str], k: int = 1) -> PanelDataset:

@@ -98,6 +98,23 @@ class TestLoadCsv:
         # empty cell is plain missing, not a parse warning
         assert math.isnan(ds.column("w")[1])
 
+    def test_error_names_the_file_line_after_a_multiline_cell(self, tmp_csv):
+        # the quoted cell spans lines 2 and 3, so the bad year is on line 5
+        p = tmp_csv('Code,Year,x\nA,2000,"1\n2"\nA,2001,3\nB,20x1,4\n')
+        with pytest.raises(SchemaError, match=r"data\.csv:5: year '20x1' is not"):
+            load_csv(p)
+
+    def test_trailing_comma_on_every_line_adds_no_column(self, tmp_csv):
+        ds = load_csv(tmp_csv("Code,Year,x,\nA,2000,1,\nA,2001,3, \n"))
+        assert list(ds.columns) == ["x"]
+        assert list(describe(ds)) == ["x"]
+        assert correlation_matrix(ds, list(ds.columns)).names == ("x",)
+
+    def test_value_under_a_blank_header_name_rejected(self, tmp_csv):
+        p = tmp_csv("Code,Year,x,\nA,2000,1,\nA,2001,3,7\n")
+        with pytest.raises(SchemaError, match=r"data\.csv: header column 4 is blank$"):
+            load_csv(p)
+
 
 class TestAddLags:
     def test_shift_by_one(self):
