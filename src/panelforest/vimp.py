@@ -35,6 +35,7 @@ import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -220,6 +221,30 @@ class SeqTestConfig:
         elif self.method in ("certain", "complete") and self.alpha * (self.mmax + 1) < 1:
             warnings.warn(f"{self.method} cannot reach 'significant' with mmax={self.mmax}: "
                           "its p-value is at least 1/(mmax + 1) > alpha", stacklevel=3)
+        elif self.method == "pval" and not _stop_tests(self)[1](self.mmax, 0):
+            # no exceedance is the shortest walk to 'significant'
+            warnings.warn(f"pval cannot reach 'significant' before mmax={self.mmax}; the "
+                          "tests of important variables end at mmax", stacklevel=3)
+
+    @cached_property
+    def _stops(self) -> tuple[str, list[int], list[int]]:
+        """The stopping rule as a table: the reason its stops give, and
+        integer boundaries lo[m] < hi[m] for m = 1, ..., mmax (entry 0
+        starts the walk).  After m permutations with d exceedances a test
+        stops 'significant' once d <= lo[m] and 'not significant' once
+        d >= hi[m].  Neither bound falls as m grows, so each only walks
+        forward."""
+        reason, significant, not_significant = _stop_tests(self)
+        lo, hi = [-1], [0]
+        for m in range(1, self.mmax + 1):
+            low, high = lo[-1], hi[-1]
+            while low < m and significant(m, low + 1):
+                low += 1
+            while high <= m and not not_significant(m, high):
+                high += 1
+            lo.append(low)
+            hi.append(high)
+        return reason, lo, hi
 
 
 def _llr_walk(cfg: SeqTestConfig) -> tuple[float, float, float, float]:
@@ -231,6 +256,29 @@ def _llr_walk(cfg: SeqTestConfig) -> tuple[float, float, float, float]:
     else:
         lower, upper = cfg.sapt_bounds or (lower, -lower)
     return math.log(cfg.p1 / cfg.p0), math.log((1 - cfg.p1) / (1 - cfg.p0)), lower, upper
+
+
+def _stop_tests(cfg: SeqTestConfig) -> tuple[str, Callable[[int, int], bool],
+                                             Callable[[int, int], bool]]:
+    """cfg.method's stop reason, and its tests for 'significant' and 'not
+    significant' at d exceedances in m permutations, each monotone in d.
+    sprt and sapt bound the log-likelihood ratio d * a + (m - d) * b, with
+    a < 0 < b; certain stops once the complete decision, whether
+    (D + 1) / (mmax + 1) <= alpha at D exceedances in mmax, is settled;
+    complete never stops before mmax."""
+    if cfg.method in ("sprt", "sapt"):
+        step_exc, step_non, lower, upper = _llr_walk(cfg)
+        return (f"{cfg.method}_boundary",
+                lambda m, d: d * step_exc + (m - d) * step_non >= upper,
+                lambda m, d: d * step_exc + (m - d) * step_non <= lower)
+    if cfg.method == "pval":
+        return ("ci_boundary",
+                lambda m, d: _interval_tails(d, m, cfg.alpha)[1] < cfg.gamma / 2,
+                lambda m, d: _interval_tails(d, m, cfg.alpha)[0] < cfg.gamma / 2)
+    if cfg.method == "certain":
+        t = math.floor(cfg.alpha * (cfg.mmax + 1))
+        return "forced_decision", lambda m, d: d + (cfg.mmax - m) < t, lambda m, d: d >= t
+    return "complete", lambda m, d: False, lambda m, d: False
 
 
 @dataclass(frozen=True)
@@ -248,57 +296,30 @@ class SeqTestDecision:
 
 def run_sequential(cfg: SeqTestConfig,
                    exceedance_fn: Callable[[int], bool]) -> tuple[str, float, int, int, str]:
-    """Drive cfg.method over an exceedance stream.
+    """Drive cfg.method, as its table of boundaries, over an exceedance stream.
 
     exceedance_fn(j) must report, for permutation j (1-based), whether the
     permuted importance reached the observed one.  It is called for
     j = 1, 2, ... until the method stops.  Returns
     (decision, p_estimate, m, d, stopping_reason).
     """
-    mmax, alpha = cfg.mmax, cfg.alpha
-
-    def p_est(d: int, m: int) -> float:
-        return (d + 1) / (m + 1)
-
-    if cfg.method in ("sprt", "sapt"):
-        step_exc, step_non, lower, upper = _llr_walk(cfg)
-
-    certain_threshold = math.floor(alpha * (mmax + 1))
-
+    reason, lo, hi = cfg._stops
     d = 0
-    llr = 0.0
-    for m in range(1, mmax + 1):
-        exceeded = bool(exceedance_fn(m))
-        d += exceeded
+    for m in range(1, cfg.mmax + 1):
+        d += bool(exceedance_fn(m))
+        if d <= lo[m]:
+            return "significant", (d + 1) / (m + 1), m, d, reason
+        if d >= hi[m]:
+            return "not_significant", (d + 1) / (m + 1), m, d, reason
 
-        if cfg.method == "certain":
-            if d >= certain_threshold:
-                return "not_significant", p_est(d, m), m, d, "forced_decision"
-            if d + (mmax - m) < certain_threshold:
-                return "significant", p_est(d, m), m, d, "forced_decision"
-        elif cfg.method in ("sprt", "sapt"):
-            llr += step_exc if exceeded else step_non
-            if llr >= upper:
-                return "significant", p_est(d, m), m, d, f"{cfg.method}_boundary"
-            if llr <= lower:
-                return "not_significant", p_est(d, m), m, d, f"{cfg.method}_boundary"
-        elif cfg.method == "pval":
-            below, above = _interval_tails(d, m, alpha)
-            if below < cfg.gamma / 2:
-                return "not_significant", p_est(d, m), m, d, "ci_boundary"
-            if above < cfg.gamma / 2:
-                return "significant", p_est(d, m), m, d, "ci_boundary"
-
-    p = p_est(d, mmax)
-    if cfg.method in ("complete", "certain"):
-        # certain: the forced bounds above are exhaustive for d >= threshold,
-        # so reaching mmax means the complete decision is significant
+    p = (d + 1) / (cfg.mmax + 1)
+    if cfg.method == "complete":
         reason = "complete"
     elif cfg.mmax_fallback:
         reason = "mmax_fallback"
     else:
-        return "undecided", p, mmax, d, "mmax_undecided"
-    return "significant" if p <= alpha else "not_significant", p, mmax, d, reason
+        return "undecided", p, cfg.mmax, d, "mmax_undecided"
+    return "significant" if p <= cfg.alpha else "not_significant", p, cfg.mmax, d, reason
 
 
 def _interval_tails(d: int, m: int, alpha: float) -> tuple[float, float]:
@@ -405,6 +426,8 @@ def _run_tests(designs: Sequence[Sequence[_Test]],
     if workers == 1 or len(tests) <= 1:
         decisions = list(map(_decide, tests))
     else:
+        for test in tests:  # each task pickles its config: build its stopping table first
+            test.cfg._stops
         # fork: the workers start with the package imported, where spawn
         # would import numpy and panelforest again in each of them
         pool = ProcessPoolExecutor(min(workers, len(tests)),

@@ -8,6 +8,10 @@ trees, sprt with mmax 19 and ntree 5).
   removes the same rows, scales the static Growth(t-1) value and
   dispersion by exactly 2^-k with every other static number bit-equal, and
   moves the System GMM table by at most GMM_RTOL.
+
+The base tree's content_hash is pinned, so a change that redraws a forest
+or moves a low digit anywhere in the tree fails here, not only in a manual
+demo run.
 """
 
 import contextlib
@@ -32,6 +36,8 @@ SCALED = "Growth"
 # System GMM is not exact under 2^k: its largest relative move over k in
 # {-20, 10, 30} was 2.4e-9 (the value column at k = -20)
 GMM_RTOL = 1e-8
+# the base run's provenance.json content_hash, measured with numpy 2.4.6
+BASE_CONTENT_HASH = "8489b87f42d3849efadff544ac53ade7588f897bd7e8cc21d3f53d2c8699dc9b"
 
 
 def run_all(root, order=None, k=0):
@@ -68,6 +74,16 @@ def table(tree, name):
     """Rows of a CSV artifact keyed by (group, variable)."""
     rows = csv.DictReader(io.StringIO(tree[name].decode()))
     return {(r["group"], r["variable"]): r for r in rows}
+
+
+def test_base_content_hash_is_pinned(base):
+    got = json.loads(base["provenance.json"])["content_hash"]
+    assert got == BASE_CONTENT_HASH, (
+        f"content_hash {got} != pinned {BASE_CONTENT_HASH}, with numpy {np.__version__} "
+        "(the pin was measured with numpy 2.4.6, and a numpy upgrade may redraw the "
+        "forests). A behaviour-preserving change keeps the hash; a deliberate redraw or "
+        "change of the numerics updates this pin in its own PR and records the new hash "
+        "in CHANGES.md")
 
 
 @settings(max_examples=3, deadline=None)

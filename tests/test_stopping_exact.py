@@ -11,10 +11,11 @@ stopping states (m, d), weighted by N(m, d), the number of paths that reach
 
 Each state's decision comes from `run_sequential` itself: one stored path
 that reaches the state, plus one more outcome, is replayed. That stands for
-every path to the state only where the decision depends on the state
-alone. sprt and sapt add their log-likelihood ratio in path order, so
-`characteristics` first checks that every reachable state lies well clear
-of both bounds, where the order of the sum cannot change a decision.
+every path to the state, since each rule is a table of boundaries on
+(m, d) and its decision depends on the state alone. sprt and sapt build
+theirs from the closed-form log-likelihood ratio d*a + (m-d)*b, so
+`characteristics` also checks that every reachable state lies well clear
+of both bounds, where the rounding of that form cannot change a decision.
 """
 
 import itertools
