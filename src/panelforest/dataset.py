@@ -15,6 +15,7 @@ import csv
 import math
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -186,11 +187,6 @@ def from_records(entity: Sequence[str], year: Sequence[int],
     return PanelDataset(ent[order], yr[order], cols)
 
 
-# Data rows held as Python objects before they move into arrays: this
-# bounds the Python floats alive at once, however long the file is.
-_LOAD_BLOCK = 2048
-
-
 def load_csv(path) -> PanelDataset:
     """Load a UTF-8 CSV with a header row into a PanelDataset; a leading
     byte-order mark is dropped.
@@ -235,11 +231,10 @@ def load_csv(path) -> PanelDataset:
         blank_pos = [i for i, h in enumerate(header) if not h]
         value_pos = [i for i, h in enumerate(header) if h and i not in (e_idx, y_idx)]
         value_names = [header[i] for i in value_pos]
-        entities, years = [], []
-        raw_cols: dict[str, list[float]] = {name: [] for name in value_names}
-        pending = [(entities, object), (years, np.int64)]
-        pending += [(vals, np.float64) for vals in raw_cols.values()]
-        blocks: list[list[np.ndarray]] = [[] for _ in pending]  # arrays, one per block
+        # years and values are stored as C integers and doubles as they are
+        # parsed, and codes are interned: no Python object per cell stays
+        entities, years = [], array("q")
+        raw_cols = {name: array("d") for name in value_names}
         bad_cells: dict[str, int] = {}
         infinite: list[str] = []  # "entity year variable=cell" of each infinite cell
         end = reader.line_num  # a quoted cell may span file lines
@@ -279,18 +274,15 @@ def load_csv(path) -> PanelDataset:
                         bad_cells[name] = bad_cells.get(name, 0) + 1
                         infinite.append(f"{entities[-1]} {years[-1]} {name}={cell}")
                 raw_cols[name].append(value)
-            if len(years) == _LOAD_BLOCK:
-                _move_block(pending, blocks)
-        _move_block(pending, blocks)
 
-    ent, yr = np.concatenate(blocks[0]), np.concatenate(blocks[1])
-    if not len(yr):
+    if not entities:
         raise SchemaError(f"{path}: no data rows")
     if infinite:
         raise IntegrityError(f"{path}: {len(infinite)} infinite numeric cells "
                              f"(entity year variable=cell): {', '.join(infinite)}")
+    ent, yr = np.array(entities, dtype=object), np.frombuffer(years, dtype=np.int64)
     order = np.lexsort((yr, ent))
-    cols = {name: np.concatenate(parts)[order] for name, parts in zip(value_names, blocks[2:])}
+    cols = {name: np.frombuffer(vals)[order] for name, vals in raw_cols.items()}
     try:
         ds = PanelDataset(ent[order], yr[order], cols, parse_warnings=bad_cells)
     except IntegrityError as exc:
@@ -300,13 +292,6 @@ def load_csv(path) -> PanelDataset:
         warnings.warn(f"{path}: {total} unparseable numeric cells coerced to missing "
                       f"({dict(sorted(bad_cells.items()))})", stacklevel=2)
     return ds
-
-
-def _move_block(pending, blocks) -> None:
-    """Append each pending list to its blocks as one array, and empty it."""
-    for (rows, dtype), parts in zip(pending, blocks):
-        parts.append(np.array(rows, dtype=dtype))
-        rows.clear()
 
 
 def add_lags(ds: PanelDataset, vars: Sequence[str], k: int = 1) -> PanelDataset:

@@ -376,6 +376,9 @@ def _tests(X, y, names: Sequence[str] | None, variables: Sequence[str], cfg: Seq
     unknown = [v for v in variables if v not in names]
     if unknown:
         raise KeyError(f"variables {unknown} not among features {list(names)}")
+    repeated = sorted({v for v in variables if variables.count(v) > 1})
+    if repeated:
+        raise ValueError(f"variables {repeated} are listed more than once")
     return [_Test(X, y, names.index(v), v, cfg, fcfg, seed) for v in variables]
 
 
@@ -473,8 +476,9 @@ def rfvimptest_all(X: np.ndarray, y: np.ndarray, variables: Sequence[str],
     Each variable's streams are derived from (master_seed, variable name),
     so the decision map is identical for any `workers` count and any
     scheduling order.  A design `fit_forest` would reject raises its
-    ValueError, and unknown variables one KeyError, before any forest is
-    grown or any pool started; a test that fails raises its own exception.
+    ValueError, unknown variables one KeyError and repeated variables one
+    ValueError, before any forest is grown or any pool started; a test
+    that fails raises its own exception.
     """
     return _run_tests([_tests(X, y, feature_names, variables, cfg, master_seed,
                               forest_config)], workers)[0]

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelforest.dataset import (
-    _LOAD_BLOCK,
     IntegrityError,
     PanelDataset,
     SchemaError,
@@ -188,9 +187,10 @@ def files(draw, long=False):
     """The text of a CSV file, and the rows it was written from."""
     header = draw(headers())
     if long:
-        body = [regular_row(header, i) for i in range(_LOAD_BLOCK + 3)]
-        # irregular rows just before, at and after the first block boundary
-        for at in range(_LOAD_BLOCK - 1, _LOAD_BLOCK + 2):
+        # these sizes crossed the 2,048-row block boundary of an earlier
+        # loader: irregular rows just before, at and after it
+        body = [regular_row(header, i) for i in range(2048 + 3)]
+        for at in range(2048 - 1, 2048 + 2):
             body.insert(at, draw(rows(header, 10_000 + at, IRREGULAR)))
     else:
         body = [draw(rows(header, i)) for i in range(draw(st.integers(0, 12)))]

@@ -11,22 +11,32 @@ trees, sprt with mmax 19 and ntree 5).
 
 The base tree's content_hash is pinned, so a change that redraws a forest
 or moves a low digit anywhere in the tree fails here, not only in a manual
-demo run.
+demo run.  So are two grown forests and the first draws of the streams
+that grow and permute them, which name the layer a redraw comes from, and
+the content_hash of a run in a child process under another hash seed and
+OpenBLAS thread count.
 """
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panelforest._rng import derive_seed, stream
 from panelforest.cli import main
 from panelforest.demo import demo_config, make_demo_panel
+from panelforest.forest import _NODE_COLUMNS, ForestConfig, fit_forest
 
 PANEL = make_demo_panel(7)
 VARIABLES = list(PANEL.columns)
@@ -40,11 +50,10 @@ GMM_RTOL = 1e-8
 BASE_CONTENT_HASH = "8489b87f42d3849efadff544ac53ade7588f897bd7e8cc21d3f53d2c8699dc9b"
 
 
-def run_all(root, order=None, k=0):
-    """The artifact tree, {path: bytes}, of `all` on ROWS (in `order`, with
-    SCALED times 2**k).  Input and output paths are relative to `root`, so
-    provenance.json does not depend on where a case runs."""
-    root.mkdir(parents=True)
+def write_inputs(root, order=None, k=0):
+    """config.json and panel.csv under `root` for `all` on ROWS (in `order`,
+    with SCALED times 2**k).  Input and output paths are relative to
+    `root`, so provenance.json does not depend on where a case runs."""
     cfg = demo_config(seed=7)
     cfg.update(demo=False, input="panel.csv", out="out",
                forest={"n_trees": 40, "min_leaf": 5},
@@ -58,6 +67,12 @@ def run_all(root, order=None, k=0):
             row = list(ROWS[i])
             row[at] *= 2.0**k
             writer.writerow(row[:2] + ["" if math.isnan(v) else repr(v) for v in row[2:]])
+
+
+def run_all(root, order=None, k=0):
+    """The artifact tree, {path: bytes}, of `all` on `write_inputs`' files."""
+    root.mkdir(parents=True)
+    write_inputs(root, order, k)
     with contextlib.chdir(root):
         assert main(["all", "-c", "config.json"]) == 0
     out = root / "out"
@@ -76,14 +91,78 @@ def table(tree, name):
     return {(r["group"], r["variable"]): r for r in rows}
 
 
+def pin_message(what, got, pinned):
+    return (f"{what} {got} != pinned {pinned}, with numpy {np.__version__} "
+            "(the pin was measured with numpy 2.4.6, and a numpy upgrade may redraw the "
+            "forests). A behaviour-preserving change keeps every pin; a deliberate redraw or "
+            "change of the numerics updates the pins in its own PR and records the new values "
+            "in CHANGES.md")
+
+
 def test_base_content_hash_is_pinned(base):
     got = json.loads(base["provenance.json"])["content_hash"]
-    assert got == BASE_CONTENT_HASH, (
-        f"content_hash {got} != pinned {BASE_CONTENT_HASH}, with numpy {np.__version__} "
-        "(the pin was measured with numpy 2.4.6, and a numpy upgrade may redraw the "
-        "forests). A behaviour-preserving change keeps the hash; a deliberate redraw or "
-        "change of the numerics updates this pin in its own PR and records the new hash "
-        "in CHANGES.md")
+    assert got == BASE_CONTENT_HASH, pin_message("content_hash", got, BASE_CONTENT_HASH)
+
+
+@pytest.mark.parametrize("hash_seed, blas_threads", [("0", "1"), ("1", "2")])
+def test_child_environment_leaves_the_content_hash(tmp_path, hash_seed, blas_threads):
+    write_inputs(tmp_path)
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "OPENBLAS_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys\nfrom panelforest.cli import main\nsys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, "all", "-c", "config.json"], cwd=tmp_path,
+                   env=env, capture_output=True, text=True, check=True)
+    got = json.loads((tmp_path / "out" / "provenance.json").read_text())["content_hash"]
+    assert got == BASE_CONTENT_HASH, pin_message("content_hash", got, BASE_CONTENT_HASH)
+
+
+@pytest.mark.parametrize("seed, n, p, options, pinned", [
+    (3, 60, 3, {"n_trees": 20, "min_leaf": 5},
+     "ad48048a6442bf7f05ee640ae14ffe3139c8c38b12ef8c3de9e1e09286704854"),
+    (11, 200, 5, {"n_trees": 15, "mtry": 2, "min_leaf": 3, "max_depth": 6},
+     "cce78d0747151e2286c66727a42b10de79a41efb615e2e49aa11bb7a0238d2e5"),
+])
+def test_grown_forest_is_pinned(seed, n, p, options, pinned):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    y = X[:, 0] - 0.5 * X[:, 1] ** 2 + rng.normal(size=n)
+    forest = fit_forest(X, y, ForestConfig(seed=seed, **options))
+    h = hashlib.sha256()
+    for name in (*_NODE_COLUMNS, "in_bag_counts"):
+        column = getattr(forest, name)
+        h.update(name.encode() + column.dtype.str.encode() + column.tobytes())
+    assert h.hexdigest() == pinned, pin_message("forest digest", h.hexdigest(), pinned)
+
+
+@pytest.mark.parametrize("seed, tree, bootstrap, keys", [
+    (7, 0, [66, 173, 44, 11, 177], [0.8688251433502354, 0.7293396668762463]),
+    (7, 39, [53, 1, 93, 183, 83], [0.44313488869580364, 0.9992588141367048]),
+    (2**40, 3, [89, 16, 69, 114, 126], [0.8440944861355679, 0.5961533704821022]),
+])
+def test_tree_stream_is_pinned(seed, tree, bootstrap, keys):
+    # the draws `_grow_forests` makes from tree i's stream: its bootstrap
+    # rows (n = 218, the demo's group size), then its candidate keys
+    rng = stream(seed, tree)
+    got = (rng.integers(0, 218, size=5).tolist(), rng.random(2).tolist())
+    assert got == (bootstrap, keys), pin_message(f"stream({seed}, {tree})", got,
+                                                 (bootstrap, keys))
+
+
+@pytest.mark.parametrize("path, permutation, shuffle, fit_seed", [
+    (("x0", "perm", 1), [5, 3, 6, 0, 4, 2, 1, 7], [3, 6, 0, 7, 4, 5, 2, 1],
+     2806213789569992216),
+    (("Growth(t-1)", "perm", 40), [3, 4, 5, 2, 7, 6, 1, 0], [0, 6, 1, 3, 5, 7, 4, 2],
+     8756207128120233764),
+])
+def test_permutation_streams_are_pinned(path, permutation, shuffle, fit_seed):
+    # a sequential test's null data set, its importance shuffle and its
+    # forest seed, as `vimp._block_vimps` derives them under master seed 12
+    got = (stream(12, *path).permutation(8).tolist(),
+           stream(12, *path, "vimp", 0).permutation(8).tolist(),
+           derive_seed(12, *path, "fit"))
+    pinned = (permutation, shuffle, fit_seed)
+    assert got == pinned, pin_message(f"streams of {path}", got, pinned)
 
 
 @settings(max_examples=3, deadline=None)

@@ -539,6 +539,17 @@ class TestRfvimptestAll:
             rfvimptest_all(X, y, ["x0", "ghost"], cfg, master_seed=12,
                            feature_names=["x0", "x1"], forest_config=FAST_FOREST)
 
+    def test_repeated_variable_rejected_before_any_forest(self, monkeypatch):
+        def no_forest(*args, **kwargs):
+            raise AssertionError("a forest was fit")
+
+        monkeypatch.setattr(vimp, "_grow_forests", no_forest)  # every forest of a test
+        X, y = signal_data(18)
+        cfg = SeqTestConfig(method="sprt", mmax=15, ntree=5, nperm=1)
+        with pytest.raises(ValueError, match=r"\['x0'\] are listed more than once"):
+            rfvimptest_all(X, y, ["x0", "x0", "x1"], cfg, master_seed=12,
+                           feature_names=["x0", "x1"], forest_config=FAST_FOREST)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_in_one_test_reaches_the_caller(self, workers, monkeypatch):
         grow_forests = vimp._grow_forests
