@@ -138,13 +138,9 @@ class RunConfig:
         seq = blocks["seq_test"]
         if isinstance(seq["sapt_bounds"], list):  # a JSON pair
             seq = {**seq, "sapt_bounds": tuple(seq["sapt_bounds"])}
-        with warnings.catch_warnings(record=True) as reach:  # shown once all is accepted
-            warnings.simplefilter("always")
-            seq_test = _build(problems, "seq_test", lambda: SeqTestConfig(**seq))
+        seq_test = _build(problems, "seq_test", lambda: SeqTestConfig(**seq))
         if problems:
             raise ConfigError(problems)
-        for caught in reach:
-            warnings.warn(caught.message, stacklevel=2)
         echo = copy.deepcopy({**top, "groups": groups, "preprocessing": pre,
                               "models": blocks["models"]})
         del echo["out"]  # where artifacts go is not part of what they hold

@@ -153,7 +153,9 @@ class SeqTestConfig:
     forest and nperm the number of shuffle repeats averaged into every
     importance evaluation.  sapt_bounds overrides the symmetric sapt
     boundaries (lower, upper), with method sapt only; the default is
-    (ln(beta/(1-alpha)), -ln(beta/(1-alpha))).
+    (ln(beta/(1-alpha)), -ln(beta/(1-alpha))).  Constructing a config only
+    validates it: what its rule can reach is warned when tests start (see
+    :func:`rfvimptest_all`).
     """
 
     method: str = "sprt"
@@ -188,9 +190,6 @@ class SeqTestConfig:
             problems.append(f"mmax must be an integer, got {self.mmax!r}")
         elif self.mmax < 1:
             problems.append(f"mmax must be >= 1, got {self.mmax}")
-        elif self.mmax < 10:
-            warnings.warn(f"mmax={self.mmax} is below the supported minimum of 10; "
-                          "p-value estimates will be very coarse", stacklevel=3)
         if bad := [f"{name}={getattr(self, name)!r}" for name in ("ntree", "nperm")
                    if not is_integer(getattr(self, name))]:
             problems.append(f"ntree and nperm must be integers, got {', '.join(bad)}")
@@ -210,21 +209,6 @@ class SeqTestConfig:
             problems.append(f"sapt_bounds applies only to method 'sapt', not {self.method!r}")
         if problems:
             raise ValueError("; ".join(problems))
-        if self.method in ("sprt", "sapt"):
-            # every step a non-exceedance is the shortest walk to the upper bound
-            _, step_non, _, upper = _llr_walk(self)
-            shortest = math.ceil(upper / step_non)
-            if shortest > self.mmax:
-                warnings.warn(f"{self.method} needs at least {shortest} permutations to "
-                              f"reach 'significant' but mmax={self.mmax}; the tests "
-                              "of important variables end at mmax", stacklevel=3)
-        elif self.method in ("certain", "complete") and self.alpha * (self.mmax + 1) < 1:
-            warnings.warn(f"{self.method} cannot reach 'significant' with mmax={self.mmax}: "
-                          "its p-value is at least 1/(mmax + 1) > alpha", stacklevel=3)
-        elif self.method == "pval" and not _stop_tests(self)[1](self.mmax, 0):
-            # no exceedance is the shortest walk to 'significant'
-            warnings.warn(f"pval cannot reach 'significant' before mmax={self.mmax}; the "
-                          "tests of important variables end at mmax", stacklevel=3)
 
     @cached_property
     def _stops(self) -> tuple[str, list[int], list[int]]:
@@ -301,7 +285,7 @@ def run_sequential(cfg: SeqTestConfig,
     exceedance_fn(j) must report, for permutation j (1-based), whether the
     permuted importance reached the observed one.  It is called for
     j = 1, 2, ... until the method stops.  Returns
-    (decision, p_estimate, m, d, stopping_reason).
+    (decision, p_estimate, m, d, stopping_reason).  It never warns.
     """
     reason, lo, hi = cfg._stops
     d = 0
@@ -416,6 +400,32 @@ def _decide(test: _Test) -> SeqTestDecision:
     return SeqTestDecision(test.variable, *run_sequential(test.cfg, exceeds), vimps[0])
 
 
+def _warn_reach(cfg: SeqTestConfig) -> None:
+    """Warn when cfg's mmax is below 10, and when its own rule cannot stop
+    a test 'significant': the walk with no exceedance, the shortest to
+    'significant', reaches mmax first (a significant fallback does not
+    count).  The walk builds cfg's stopping table before a pool receives
+    the config.  stacklevel 4 names the caller of the public function."""
+    if cfg.mmax < 10:
+        warnings.warn(f"mmax={cfg.mmax} is below the supported minimum of 10; "
+                      "p-value estimates will be very coarse", stacklevel=4)
+    decision, _, _, _, reason = run_sequential(cfg, lambda j: False)
+    if decision == "significant" and reason != "mmax_fallback":
+        return
+    if cfg.method in ("sprt", "sapt"):
+        # every step a non-exceedance is the shortest walk to the upper bound
+        _, step_non, _, upper = _llr_walk(cfg)
+        warnings.warn(f"{cfg.method} needs at least {math.ceil(upper / step_non)} permutations "
+                      f"to reach 'significant' but mmax={cfg.mmax}; the tests of important "
+                      "variables end at mmax", stacklevel=4)
+    elif cfg.method == "pval":
+        warnings.warn(f"pval cannot reach 'significant' before mmax={cfg.mmax}; the tests of "
+                      "important variables end at mmax", stacklevel=4)
+    else:
+        warnings.warn(f"{cfg.method} cannot reach 'significant' with mmax={cfg.mmax}: its "
+                      "p-value is at least 1/(mmax + 1) > alpha", stacklevel=4)
+
+
 def _run_tests(designs: Sequence[Sequence[_Test]],
                workers: int) -> list[dict[str, SeqTestDecision]]:
     """Decide every test of every design, each whole in one task: inline
@@ -423,14 +433,14 @@ def _run_tests(designs: Sequence[Sequence[_Test]],
     processes; one decision map per design.  A decision depends only on
     its test's own streams, not on the worker count, the block size or the
     order in which tests finish."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not is_integer(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     tests = [test for design in designs for test in design]
+    for cfg in {id(test.cfg): test.cfg for test in tests}.values():
+        _warn_reach(cfg)
     if workers == 1 or len(tests) <= 1:
         decisions = list(map(_decide, tests))
     else:
-        for test in tests:  # each task pickles its config: build its stopping table first
-            test.cfg._stops
         # fork: the workers start with the package imported, where spawn
         # would import numpy and panelforest again in each of them
         pool = ProcessPoolExecutor(min(workers, len(tests)),
@@ -478,7 +488,10 @@ def rfvimptest_all(X: np.ndarray, y: np.ndarray, variables: Sequence[str],
     scheduling order.  A design `fit_forest` would reject raises its
     ValueError, unknown variables one KeyError and repeated variables one
     ValueError, before any forest is grown or any pool started; a test
-    that fails raises its own exception.
+    that fails raises its own exception.  Before any forest, too, it warns
+    once per call when cfg's mmax is below 10 and when cfg's own rule
+    cannot stop a test 'significant' within mmax; :func:`rfvimptest` and
+    :func:`rfvimptest_many` warn the same way.
     """
     return _run_tests([_tests(X, y, feature_names, variables, cfg, master_seed,
                               forest_config)], workers)[0]

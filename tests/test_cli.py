@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -135,11 +136,44 @@ class TestDescribe:
         assert corr.splitlines()[0] == "variable,GDP,Invest"
 
     def test_warning_printed_on_one_line(self, tmp_path, capsys):
-        (tmp_path / "c.json").write_text(json.dumps(fast_demo_config(1, tmp_path / "out")))
-        assert main(["describe", "-c", str(tmp_path / "c.json")]) == 0
+        cfg = fast_demo_config(1, tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loading a config only validates it
+            RunConfig.from_mapping(cfg)
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["importance", "-c", str(tmp_path / "c.json")]) == 0
         err = capsys.readouterr().err
         assert "warning: certain cannot reach 'significant' with mmax=15" in err
         assert ".py:" not in err
+
+
+class TestReachWarning:
+    """A sequential test's reach is warned where tests start: by importance,
+    once per config, and by no stage that runs none."""
+
+    @staticmethod
+    def demo(tmp_path):
+        # the demo's seq_test (sprt at mmax=40) on smaller forests
+        cfg = demo_config(seed=1, out=str(tmp_path / "run"))
+        cfg["forest"]["n_trees"] = 20
+        cfg["importance_repeats"] = 2
+        cfg["seq_test"]["ntree"] = 5
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        return ["-c", str(tmp_path / "c.json")]
+
+    def test_stages_without_tests_silent(self, tmp_path, capsys):
+        args = self.demo(tmp_path)
+        for subcommand in ("describe", "fit-linear", "fit-gmm", "fit-rf", "compare"):
+            assert main([subcommand, *args]) == 0
+            assert "warning:" not in capsys.readouterr().err, subcommand
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_importance_warns_once_for_its_four_designs(self, workers, tmp_path, capsys):
+        assert main(["importance", *self.demo(tmp_path), "--workers", workers]) == 0
+        out, err = capsys.readouterr()
+        assert out.count("importance[") == 4
+        warned = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warned) == 1 and warned[0].startswith("warning: sprt needs at least 132")
 
 
 class TestDemoPanel:
@@ -513,15 +547,19 @@ class TestConfigAtLoad:
         assert not [line for line in err if line.startswith("warning:")]
 
     def test_reach_warning_only_for_an_accepted_config(self, tmp_path, capsys):
-        # the demo's sprt cannot reach 'significant' within mmax=40: worth a
-        # warning for a config that runs, noise next to one that is rejected
-        cfg = demo_config(seed=1, out=str(tmp_path / "run"))
+        # sprt cannot reach 'significant' within mmax=15: worth a warning
+        # for a config that runs, noise next to one that is rejected
+        cfg = fast_demo_config(1, tmp_path / "run")
+        cfg["seq_test"]["method"] = "sprt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loading a config only validates it
+            RunConfig.from_mapping(cfg)
         (tmp_path / "c.json").write_text(json.dumps(cfg))
-        assert main(["describe", "-c", str(tmp_path / "c.json")]) == 0
+        assert main(["importance", "-c", str(tmp_path / "c.json")]) == 0
         assert capsys.readouterr().err.count("warning: sprt needs at least") == 1
         cfg["sead"] = 1
         (tmp_path / "c.json").write_text(json.dumps(cfg))
-        assert main(["describe", "-c", str(tmp_path / "c.json")]) == 2
+        assert main(["importance", "-c", str(tmp_path / "c.json")]) == 2
         err = capsys.readouterr().err
         assert "unknown key 'sead'" in err
         assert "warning:" not in err

@@ -7,7 +7,9 @@ log-likelihood ratio along the path and evaluated each rule at every step,
 kept here verbatim as `reference_run_sequential`: on every path of the
 small grid below, and on Bernoulli paths at larger mmax. They also check
 the table's own invariants, and that a config builds it once, only when a
-test runs, and before a pool receives the config.
+test runs, and before a pool receives the config; and that the reach
+warning, which walks the table, warns where the three formulas it replaced
+did.
 """
 
 import functools
@@ -82,10 +84,8 @@ VARIANTS = [(method, {}) for method in METHODS] + [("sapt", {"sapt_bounds": (-0.
 @functools.lru_cache(maxsize=None)
 def config(method, mmax, fallback=True, level=(0.05, 0.04, 0.06), variant=()):
     alpha, p1, p0 = level
-    with warnings.catch_warnings():  # reach and small-mmax warnings
-        warnings.simplefilter("ignore")
-        return SeqTestConfig(method=method, mmax=mmax, alpha=alpha, p1=p1, p0=p0,
-                             mmax_fallback=fallback, **dict(variant))
+    return SeqTestConfig(method=method, mmax=mmax, alpha=alpha, p1=p1, p0=p0,
+                         mmax_fallback=fallback, **dict(variant))
 
 
 def grid(mmax):
@@ -148,14 +148,54 @@ def test_pval_builds_its_table_once(monkeypatch):
     assert 0 < len(calls) <= 3 * cfg.mmax
 
 
+def small_design():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 2))
+    return X, X[:, 1] + 0.5 * rng.normal(size=40)
+
+
 def test_pval_unreachable_significance_warns():
     # d = 0 first stops 'significant' at m = 72 at the default alpha and gamma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # constructing a config only validates it
+        unreachable, reachable = (SeqTestConfig(method="pval", mmax=mmax, ntree=4)
+                                  for mmax in (71, 72))
+    X, y = small_design()
+    forest_config = vimp.ForestConfig(min_leaf=5)
     with pytest.warns(UserWarning, match=r"pval cannot reach 'significant' before mmax=71; "
                                          "the tests of important variables end at mmax"):
-        SeqTestConfig(method="pval", mmax=71)
+        vimp.rfvimptest(X, y, "x0", unreachable, forest_config=forest_config)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        SeqTestConfig(method="pval", mmax=72)
+        vimp.rfvimptest(X, y, "x0", reachable, forest_config=forest_config)
+
+
+def reference_unreachable(cfg):
+    """The three formulas that decided, as each config was built, whether
+    its rule could stop a test 'significant' within mmax."""
+    if cfg.method in ("sprt", "sapt"):
+        _, step_non, _, upper = _llr_walk(cfg)
+        return math.ceil(upper / step_non) > cfg.mmax
+    if cfg.method in ("certain", "complete"):
+        return cfg.alpha * (cfg.mmax + 1) < 1
+    return not vimp._stop_tests(cfg)[1](cfg.mmax, 0)
+
+
+def test_reach_warned_where_the_reference_formulas_warn():
+    levels = [(0.05, 0.04, 0.06), (0.1, 0.05, 0.55)]
+    variants = VARIANTS + [("sapt", {"sapt_bounds": (-3.0, 1.0)})]
+    checked = set()
+    for mmax in [*range(10, 101), 200, 500]:
+        for method, kw in variants:
+            for fallback, level in itertools.product((True, False), levels):
+                cfg = config(method, mmax, fallback, level, tuple(kw.items()))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    vimp._warn_reach(cfg)
+                unreachable = reference_unreachable(cfg)
+                assert len(caught) == unreachable, (cfg, [str(w.message) for w in caught])
+                checked.add(unreachable)
+    assert checked == {True, False}
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -360,8 +360,12 @@ class TestStoppingRules:
             SeqTestConfig(p0=0.04, p1=0.06)
         with pytest.raises(ValueError, match="mmax"):
             SeqTestConfig(mmax=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # constructing a config only validates it
+            coarse = SeqTestConfig(mmax=5, ntree=5)
+        X, y = signal_data(10)
         with pytest.warns(UserWarning, match="below the supported minimum"):
-            SeqTestConfig(mmax=5)
+            rfvimptest(X, y, "x0", coarse, seed=1, forest_config=FAST_FOREST)
         with pytest.raises(ValueError, match="sapt_bounds applies only to method 'sapt'"):
             SeqTestConfig(method="sprt", mmax=200, sapt_bounds=(-0.1, 0.1))
 
@@ -411,17 +415,26 @@ class TestStoppingRules:
     @pytest.mark.parametrize("method, shortest", [("sprt", 132), ("sapt", 75)])
     def test_unreachable_significance_warns(self, method, shortest):
         # the demo settings: mmax=40 with the default p0, p1, alpha, beta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # constructing a config only validates it
+            cfg = SeqTestConfig(method=method, mmax=40, ntree=5)
+        X, y = signal_data(11)
         with pytest.warns(UserWarning, match=f"needs at least {shortest} permutations"):
-            SeqTestConfig(method=method, mmax=40)
+            rfvimptest_all(X, y, ["x0"], cfg, master_seed=2, forest_config=FAST_FOREST)
 
     @pytest.mark.parametrize("method", ["certain", "complete"])
     def test_p_value_floor_above_alpha_warns(self, method):
         # 1/(mmax + 1) > alpha = 0.05 until mmax = 19
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # constructing a config only validates it
+            floor_above, floor_at = (SeqTestConfig(method=method, mmax=mmax, ntree=5)
+                                     for mmax in (15, 19))
+        X, y = signal_data(12)
         with pytest.warns(UserWarning, match=f"{method} cannot reach 'significant' with mmax=15"):
-            SeqTestConfig(method=method, mmax=15)
+            rfvimptest_all(X, y, ["x0"], floor_above, master_seed=3, forest_config=FAST_FOREST)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            SeqTestConfig(method=method, mmax=19)
+            rfvimptest_all(X, y, ["x0"], floor_at, master_seed=3, forest_config=FAST_FOREST)
 
     def test_reachable_significance_silent(self):
         with warnings.catch_warnings():
@@ -462,9 +475,11 @@ class TestRfvimptest:
 
     def test_mmax_one_complete_well_defined(self):
         X, y = signal_data(14)
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # constructing a config only validates it
             cfg = SeqTestConfig(method="complete", mmax=1, ntree=5, nperm=1)
-        dec = rfvimptest(X, y, "x0", cfg, seed=6, forest_config=FAST_FOREST)
+        with pytest.warns(UserWarning):
+            dec = rfvimptest(X, y, "x0", cfg, seed=6, forest_config=FAST_FOREST)
         assert dec.p_estimate in (0.5, 1.0)
 
     def test_unknown_variable(self):
@@ -549,6 +564,21 @@ class TestRfvimptestAll:
         with pytest.raises(ValueError, match=r"\['x0'\] are listed more than once"):
             rfvimptest_all(X, y, ["x0", "x0", "x1"], cfg, master_seed=12,
                            feature_names=["x0", "x1"], forest_config=FAST_FOREST)
+
+    @pytest.mark.parametrize("workers", [2.0, 1.5, "2", True, 0])
+    def test_non_integer_workers_rejected_before_any_forest(self, workers, monkeypatch):
+        # not a TypeError from inside the pool, and a switch is not a count
+        def no_forest(*args, **kwargs):
+            raise AssertionError("a forest was fit")
+
+        monkeypatch.setattr(vimp, "_grow_forests", no_forest)
+        X, y = signal_data(18)
+        cfg = SeqTestConfig(method="sprt", mmax=15, ntree=5, nperm=1)
+        with pytest.raises(ValueError) as info:
+            rfvimptest_all(X, y, ["x0", "x1"], cfg, master_seed=12, workers=workers,
+                           forest_config=FAST_FOREST)
+        assert str(info.value) == f"workers must be an integer >= 1, got {workers!r}"
+        assert "_stops" not in vars(cfg)  # nor any stopping table
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_in_one_test_reaches_the_caller(self, workers, monkeypatch):
