@@ -95,7 +95,7 @@ _ENTRIES_PER_GROUP = 8192
 _LEVELS_PER_PASS = 3  # `_leaves` drops the finished pairs every this many levels
 
 # node-table columns in Forest field order
-_NODE_COLUMNS = ("feature", "threshold", "left", "value", "n_samples", "sse_decrease")
+_NODE_COLUMNS = ("feature", "threshold", "left", "value", "sse_decrease")
 
 
 def _leaves(forest: Forest, node: np.ndarray, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -130,8 +130,8 @@ class Forest:
 
     feature[i] == -1 marks a leaf; the children of inner node i are left[i]
     and left[i] + 1, counted from the root of its tree; value[i] is the
-    node's training-target mean (the prediction for leaves), n_samples[i]
-    the bootstrap-multiset size, sse_decrease[i] the split's SSE reduction.
+    node's training-target mean (the prediction for leaves) and
+    sse_decrease[i] the split's SSE reduction.
     The row count is the width of in_bag_counts.  It has no file form;
     `fit_forest` on the same inputs rebuilds it bit for bit."""
 
@@ -139,7 +139,6 @@ class Forest:
     threshold: np.ndarray
     left: np.ndarray
     value: np.ndarray
-    n_samples: np.ndarray
     sse_decrease: np.ndarray
     roots: np.ndarray  # (n_trees,) table offset of each tree's root
     in_bag_counts: np.ndarray  # (n_trees, n_rows) bootstrap multiplicities
@@ -326,7 +325,7 @@ def _grow(X: np.ndarray, y: np.ndarray, in_bag: np.ndarray, mtry: int,
     roots = np.searchsorted(tree[pack], np.arange(n_trees))
     inner = feature >= 0
     left[inner] = slot[left[inner]] - roots[tree[inner]]
-    columns = (feature, threshold, left, centre + sums / n_samples, n_samples, sse_decrease)
+    columns = (feature, threshold, left, centre + sums / n_samples, sse_decrease)
     return [c[pack] for c in columns], roots
 
 

@@ -217,8 +217,37 @@ class SeqTestConfig:
         starts the walk).  After m permutations with d exceedances a test
         stops 'significant' once d <= lo[m] and 'not significant' once
         d >= hi[m].  Neither bound falls as m grows, so each only walks
-        forward."""
-        reason, significant, not_significant = _stop_tests(self)
+        forward over the method's two checks, each monotone in d.  sprt and
+        sapt bound the log-likelihood ratio d * a + (m - d) * b, a < 0 < b.
+        pval stops once the Clopper-Pearson interval of level 1 - gamma for
+        the exceedance probability excludes alpha, and each check evaluates
+        only the tail it compares: the upper bound I^-1_{1 - gamma/2}(d + 1,
+        m - d) is below alpha iff I_{1 - alpha}(m - d, d + 1) < gamma / 2,
+        and the lower bound I^-1_{gamma/2}(d, m - d + 1) above it iff
+        I_alpha(d, m - d + 1) < gamma / 2, but not where that bound is 1
+        (d = m) or 0 (d = 0).
+        certain stops once the complete decision, whether
+        (D + 1) / (mmax + 1) <= alpha at D exceedances in mmax, is settled;
+        complete never stops before mmax."""
+        if self.method in ("sprt", "sapt"):
+            step_exc, step_non, lower, upper = _llr_walk(self)
+            reason, significant, not_significant = (
+                f"{self.method}_boundary",
+                lambda m, d: d * step_exc + (m - d) * step_non >= upper,
+                lambda m, d: d * step_exc + (m - d) * step_non <= lower)
+        elif self.method == "pval":
+            alpha, tail = self.alpha, self.gamma / 2
+            reason, significant, not_significant = (
+                "ci_boundary",
+                lambda m, d: d < m and betainc(m - d, d + 1, 1.0 - alpha, alpha) < tail,
+                lambda m, d: d > 0 and betainc(d, m - d + 1, alpha, 1.0 - alpha) < tail)
+        elif self.method == "certain":
+            t = math.floor(self.alpha * (self.mmax + 1))
+            reason, significant, not_significant = (
+                "forced_decision", lambda m, d: d + (self.mmax - m) < t, lambda m, d: d >= t)
+        else:
+            reason, significant, not_significant = (
+                "complete", lambda m, d: False, lambda m, d: False)
         lo, hi = [-1], [0]
         for m in range(1, self.mmax + 1):
             low, high = lo[-1], hi[-1]
@@ -240,29 +269,6 @@ def _llr_walk(cfg: SeqTestConfig) -> tuple[float, float, float, float]:
     else:
         lower, upper = cfg.sapt_bounds or (lower, -lower)
     return math.log(cfg.p1 / cfg.p0), math.log((1 - cfg.p1) / (1 - cfg.p0)), lower, upper
-
-
-def _stop_tests(cfg: SeqTestConfig) -> tuple[str, Callable[[int, int], bool],
-                                             Callable[[int, int], bool]]:
-    """cfg.method's stop reason, and its tests for 'significant' and 'not
-    significant' at d exceedances in m permutations, each monotone in d.
-    sprt and sapt bound the log-likelihood ratio d * a + (m - d) * b, with
-    a < 0 < b; certain stops once the complete decision, whether
-    (D + 1) / (mmax + 1) <= alpha at D exceedances in mmax, is settled;
-    complete never stops before mmax."""
-    if cfg.method in ("sprt", "sapt"):
-        step_exc, step_non, lower, upper = _llr_walk(cfg)
-        return (f"{cfg.method}_boundary",
-                lambda m, d: d * step_exc + (m - d) * step_non >= upper,
-                lambda m, d: d * step_exc + (m - d) * step_non <= lower)
-    if cfg.method == "pval":
-        return ("ci_boundary",
-                lambda m, d: _interval_tails(d, m, cfg.alpha)[1] < cfg.gamma / 2,
-                lambda m, d: _interval_tails(d, m, cfg.alpha)[0] < cfg.gamma / 2)
-    if cfg.method == "certain":
-        t = math.floor(cfg.alpha * (cfg.mmax + 1))
-        return "forced_decision", lambda m, d: d + (cfg.mmax - m) < t, lambda m, d: d >= t
-    return "complete", lambda m, d: False, lambda m, d: False
 
 
 @dataclass(frozen=True)
@@ -304,18 +310,6 @@ def run_sequential(cfg: SeqTestConfig,
     else:
         return "undecided", p, cfg.mmax, d, "mmax_undecided"
     return "significant" if p <= cfg.alpha else "not_significant", p, cfg.mmax, d, reason
-
-
-def _interval_tails(d: int, m: int, alpha: float) -> tuple[float, float]:
-    """The `pval` rule's two beta tails at d exceedances in m permutations.
-    The Clopper-Pearson interval (lo, hi) of level 1 - gamma for the
-    exceedance probability has lo = I^-1_{gamma/2}(d, m - d + 1) and
-    hi = I^-1_{1 - gamma/2}(d + 1, m - d), so lo > alpha iff the first tail,
-    I_alpha(d, m - d + 1), is below gamma / 2, and hi < alpha iff the second,
-    I_{1 - alpha}(m - d, d + 1), is.  A tail is 1 where its bound is 0 or 1."""
-    below = betainc(d, m - d + 1, alpha, 1.0 - alpha) if d > 0 else 1.0
-    above = betainc(m - d, d + 1, 1.0 - alpha, alpha) if d < m else 1.0
-    return below, above
 
 
 def _null_permutation(X: np.ndarray, col: int,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,15 @@ class TestAddLags:
         with pytest.raises(KeyError, match="nope"):
             add_lags(toy_panel(), ["nope"], 1)
 
+    @pytest.mark.parametrize("k", [True, 1.5, 2.0])
+    def test_non_integer_lag_order_rejected(self, k):
+        # True would add x(t-True), 1.5 an all-missing x(t-1.5), and 2.0 an
+        # x(t-2.0) that a model's x(t-2) never matches
+        with pytest.raises(ValueError, match=re.escape(f"lag order k must be an integer >= 1, "
+                                                       f"got {k!r}")):
+            add_lags(toy_panel(), ["x"], k)
+        assert "x(t-2)" in add_lags(toy_panel(), ["x"], np.int64(2)).columns
+
     def test_restriction_commutes_with_lagging(self):
         # no leakage: lagging then restricting to one entity equals
         # restricting first, on randomized unbalanced panels
@@ -188,6 +198,12 @@ class TestLagRows:
         with pytest.raises(ValueError):
             toy_panel().lag_rows(-1)
 
+
+    @pytest.mark.parametrize("k", [True, 1.5, 2.0])
+    def test_non_integer_lag_order_rejected(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"lag order k must be an integer >= 0, "
+                                                       f"got {k!r}")):
+            toy_panel().lag_rows(k)
 
 class TestLogTransform:
     def test_ln_one_and_e(self):

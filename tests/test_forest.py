@@ -27,7 +27,7 @@ def forests_equal(a: Forest, b: Forest) -> bool:
         return False
     for ta, tb in zip(a.trees, b.trees):
         for fa, fb in [(ta.feature, tb.feature), (ta.left, tb.left),
-                       (ta.value, tb.value), (ta.n_samples, tb.n_samples)]:
+                       (ta.value, tb.value), (ta.sse_decrease, tb.sse_decrease)]:
             if not np.array_equal(fa, fb):
                 return False
         if not np.array_equal(ta.threshold, tb.threshold, equal_nan=True):
@@ -141,16 +141,6 @@ class TestFitForest:
             fit_forest(X, X[:, 0], ForestConfig(n_trees=2, seed=seed))
         assert fit_forest(X, X[:, 0], ForestConfig(n_trees=2, seed=np.int64(2))).n_nodes > 1
 
-    def test_leaf_sample_counts_sum_to_bootstrap_size(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(60, 2))
-        y = rng.normal(size=60)
-        f = fit_forest(X, y, ForestConfig(n_trees=10, seed=3))
-        for tree in f.trees:
-            leaves = tree.feature < 0
-            assert tree.n_samples[leaves].sum() == 60
-            assert tree.n_samples[0] == 60
-
     def test_monotone_feature_rescale_keeps_predictions(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(70, 2))
@@ -189,7 +179,7 @@ class TestFitForest:
         cfg = ForestConfig(n_trees=5, mtry=int(rng.integers(1, p + 1)),
                            min_leaf=int(rng.integers(1, 6)), seed=seed)
         a, b = fit_forest(X, y, cfg), fit_forest(X2, y, cfg)
-        for name in ("feature", "left", "value", "n_samples", "sse_decrease"):
+        for name in ("feature", "left", "value", "sse_decrease"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_predictions_bounded_by_training_target(self):
@@ -407,12 +397,14 @@ def golden_forest() -> Forest:
     table, null (leaf) thresholds as NaN.  The file's config, target range
     and bootstrap fraction do not enter the forest; its right links and row
     count, which the table and the in-bag counts fix, are checked and
-    dropped."""
+    dropped, and so are its node sample counts, which the forest no longer
+    stores."""
     doc = json.loads((GOLDEN / "forest_v1.json").read_text())
     trees = doc["trees"]
     columns = {name: np.array([v for t in trees for v in t[name]]) for name in trees[0]}
     columns["threshold"] = columns["threshold"].astype(float)  # None -> NaN
     right = columns.pop("right")
+    del columns["n_samples"]
     assert np.array_equal(right, np.where(columns["feature"] >= 0, columns["left"] + 1, -1))
     in_bag = np.array(doc["in_bag_counts"])
     assert in_bag.shape[1] == doc["n_rows"]
@@ -579,7 +571,7 @@ class TestPrefixProperty:
             small = fit_forest(X, y, ForestConfig(n_trees=k, min_leaf=2, seed=5))
             assert np.array_equal(small.in_bag_counts, big.in_bag_counts[:k])
             for ta, tb in zip(small.trees, big.trees[:k]):
-                for name in ("feature", "left", "value", "n_samples", "sse_decrease"):
+                for name in ("feature", "left", "value", "sse_decrease"):
                     assert np.array_equal(getattr(ta, name), getattr(tb, name))
                 assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
 
@@ -602,7 +594,7 @@ class TestTargetShiftAndScale:
         scale = sign * 2.0**power
         scaled = fit_forest(X, scale * y, cfg)
         for other in (shifted, scaled):
-            for name in ("feature", "left", "n_samples"):
+            for name in ("feature", "left"):
                 assert np.array_equal(getattr(base, name), getattr(other, name))
             assert np.array_equal(base.threshold, other.threshold, equal_nan=True)
         grid = rng.normal(size=(25, 3))

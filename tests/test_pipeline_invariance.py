@@ -119,9 +119,9 @@ def test_child_environment_leaves_the_content_hash(tmp_path, hash_seed, blas_thr
 
 @pytest.mark.parametrize("seed, n, p, options, pinned", [
     (3, 60, 3, {"n_trees": 20, "min_leaf": 5},
-     "ad48048a6442bf7f05ee640ae14ffe3139c8c38b12ef8c3de9e1e09286704854"),
+     "f9e807468b17cff3d49c945acc533df6168e9d64c0cb1004adeab37b6dc3e271"),
     (11, 200, 5, {"n_trees": 15, "mtry": 2, "min_leaf": 3, "max_depth": 6},
-     "cce78d0747151e2286c66727a42b10de79a41efb615e2e49aa11bb7a0238d2e5"),
+     "5c8d6384885cd885f1eb43e624099bf443f5993164aa5fe4dbba4406b6befb2c"),
 ])
 def test_grown_forest_is_pinned(seed, n, p, options, pinned):
     rng = np.random.default_rng(seed)

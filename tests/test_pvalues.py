@@ -107,11 +107,13 @@ def interval_decisions(m, alpha, gamma):
 
 @pytest.mark.parametrize("alpha, mmax", [(0.05, 500), (0.01, 200), (0.1, 200)])
 def test_pval_rule_takes_the_betaincinv_decision(alpha, mmax):  # run_sequential
-    gammas = (0.01, 0.05, 0.2)
-    for m in range(1, mmax + 1):
-        tails = np.array([vimp._interval_tails(d, m, alpha) for d in range(m + 1)])
-        for gamma in gammas:
-            got = np.where(tails[:, 0] < gamma / 2, -1, np.where(tails[:, 1] < gamma / 2, 1, 0))
+    for gamma in (0.01, 0.05, 0.2):
+        cfg = vimp.SeqTestConfig(method="pval", mmax=mmax, alpha=alpha, p1=alpha / 2,
+                                 p0=2 * alpha, gamma=gamma)
+        _, lo, hi = cfg._stops
+        for m in range(1, mmax + 1):
+            d = np.arange(m + 1)
+            got = np.where(d <= lo[m], 1, np.where(d >= hi[m], -1, 0))
             np.testing.assert_array_equal(got, interval_decisions(m, alpha, gamma),
                                           err_msg=f"m={m}, gamma={gamma}")
 

@@ -20,7 +20,6 @@ of both bounds, where the rounding of that form cannot change a decision.
 
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -33,12 +32,6 @@ MARGIN = 1e-9  # far above the rounding of a sum of a few hundred steps
 
 class _Continue(Exception):
     """The rule asked for a permutation past the step being probed."""
-
-
-def config(method, mmax, **kw):
-    with warnings.catch_warnings():  # reach and small-mmax warnings
-        warnings.simplefilter("ignore")
-        return SeqTestConfig(method=method, mmax=mmax, **kw)
 
 
 def decide(cfg, path):
@@ -102,7 +95,7 @@ class TestExactSizeAndCost:
     def test_sizes_and_null_costs(self, mmax):
         sizes = {}
         for method, (size, cost) in EXACT[mmax].items():
-            sizes[method], exact_cost = characteristics(config(method, mmax))
+            sizes[method], exact_cost = characteristics(SeqTestConfig(method, mmax))
             assert float(sizes[method]) == pytest.approx(size, rel=1e-12), method
             assert float(exact_cost) == pytest.approx(cost, rel=1e-12), method
         # complete's p-value (d + 1)/(mmax + 1) is uniform under the null
@@ -114,9 +107,9 @@ class TestExactSizeAndCost:
 
     def test_default_mmax_sizes(self):
         # SeqTestConfig's default mmax: sprt and certain stay within alpha
-        sprt, _ = characteristics(config("sprt", 500))
+        sprt, _ = characteristics(SeqTestConfig("sprt", 500))
         assert float(sprt) == pytest.approx(0.04861380321250892, rel=1e-12)
-        certain, _ = characteristics(config("certain", 500))
+        certain, _ = characteristics(SeqTestConfig("certain", 500))
         assert certain == Fraction(25, 501) <= ALPHA
 
     @pytest.mark.parametrize("mmax, size", [(200, 0.05001654368432015),
@@ -126,7 +119,7 @@ class TestExactSizeAndCost:
         # bounds +-ln(beta / (1 - alpha)) approximate Wald's bounds for the
         # simple pair p0 against p1, which do not bound the size under the
         # composite null, and the fallback at mmax adds rejections of its own
-        exact, _ = characteristics(config("sapt", mmax))
+        exact, _ = characteristics(SeqTestConfig("sapt", mmax))
         assert float(exact) == pytest.approx(size, rel=1e-12)
         assert exact > ALPHA
 
@@ -138,7 +131,8 @@ class TestCertainIsComplete:
         # is certain, so it gives that decision on every path
         kw = {"alpha": alpha, "p1": alpha / 2, "p0": (1 + alpha) / 2}
         for mmax in range(1, 13):
-            certain, complete = config("certain", mmax, **kw), config("complete", mmax, **kw)
+            certain = SeqTestConfig("certain", mmax, **kw)
+            complete = SeqTestConfig("complete", mmax, **kw)
             for path in itertools.product((False, True), repeat=mmax):
                 got = run_sequential(certain, lambda j: path[j - 1])
                 want = run_sequential(complete, lambda j: path[j - 1])

@@ -4,12 +4,12 @@
 once d >= hi[m], with lo and hi built once per config. These tests check
 it against the rule it replaced, which summed sprt's and sapt's
 log-likelihood ratio along the path and evaluated each rule at every step,
-kept here verbatim as `reference_run_sequential`: on every path of the
-small grid below, and on Bernoulli paths at larger mmax. They also check
-the table's own invariants, and that a config builds it once, only when a
-test runs, and before a pool receives the config; and that the reach
-warning, which walks the table, warns where the three formulas it replaced
-did.
+kept here verbatim as `reference_run_sequential` with `pval`'s two-tail
+helper: on every path of the small grid below, and on Bernoulli paths at
+larger mmax. They also check the table's own invariants, and that a config
+builds it once, with one beta tail per check, only when a test runs, and
+before a pool receives the config; and that the reach warning, which walks
+the table, warns where the three formulas it replaced did.
 """
 
 import functools
@@ -23,7 +23,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelforest import vimp
-from panelforest.vimp import METHODS, SeqTestConfig, _interval_tails, _llr_walk, run_sequential
+from panelforest._dist import betainc
+from panelforest.vimp import METHODS, SeqTestConfig, _llr_walk, run_sequential
+
+
+def interval_tails(d: int, m: int, alpha: float) -> tuple[float, float]:
+    """The `pval` rule's two beta tails at d exceedances in m permutations.
+    The Clopper-Pearson interval (lo, hi) of level 1 - gamma for the
+    exceedance probability has lo = I^-1_{gamma/2}(d, m - d + 1) and
+    hi = I^-1_{1 - gamma/2}(d + 1, m - d), so lo > alpha iff the first tail,
+    I_alpha(d, m - d + 1), is below gamma / 2, and hi < alpha iff the second,
+    I_{1 - alpha}(m - d, d + 1), is.  A tail is 1 where its bound is 0 or 1."""
+    below = betainc(d, m - d + 1, alpha, 1.0 - alpha) if d > 0 else 1.0
+    above = betainc(m - d, d + 1, 1.0 - alpha, alpha) if d < m else 1.0
+    return below, above
 
 
 def reference_run_sequential(cfg, exceedance_fn):
@@ -56,7 +69,7 @@ def reference_run_sequential(cfg, exceedance_fn):
             if llr <= lower:
                 return "not_significant", p_est(d, m), m, d, f"{cfg.method}_boundary"
         elif cfg.method == "pval":
-            below, above = _interval_tails(d, m, alpha)
+            below, above = interval_tails(d, m, alpha)
             if below < cfg.gamma / 2:
                 return "not_significant", p_est(d, m), m, d, "ci_boundary"
             if above < cfg.gamma / 2:
@@ -137,15 +150,19 @@ def test_table_invariants(mmax):
 def test_pval_builds_its_table_once(monkeypatch):
     calls = []
 
-    def counted(d, m, alpha):
-        calls.append((d, m))
-        return _interval_tails(d, m, alpha)
+    def counted(*args):
+        calls.append(args)
+        return betainc(*args)
 
-    monkeypatch.setattr(vimp, "_interval_tails", counted)
+    monkeypatch.setattr(vimp, "betainc", counted)
     cfg = SeqTestConfig(method="pval", mmax=500)
     for _ in range(50):
         assert run_sequential(cfg, lambda j: False)[2] == 72
-    assert 0 < len(calls) <= 3 * cfg.mmax
+    # each check evaluates one tail: per boundary, one call for each m and
+    # one for each unit it moves (1,050 here), below the 2,027 calls that
+    # evaluating both tails in every check makes
+    _, lo, hi = cfg._stops
+    assert 0 < len(calls) <= 2 * cfg.mmax + (lo[-1] + 1) + hi[-1] < 2027
 
 
 def small_design():
@@ -178,7 +195,7 @@ def reference_unreachable(cfg):
         return math.ceil(upper / step_non) > cfg.mmax
     if cfg.method in ("certain", "complete"):
         return cfg.alpha * (cfg.mmax + 1) < 1
-    return not vimp._stop_tests(cfg)[1](cfg.mmax, 0)
+    return not betainc(cfg.mmax, 1, 1 - cfg.alpha, cfg.alpha) < cfg.gamma / 2
 
 
 def test_reach_warned_where_the_reference_formulas_warn():

@@ -774,9 +774,7 @@ class TestConstantTarget:
     def test_nan_importance_never_significant(self, method):
         X, y = signal_data(30, n=80)
         y[:] = 1.5
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the reach warnings of mmax=30
-            cfg = SeqTestConfig(method=method, mmax=30, ntree=5, nperm=1)
+        cfg = SeqTestConfig(method=method, mmax=30, ntree=5, nperm=1)
         out = rfvimptest_all(X, y, ["x0", "x1"], cfg, master_seed=31,
                              forest_config=FAST_FOREST)
         for dec in out.values():
