@@ -10,12 +10,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = ["star_code", "fmt4", "write_csv", "segment_starts", "segment_ids", "is_integer",
-           "is_number"]
+           "is_number", "count_problem"]
 
 
 def is_integer(value) -> bool:
     """True for an int or numpy integer; a bool is a switch, not a count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def count_problem(value, name: str, minimum: int) -> str | None:
+    """The problem with `value` as the count or seed `name`, or None when it
+    is an integer >= `minimum`: the one check, and message, every count has."""
+    if is_integer(value) and value >= minimum:
+        return None
+    return f"{name} must be an integer >= {minimum}, got {value!r}"
 
 
 def is_number(value) -> bool:

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-from ._common import is_integer
+from ._common import count_problem
 
 __all__ = ["seed_sequence", "derive_seed", "stream"]
 
@@ -33,8 +33,8 @@ def _as_uint(part) -> int:
 def seed_sequence(master_seed: int, *path) -> np.random.SeedSequence:
     """SeedSequence for the stream at `path` under `master_seed`, an
     integer >= 0: a fractional seed would reuse its integer part's stream."""
-    if not is_integer(master_seed) or master_seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {master_seed!r}")
+    if problem := count_problem(master_seed, "seed", 0):
+        raise ValueError(problem)
     key = tuple(_as_uint(p) for p in path)
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=key)
 

@@ -27,7 +27,7 @@ from . import gmm as gmm_mod
 from . import linear as lin
 from . import report as rpt
 from . import vimp as vimp_mod
-from ._common import fmt4, is_integer, is_number, write_csv
+from ._common import count_problem, fmt4, is_number, write_csv
 from ._rng import derive_seed
 from .forest import ForestConfig, fit_forest, forest_metrics, oob_score
 from .vimp import SeqTestConfig, permutation_importance, rfvimptest_many
@@ -104,8 +104,8 @@ class RunConfig:
         top, pre = blocks[""], blocks["preprocessing"]
         if top["seed"] is None:
             problems.append("seed is mandatory (reproducibility first; no clock default)")
-        else:
-            _integer(top["seed"], "seed", 0, problems)
+        elif problem := count_problem(top["seed"], "seed", 0):
+            problems.append(problem)
         if top["demo"] is False and not top["input"]:  # a rejected demo is reported alone
             problems.append("either input (CSV path) or demo must be set")
         if top["demo"] is True and top["input"]:
@@ -133,8 +133,9 @@ class RunConfig:
             elif given:
                 specs[name] = _build(problems, f"models.{name}", lambda: make(block))
         for key in ("mtry", "max_depth"):  # null, the default, means no limit
-            if blocks["forest"][key] is not None:
-                _integer(blocks["forest"][key], f"forest.{key}", 1, problems)
+            value = blocks["forest"][key]
+            if value is not None and (problem := count_problem(value, f"forest.{key}", 1)):
+                problems.append(problem)
         seq = blocks["seq_test"]
         if isinstance(seq["sapt_bounds"], list):  # a JSON pair
             seq = {**seq, "sapt_bounds": tuple(seq["sapt_bounds"])}
@@ -156,7 +157,7 @@ class RunConfig:
 def _blocks(raw, problems: list[str]) -> dict[str, dict]:
     """Each SECTIONS block of `raw`, defaults filled in.  A non-object block,
     an unknown key, or a value not of its default's type is a problem: a
-    count (int default) must be an integer >= 1, a switch (bool) a JSON
+    count (int default) is an integer of at least 1, a switch (bool) a JSON
     boolean, a number (float) a JSON number, and a name list (list) a list
     of strings."""
     blocks: dict[str, dict] = {}
@@ -172,8 +173,8 @@ def _blocks(raw, problems: list[str]) -> dict[str, dict]:
         blocks[path] = {key: block.get(key, default) for key, default in defaults.items()}
         for key, default in defaults.items():  # a default passes its own check
             where, value, kind = prefix + key, blocks[path][key], type(default)
-            if kind is int:
-                _integer(value, where, 1, problems)
+            if kind is int and (problem := count_problem(value, where, 1)):
+                problems.append(problem)
             elif kind is bool and not isinstance(value, bool):
                 problems.append(f"{where} must be true or false, got {value!r}")
             elif kind is float and not is_number(value):
@@ -181,13 +182,6 @@ def _blocks(raw, problems: list[str]) -> dict[str, dict]:
             elif kind is list:
                 _names(value, where, problems)
     return blocks
-
-
-def _integer(value, where: str, minimum: int, problems: list[str]):
-    if not is_integer(value):
-        problems.append(f"{where} must be an integer, got {value!r}")
-    elif value < minimum:
-        problems.append(f"{where} must be >= {minimum}, got {value}")
 
 
 def _names(value, where: str, problems: list[str]) -> list[str] | None:

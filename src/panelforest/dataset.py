@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._common import is_integer, is_number, segment_ids, write_csv
+from ._common import count_problem, is_number, segment_ids, write_csv
 
 __all__ = [
     "PanelDataset",
@@ -116,8 +116,8 @@ class PanelDataset:
         """Row index of (e, y - k) for every row (e, y), or -1 where that
         row is absent: the calendar lag every lagged quantity is gathered
         through."""
-        if not is_integer(k) or k < 0:
-            raise ValueError(f"lag order k must be an integer >= 0, got {k!r}")
+        if problem := count_problem(k, "lag order k", 0):
+            raise ValueError(problem)
         if not self.n_rows:
             return np.zeros(0, dtype=np.int64)
         entity_id = segment_ids(self.entity)
@@ -301,8 +301,8 @@ def add_lags(ds: PanelDataset, vars: Sequence[str], k: int = 1) -> PanelDataset:
     otherwise missing; entities never borrow from each other, and gap
     years lag to missing rather than to the previous row.
     """
-    if not is_integer(k) or k < 1:
-        raise ValueError(f"lag order k must be an integer >= 1, got {k!r}")
+    if problem := count_problem(k, "lag order k", 1):
+        raise ValueError(problem)
     ds.require_columns(vars)
     out = ds
     rows = ds.lag_rows(k)

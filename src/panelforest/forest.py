@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._common import is_integer
+from ._common import count_problem
 from ._rng import stream
 
 __all__ = [
@@ -71,16 +71,9 @@ class ForestConfig:
     def __post_init__(self):
         for name in ("n_trees", "min_leaf", "mtry", "max_depth"):
             value = getattr(self, name)
-            if not (is_integer(value) or value is None and name in ("mtry", "max_depth")):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
-        if self.mtry is not None and self.mtry < 1:
-            raise ValueError("mtry must be >= 1 when set")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 when set")
+            optional = value is None and name in ("mtry", "max_depth")
+            if not optional and (problem := count_problem(value, name, 1)):
+                raise ValueError(problem)
 
     def resolve_mtry(self, p: int) -> int:
         m = self.mtry if self.mtry is not None else math.ceil(p / 3)

@@ -150,9 +150,13 @@ def from_forest(metrics: ForestMetrics, importance: PermImportanceResult,
 
 def write_model_table(path: Path, blocks: Sequence[ModelBlock]) -> None:
     """One display table: a column per group, each estimate above its
-    dispersion, then the metrics and footer rows."""
+    dispersion, then the metrics and footer rows.  Each group has one block:
+    a repeated group would leave only its last block's column."""
+    groups = [b.group for b in blocks]
+    if repeated := sorted({g for g in groups if groups.count(g) > 1}):
+        raise ValueError(f"{Path(path).name} has more than one block for group "
+                         f"{', '.join(map(repr, repeated))}")
     by_group = {b.group: b for b in blocks}
-    groups = list(by_group)
     cells = {g: {c.name: c for c in b.cells} for g, b in by_group.items()}
     rows = []
     for name in dict.fromkeys(c.name for b in blocks for c in b.cells):

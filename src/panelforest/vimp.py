@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._common import is_integer, is_number, star_code
+from ._common import count_problem, is_number, star_code
 from ._dist import betainc
 from ._rng import derive_seed, stream
 from .forest import (_ENTRIES_PER_GROUP, Forest, ForestConfig, _check_columns, _check_design,
@@ -125,10 +125,8 @@ def permutation_importance(forest: Forest, X: np.ndarray, y: np.ndarray,
     for which it was out-of-bag (X must then be the training rows).
     A feature the forest never splits on scores exactly 0 in every repeat.
     """
-    if not is_integer(n_repeats):
-        raise ValueError(f"n_repeats must be an integer, got {n_repeats!r}")
-    if n_repeats < 1:
-        raise ValueError("n_repeats must be >= 1")
+    if problem := count_problem(n_repeats, "n_repeats", 1):
+        raise ValueError(problem)
     if eval_set not in ("train", "oob"):
         raise ValueError(f"unknown eval_set {eval_set!r}")
     X = _check_columns(forest, X)
@@ -186,15 +184,8 @@ class SeqTestConfig:
                 problems.append("alpha and beta must be in (0, 1)")
             if not (0 < self.gamma < 1):
                 problems.append("gamma must be in (0, 1)")
-        if not is_integer(self.mmax):
-            problems.append(f"mmax must be an integer, got {self.mmax!r}")
-        elif self.mmax < 1:
-            problems.append(f"mmax must be >= 1, got {self.mmax}")
-        if bad := [f"{name}={getattr(self, name)!r}" for name in ("ntree", "nperm")
-                   if not is_integer(getattr(self, name))]:
-            problems.append(f"ntree and nperm must be integers, got {', '.join(bad)}")
-        elif self.ntree < 1 or self.nperm < 1:
-            problems.append("ntree and nperm must be >= 1")
+        problems += filter(None, (count_problem(getattr(self, name), name, 1)
+                                  for name in ("mmax", "ntree", "nperm")))
         if self.eval_set not in ("train", "oob"):
             problems.append(f"eval_set must be 'train' or 'oob', got {self.eval_set!r}")
         if not isinstance(self.mmax_fallback, bool):
@@ -427,8 +418,8 @@ def _run_tests(designs: Sequence[Sequence[_Test]],
     processes; one decision map per design.  A decision depends only on
     its test's own streams, not on the worker count, the block size or the
     order in which tests finish."""
-    if not is_integer(workers) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    if problem := count_problem(workers, "workers", 1):
+        raise ValueError(problem)
     tests = [test for design in designs for test in design]
     for cfg in {id(test.cfg): test.cfg for test in tests}.values():
         _warn_reach(cfg)

@@ -338,9 +338,9 @@ MALFORMED = [
     ("models", [], "models must be a JSON object"),
     ("preprocessing.outlier_rule", "iqr",
      "preprocessing.outlier_rule must be a JSON object"),
-    ("importance_repeats", "x", "importance_repeats must be an integer"),
-    ("importance_repeats", 0, "importance_repeats must be >= 1"),
-    ("seq_test.mmax", 15.5, "seq_test.mmax must be an integer"),
+    ("importance_repeats", "x", "importance_repeats must be an integer >= 1, got 'x'"),
+    ("importance_repeats", 0, "importance_repeats must be an integer >= 1, got 0"),
+    ("seq_test.mmax", 15.5, "seq_test.mmax must be an integer >= 1, got 15.5"),
     ("preprocessing.log_vars", "Growth",
      "preprocessing.log_vars must be a list of names"),
     ("sead", 7, "unknown key 'sead'"),
@@ -362,8 +362,8 @@ MALFORMED = [
      "integers, got [2, '3']"),
     ("models.dynamic.instrument_lags", {"Growth(t-1)": [2, 2], "Growht(t-1)": [2, 3]},
      "models.dynamic: instrument_lags names ['Growht(t-1)'], which are not instrumented"),
-    ("workers", 0, "workers must be >= 1"),
-    ("workers", "four", "workers must be an integer"),
+    ("workers", 0, "workers must be an integer >= 1, got 0"),
+    ("workers", "four", "workers must be an integer >= 1, got 'four'"),
 ]
 
 
@@ -371,7 +371,7 @@ MALFORMED = [
 # of the wrong type for it, and the one problem each must give
 WRONG_VALUES = {int: [2.5, True, "3", None], bool: [1, "yes", None],
                 float: ["x", True, None, [0.5]], list: ["x", [1], None, {"a": "b"}]}
-KIND = {int: "an integer", bool: "true or false", float: "a number", list: "a list of names"}
+KIND = {int: "an integer >= 1", bool: "true or false", float: "a number", list: "a list of names"}
 WRONG_TYPED = [(path, value, f"{path} must be {KIND[type(default)]}, got {value!r}")
                for block, defaults in SECTIONS.items() for key, default in defaults.items()
                for path in [f"{block}.{key}".lstrip(".")]
@@ -407,7 +407,7 @@ class TestConfigAtLoad:
         cfg["forest"] = {"n_trees": 0}
         (tmp_path / "c.json").write_text(json.dumps(cfg))
         assert main(["compare", "-c", str(tmp_path / "c.json")]) == 2
-        assert "n_trees must be >= 1" in capsys.readouterr().err
+        assert "forest.n_trees must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()  # no table written before the error
 
     @pytest.mark.parametrize("model", ["static", "dynamic"])

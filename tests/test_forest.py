@@ -117,20 +117,18 @@ class TestFitForest:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ForestConfig(n_trees=0)
-        with pytest.raises(ValueError):
-            ForestConfig(min_leaf=0)
-        with pytest.raises(ValueError):
             fit_forest(np.ones((20, 2)), np.ones(20), ForestConfig(mtry=3))
 
     @pytest.mark.parametrize("field, value", [
         ("n_trees", 2.5), ("n_trees", True), ("min_leaf", 2.5), ("mtry", 1.5),
-        ("max_depth", 2.5), ("max_depth", False)])
+        ("max_depth", 2.5), ("max_depth", False), ("n_trees", 0), ("min_leaf", 0),
+        ("mtry", 0), ("max_depth", 0)])
     def test_non_integer_count_rejected(self, field, value):
         # caught here, not deep in the grower; True is not one tree
-        problem = f"{field} must be an integer, got {value!r}"
-        with pytest.raises(ValueError, match=re.escape(problem)):
+        with pytest.raises(ValueError) as info:
             ForestConfig(**{field: value})
+        assert str(info.value) == f"{field} must be an integer >= 1, got {value!r}"
+        assert getattr(ForestConfig(**{field: np.int64(1)}), field) == 1
 
     @pytest.mark.parametrize("seed", [2.9, True, -1])
     def test_seed_must_be_an_integer(self, seed):

@@ -122,7 +122,7 @@ def test_child_environment_leaves_the_content_hash(tmp_path, hash_seed, blas_thr
      "f9e807468b17cff3d49c945acc533df6168e9d64c0cb1004adeab37b6dc3e271"),
     (11, 200, 5, {"n_trees": 15, "mtry": 2, "min_leaf": 3, "max_depth": 6},
      "5c8d6384885cd885f1eb43e624099bf443f5993164aa5fe4dbba4406b6befb2c"),
-])
+], ids=["seed3-unlimited", "seed11-mtry2-depth6"])
 def test_grown_forest_is_pinned(seed, n, p, options, pinned):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))

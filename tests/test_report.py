@@ -18,6 +18,7 @@ from panelforest.report import (
     from_gmm,
     from_linear,
     write_manifest,
+    write_model_table,
 )
 from panelforest.vimp import PermImportanceResult, SeqTestDecision, permutation_importance
 
@@ -72,6 +73,18 @@ class TestBuildReport:
         emit_tables([a, b], tmp_path)
         assert header(tmp_path / "tables" / "table_static_linear.csv") == \
             ["variable", "g7", "brics"]
+
+    def test_repeated_group_rejected(self, tmp_path):
+        # the display table has one column per group: a second g7 block
+        # would replace the first one's column while _full kept both
+        a = linear_block(0, fingerprint="shared")
+        b = linear_block(1, fingerprint="shared")
+        problem = "table_static_linear.csv has more than one block for group 'g7'"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            emit_tables([a, b], tmp_path)
+        with pytest.raises(ValueError, match=re.escape(problem.replace("static_linear", "x"))):
+            write_model_table(tmp_path / "table_x.csv", [a, linear_block(2, group="brics"), b])
+        assert not (tmp_path / "tables").exists()
 
     def test_full_battery_block_count(self, tmp_path):
         # 4 groups x 2 settings x 3 models = 24 metric blocks

@@ -80,19 +80,19 @@ class TestPermutationImportance:
         X, y = signal_data(9)
         f = fit_forest(X, y, ForestConfig(n_trees=5, seed=1))
         with pytest.raises(ValueError):
-            permutation_importance(f, X, y, n_repeats=0)
-        with pytest.raises(ValueError):
             permutation_importance(f, X, y, eval_set="test")
         with pytest.raises(ValueError):
             permutation_importance(f, X[:, :1], y)
 
-    @pytest.mark.parametrize("n_repeats", [2.5, True])
+    @pytest.mark.parametrize("n_repeats", [2.5, True, 0])
     def test_non_integer_repeats_rejected(self, n_repeats):
-        # neither is a number of repeats the report footer can print
+        # none is a number of repeats the report footer can print
         X, y = signal_data(9)
         f = fit_forest(X, y, ForestConfig(n_trees=5, seed=1))
-        with pytest.raises(ValueError, match=f"n_repeats must be an integer, got {n_repeats}"):
+        with pytest.raises(ValueError) as info:
             permutation_importance(f, X, y, n_repeats=n_repeats)
+        assert str(info.value) == f"n_repeats must be an integer >= 1, got {n_repeats!r}"
+        assert permutation_importance(f, X, y, n_repeats=np.int64(1)).n_repeats == 1
 
     @pytest.mark.parametrize("extra", [7, -7])
     def test_target_of_another_length_rejected(self, extra):
@@ -358,8 +358,6 @@ class TestStoppingRules:
             SeqTestConfig(method="bogus")
         with pytest.raises(ValueError, match="p1 < alpha < p0"):
             SeqTestConfig(p0=0.04, p1=0.06)
-        with pytest.raises(ValueError, match="mmax"):
-            SeqTestConfig(mmax=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # constructing a config only validates it
             coarse = SeqTestConfig(mmax=5, ntree=5)
@@ -370,16 +368,20 @@ class TestStoppingRules:
             SeqTestConfig(method="sprt", mmax=200, sapt_bounds=(-0.1, 0.1))
 
     @pytest.mark.parametrize("field, value, problem", [
-        ("mmax", 15.5, "mmax must be an integer, got 15.5"),
-        ("mmax", True, "mmax must be an integer, got True"),
-        ("ntree", 2.5, "ntree and nperm must be integers, got ntree=2.5"),
-        ("nperm", 1.5, "ntree and nperm must be integers, got nperm=1.5")])
+        ("mmax", 15.5, "mmax must be an integer >= 1, got 15.5"),
+        ("mmax", True, "mmax must be an integer >= 1, got True"),
+        ("ntree", 2.5, "ntree must be an integer >= 1, got 2.5"),
+        ("nperm", 1.5, "nperm must be an integer >= 1, got 1.5"),
+        ("mmax", 0, "mmax must be an integer >= 1, got 0"),
+        ("ntree", 0, "ntree must be an integer >= 1, got 0"),
+        ("nperm", 0, "nperm must be an integer >= 1, got 0")])
     def test_non_integer_count_rejected(self, field, value, problem):
         # caught at construction, not once a test runs inside a pool worker;
         # mmax=True is not one permutation
         with pytest.raises(ValueError) as info:
             SeqTestConfig(**{"mmax": 40, field: value})
         assert str(info.value) == problem
+        assert getattr(SeqTestConfig(**{"mmax": 40, field: np.int64(1)}), field) == 1
 
     @pytest.mark.parametrize("field, value", [
         ("p1", "x"), ("gamma", None), ("alpha", True), ("beta", [0.2])])
